@@ -63,7 +63,7 @@ double NowSec() {
 }
 
 // ns per schedule+fire round trip on a hot, near-empty queue — the engine's
-// absolute floor, mirroring BM_EventScheduleFire in bench_micro_sim.
+// absolute floor.
 double MeasureScheduleFireNs(int iters, int repeats) {
   double best = 1e18;
   for (int r = 0; r < repeats; ++r) {

@@ -11,6 +11,7 @@
 #ifndef VSCALE_SRC_FAULTS_FAULT_PLAN_H_
 #define VSCALE_SRC_FAULTS_FAULT_PLAN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -128,6 +129,10 @@ struct FaultPlan {
   std::vector<FaultEvent> events;
 
   bool empty() const { return events.empty(); }
+  bool HasDeliveryFault() const {
+    return std::any_of(events.begin(), events.end(),
+                       [](const FaultEvent& ev) { return IsDeliveryFault(ev.kind); });
+  }
   FaultPlan& Add(FaultKind kind, TimeNs start, TimeNs duration,
                  int64_t magnitude = 0) {
     events.push_back(FaultEvent{kind, start, duration, magnitude});

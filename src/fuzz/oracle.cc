@@ -157,15 +157,8 @@ RunOutcome RunScenarioOnce(const Scenario& s, uint64_t testbed_seed) {
     // reconverged by end of run. The end state is settled, not mid-flight:
     // every fault window closed >= 2 s ago (min_end above), and an in-flight
     // notification would have left its target vCPU runnable, not blocked.
-    bool delivery_armed = s.config.hardening.AnyDeliveryEnabled();
-    if (delivery_armed) {
-      bool plans_delivery = false;
-      for (const FaultEvent& ev : s.config.faults.events) {
-        plans_delivery = plans_delivery || IsDeliveryFault(ev.kind);
-      }
-      delivery_armed = plans_delivery;
-    }
-    if (delivery_armed) {
+    if (s.config.hardening.AnyDeliveryEnabled() &&
+        s.config.faults.HasDeliveryFault()) {
       const GuestKernel& k = bed.primary();
       const uint64_t guest_mask = k.freeze_mask();
       const uint64_t hv_mask = bed.primary_domain().hv_freeze_mask();
@@ -318,42 +311,39 @@ OracleReport RunOracle(const Scenario& s) {
   report.digest1 = run1.digest;
   report.end_time = run1.end_time;
   report.coverage = run1.coverage;
+  const auto fail = [&report](OracleVerdict verdict, std::string detail) {
+    report.verdict = verdict;
+    report.detail = std::move(detail);
+    return report;
+  };
 
   if (run1.violations > 0) {
-    report.verdict = OracleVerdict::kInvariantViolation;
-    report.detail = std::to_string(run1.violations) +
-                    " violation(s); first: " + run1.first_violation;
-    return report;
+    return fail(OracleVerdict::kInvariantViolation,
+                std::to_string(run1.violations) +
+                    " violation(s); first: " + run1.first_violation);
   }
   if (run1.stall_failures > 0) {
-    report.verdict = OracleVerdict::kStallNonExhaustive;
-    report.detail = std::to_string(run1.stall_failures) +
+    return fail(OracleVerdict::kStallNonExhaustive,
+                std::to_string(run1.stall_failures) +
                     " exhaustiveness failure(s) in " +
-                    std::to_string(run1.stall_samples) + " samples";
-    return report;
+                    std::to_string(run1.stall_samples) + " samples");
   }
   if (run1.notification_lost) {
-    report.verdict = OracleVerdict::kNotificationLost;
-    report.detail = run1.notification_detail;
-    return report;
+    return fail(OracleVerdict::kNotificationLost, run1.notification_detail);
   }
   if (!run1.terminated) {
-    report.verdict = OracleVerdict::kNonTermination;
-    report.detail = "workloads incomplete at horizon " +
-                    std::to_string(s.horizon) + " ns";
-    return report;
+    return fail(OracleVerdict::kNonTermination,
+                "workloads incomplete at horizon " + std::to_string(s.horizon) +
+                    " ns");
   }
   if (run1.watchdog_trips > run1.watchdog_recoveries) {
-    report.verdict = OracleVerdict::kWatchdogNoRecovery;
-    report.detail = "watchdog trips=" + std::to_string(run1.watchdog_trips) +
-                    " recoveries=" +
-                    std::to_string(run1.watchdog_recoveries) + " at end of run";
-    return report;
+    return fail(OracleVerdict::kWatchdogNoRecovery,
+                "watchdog trips=" + std::to_string(run1.watchdog_trips) +
+                    " recoveries=" + std::to_string(run1.watchdog_recoveries) +
+                    " at end of run");
   }
   if (run1.fairness_violated) {
-    report.verdict = OracleVerdict::kFairnessViolation;
-    report.detail = run1.fairness_detail;
-    return report;
+    return fail(OracleVerdict::kFairnessViolation, run1.fairness_detail);
   }
 
   // Determinism gate: the identical scenario must replay bit-identically. The
@@ -371,10 +361,8 @@ OracleReport RunOracle(const Scenario& s) {
   report.digest2 = run2.digest;
   report.coverage_stable = run1.coverage == run2.coverage;
   if (run1.digest != run2.digest) {
-    report.verdict = OracleVerdict::kDigestDivergence;
-    report.detail =
-        "run1=" + Hex16(run1.digest) + " run2=" + Hex16(run2.digest);
-    return report;
+    return fail(OracleVerdict::kDigestDivergence,
+                "run1=" + Hex16(run1.digest) + " run2=" + Hex16(run2.digest));
   }
   return report;
 }

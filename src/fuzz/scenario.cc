@@ -1,8 +1,13 @@
 #include "src/fuzz/scenario.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "src/base/check.h"
 
@@ -26,35 +31,6 @@ std::string WorkloadLine(const WorkloadSpec& w) {
            " dur_ns=" + I64(w.duration) + " workers=" + I64(w.workers);
   }
   return out;
-}
-
-bool ParseI64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  size_t i = 0;
-  bool neg = false;
-  if (s[0] == '-') {
-    neg = true;
-    i = 1;
-    if (s.size() == 1) return false;
-  }
-  int64_t v = 0;
-  for (; i < s.size(); ++i) {
-    if (s[i] < '0' || s[i] > '9') return false;
-    v = v * 10 + (s[i] - '0');
-  }
-  *out = neg ? -v : v;
-  return true;
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = v;
-  return true;
 }
 
 // Splits "key=value" tokens of a workload line.
@@ -143,23 +119,20 @@ bool ParseWorkloadLine(const std::string& rest, WorkloadSpec* out,
     }
     int64_t num = 0;
     const bool numeric = ParseI64(value, &num);
-    if (w.kind == WorkloadSpec::Kind::kOmp && key == "app") {
+    const bool omp = w.kind == WorkloadSpec::Kind::kOmp;
+    if (omp && key == "app") {
       w.app = value;
-    } else if (w.kind == WorkloadSpec::Kind::kOmp && key == "intervals" &&
-               numeric) {
+    } else if (omp && key == "intervals" && numeric) {
       w.intervals = num;
-    } else if (w.kind == WorkloadSpec::Kind::kOmp && key == "spin" && numeric) {
+    } else if (omp && key == "spin" && numeric) {
       w.spin_count = num;
-    } else if (w.kind == WorkloadSpec::Kind::kWeb && key == "rps" && numeric) {
+    } else if (!omp && key == "rps" && numeric) {
       w.rps = num;
-    } else if (w.kind == WorkloadSpec::Kind::kWeb && key == "start_ns" &&
-               numeric) {
+    } else if (!omp && key == "start_ns" && numeric) {
       w.start = num;
-    } else if (w.kind == WorkloadSpec::Kind::kWeb && key == "dur_ns" &&
-               numeric) {
+    } else if (!omp && key == "dur_ns" && numeric) {
       w.duration = num;
-    } else if (w.kind == WorkloadSpec::Kind::kWeb && key == "workers" &&
-               numeric) {
+    } else if (!omp && key == "workers" && numeric) {
       w.workers = static_cast<int>(num);
     } else {
       *why = "unknown or malformed workload token \"" + tok + "\"";
@@ -170,8 +143,9 @@ bool ParseWorkloadLine(const std::string& rest, WorkloadSpec* out,
   return true;
 }
 
-}  // namespace
-
+// Short stable policy tokens for scenario files: "baseline",
+// "baseline-pvlock", "vscale", "vscale-pvlock" (the display ToString(Policy)
+// forms contain '/' and '+', hostile to grep and filenames).
 const char* PolicyToken(Policy p) {
   switch (p) {
     case Policy::kBaseline:
@@ -197,6 +171,126 @@ bool ParsePolicyToken(const std::string& token, Policy* out) {
   }
   return false;
 }
+
+using Width = ScenarioKnob::Width;
+using Section = ScenarioKnob::Section;
+using enum ScenarioKnob::Section;
+using enum ScenarioKnob::Draw;
+
+template <typename T>
+constexpr Width WidthOf() {
+  static_assert(std::is_integral_v<T>, "knob fields are integers");
+  return std::is_same_v<T, bool>       ? Width::kBool
+         : std::is_same_v<T, int>      ? Width::kI32
+         : std::is_same_v<T, uint64_t> ? Width::kU64
+                                       : Width::kI64;
+}
+
+// Width, getter and setter of an integer Scenario field.
+#define VS_FIELD(field)                                                \
+  WidthOf<decltype(std::declval<Scenario&>().field)>(),                \
+      [](const Scenario& s) { return static_cast<int64_t>(s.field); }, \
+      [](Scenario& s, int64_t v) { s.field = static_cast<decltype(s.field)>(v); }
+
+constexpr int64_t kMs = Milliseconds(1);
+
+// Every scalar line of the grammar, in canonical order. Reordering entries
+// changes the canonical text and the generator's draw order; fuzz_test pins
+// both.
+constexpr ScenarioKnob kKnobs[] = {
+    {"seed", VS_FIELD(seed), kSeed},
+    {"pcpus", VS_FIELD(config.pool_pcpus)},
+    {"vcpus", VS_FIELD(config.primary_vcpus)},
+    {"background_vms", VS_FIELD(config.background_vms)},
+    {"crunch_ns", VS_FIELD(config.crunch_mean), kBody, kGenerated, 2000, 6000, kMs},
+    {"quiet_ns", VS_FIELD(config.quiet_mean), kBody, kGenerated, 500, 2000, kMs},
+    {"horizon_ns", VS_FIELD(horizon)},
+    {"daemon.poll_ns", VS_FIELD(config.daemon.poll_period), kBody, kRedrawn, 5, 20, kMs},
+    {"daemon.shrink_confirmations", VS_FIELD(config.daemon.shrink_confirmations), kBody, kRedrawn, 2, 6},
+    {"daemon.grow_confirmations", VS_FIELD(config.daemon.grow_confirmations), kBody, kRedrawn, 1, 3},
+    {"daemon.stale_reads_threshold", VS_FIELD(config.daemon.stale_reads_threshold), kBody, kRedrawn, 4, 12},
+    {"daemon.unhealthy_cycles", VS_FIELD(config.daemon.unhealthy_cycles), kBody, kRedrawn, 1, 3},
+    {"daemon.resume_confirmations", VS_FIELD(config.daemon.resume_confirmations), kBody, kRedrawn, 1, 4},
+    {"daemon.safe_vcpu_floor", VS_FIELD(config.daemon.safe_vcpu_floor), kBody, kRedrawn, 0, 2},
+    {"watchdog.check_ns", VS_FIELD(config.watchdog.check_period), kBody, kRedrawn, 5, 20, kMs},
+    // The watchdog deadline must clear the daemon's worst healthy cycle: the
+    // lower bound stays above (poll <= 20ms) * retries with margin.
+    {"watchdog.missed_cycles", VS_FIELD(config.watchdog.missed_cycles), kBody, kRedrawn, 6, 16},
+    // Never drawn: generated scenarios keep 0, inheriting the daemon floor.
+    {"watchdog.safe_vcpu_floor", VS_FIELD(config.watchdog.safe_vcpu_floor)},
+    {"hardening.acct_time_based", VS_FIELD(config.hardening.acct_time_based), kHardening},
+    {"hardening.boost_budget", VS_FIELD(config.hardening.boost_budget), kHardening},
+    // Integer percent (ratio 2.0 -> 200): the grammar is integer-only and the
+    // parse quantizes to the same grid, keeping ToString() a fixpoint.
+    {"hardening.waited_cap_pct", Width::kI32,
+     [](const Scenario& s) { return static_cast<int64_t>(s.config.hardening.waited_cap_ratio * 100.0 + 0.5); },
+     [](Scenario& s, int64_t pct) { s.config.hardening.waited_cap_ratio = pct / 100.0; }, kHardening},
+    {"hardening.plausibility_clamp", VS_FIELD(config.hardening.plausibility_clamp), kHardening},
+    {"hardening.ipi_dedup", VS_FIELD(config.hardening.ipi_dedup), kHardening},
+    {"hardening.freeze_resend_ns", VS_FIELD(config.hardening.freeze_resend_ns), kHardening},
+    {"hardening.tick_rescue", VS_FIELD(config.hardening.tick_rescue), kHardening},
+    {"hardening.reconciler", VS_FIELD(config.hardening.reconciler), kHardening},
+    {"reconciler.check_ns", VS_FIELD(config.reconciler.check_period), kReconciler},
+    {"reconciler.grace_ns", VS_FIELD(config.reconciler.grace), kReconciler},
+    {"fault_seed", VS_FIELD(config.faults.seed), kFaultSeed},
+};
+
+#undef VS_FIELD
+
+// Hardening lines appear only when a flag leaves its OFF default, so every
+// pre-antagonist corpus file stays byte-for-byte canonical.
+bool Present(const ScenarioKnob& k, const Scenario& s) {
+  if (k.section == kHardening) return k.get(s) != 0;
+  return k.section != kReconciler || s.config.hardening.reconciler;
+}
+
+std::string FormatKnob(const ScenarioKnob& k, const Scenario& s) {
+  const int64_t v = k.get(s);
+  return k.width == Width::kU64 ? std::to_string(static_cast<uint64_t>(v))
+                                : std::to_string(v);
+}
+
+// Parses a knob's text value into the int64 carrier, rejecting anything that
+// is not a base-10 integer or does not fit the knob's width.
+bool ParseKnobValue(const ScenarioKnob& k, const std::string& value,
+                    int64_t* out, std::string* why) {
+  const bool u64 = k.width == Width::kU64;
+  uint64_t u = 0;
+  if (u64 ? !ParseU64(value, &u) : !ParseI64(value, out)) {
+    *why = (u64 ? "bad uint64 for " : "bad integer value for ") +
+           std::string(k.key) + ": \"" + value + "\"";
+    return false;
+  }
+  if (u64) *out = static_cast<int64_t>(u);
+  // kI64 and kU64 span the whole carrier; the narrower widths are checked.
+  const int64_t hi = k.width == Width::kBool  ? 1
+                     : k.width == Width::kI32 ? std::numeric_limits<int32_t>::max()
+                                              : std::numeric_limits<int64_t>::max();
+  const int64_t lo = k.width == Width::kBool ? 0 : -hi - 1;
+  if (*out < lo || *out > hi) {
+    *why = std::string(k.key) + " value " + value + " outside [" +
+           std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    return false;
+  }
+  return true;
+}
+
+template <typename T>
+bool ParseDecimal(std::string_view s, T* out) {
+  T v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
+std::span<const ScenarioKnob> ScenarioKnobs() { return kKnobs; }
+
+bool ParseI64(std::string_view s, int64_t* out) { return ParseDecimal(s, out); }
+
+bool ParseU64(std::string_view s, uint64_t* out) { return ParseDecimal(s, out); }
 
 void Scenario::Validate() const {
   config.Validate();
@@ -240,69 +334,40 @@ void Scenario::Validate() const {
   }
 }
 
+bool Scenario::ProbeLegal(std::string* why) const {
+  const uint64_t before = InvariantViolationCount();
+  std::string first;
+  InvariantHandler prev = SetInvariantHandler([&first](const InvariantViolation& v) {
+    if (first.empty()) first = v.message;
+  });
+  Validate();
+  SetInvariantHandler(std::move(prev));
+  if (why != nullptr) *why = first;
+  return InvariantViolationCount() == before;
+}
+
 std::string Scenario::ToString() const {
-  std::string out;
-  out += kHeader;
-  out += '\n';
-  out += "seed " + std::to_string(seed) + '\n';
+  std::string out = std::string(kHeader) + '\n';
+  // Appends the table's lines through the end of section `last`.
+  size_t next = 0;
+  const auto knobs_through = [&](Section last) {
+    for (; next < std::size(kKnobs) && kKnobs[next].section <= last; ++next) {
+      const ScenarioKnob& k = kKnobs[next];
+      if (Present(k, *this)) {
+        out += std::string(k.key) + ' ' + FormatKnob(k, *this) + '\n';
+      }
+    }
+  };
+  knobs_through(kSeed);
   out += "policy " + std::string(PolicyToken(config.policy)) + '\n';
-  out += "pcpus " + I64(config.pool_pcpus) + '\n';
-  out += "vcpus " + I64(config.primary_vcpus) + '\n';
-  out += "background_vms " + I64(config.background_vms) + '\n';
-  out += "crunch_ns " + I64(config.crunch_mean) + '\n';
-  out += "quiet_ns " + I64(config.quiet_mean) + '\n';
-  out += "horizon_ns " + I64(horizon) + '\n';
-  out += "daemon.poll_ns " + I64(config.daemon.poll_period) + '\n';
-  out += "daemon.shrink_confirmations " + I64(config.daemon.shrink_confirmations) + '\n';
-  out += "daemon.grow_confirmations " + I64(config.daemon.grow_confirmations) + '\n';
-  out += "daemon.stale_reads_threshold " + I64(config.daemon.stale_reads_threshold) + '\n';
-  out += "daemon.unhealthy_cycles " + I64(config.daemon.unhealthy_cycles) + '\n';
-  out += "daemon.resume_confirmations " + I64(config.daemon.resume_confirmations) + '\n';
-  out += "daemon.safe_vcpu_floor " + I64(config.daemon.safe_vcpu_floor) + '\n';
-  out += "watchdog.check_ns " + I64(config.watchdog.check_period) + '\n';
-  out += "watchdog.missed_cycles " + I64(config.watchdog.missed_cycles) + '\n';
-  out += "watchdog.safe_vcpu_floor " + I64(config.watchdog.safe_vcpu_floor) + '\n';
+  knobs_through(kBody);
   for (const WorkloadSpec& w : workloads) {
     out += WorkloadLine(w) + '\n';
   }
   for (const AntagonistConfig& a : config.antagonists) {
     out += AntagonistLine(a) + '\n';
   }
-  // Hardening keys appear only when a flag leaves its OFF default, so every
-  // pre-antagonist corpus file stays byte-for-byte canonical (the omitted key
-  // parses back to the same default — ToString() output is still a fixpoint).
-  if (config.hardening.acct_time_based) {
-    out += "hardening.acct_time_based 1\n";
-  }
-  if (config.hardening.boost_budget > 0) {
-    out += "hardening.boost_budget " + I64(config.hardening.boost_budget) + '\n';
-  }
-  if (config.hardening.waited_cap_ratio > 0.0) {
-    // Serialized as integer percent (ratio 2.0 -> 200): the grammar is
-    // integer-only and parse quantizes to the same grid, keeping the fixpoint.
-    out += "hardening.waited_cap_pct " +
-           I64(static_cast<int64_t>(config.hardening.waited_cap_ratio * 100.0 + 0.5)) +
-           '\n';
-  }
-  if (config.hardening.plausibility_clamp) {
-    out += "hardening.plausibility_clamp 1\n";
-  }
-  if (config.hardening.ipi_dedup) {
-    out += "hardening.ipi_dedup 1\n";
-  }
-  if (config.hardening.freeze_resend_ns > 0) {
-    out += "hardening.freeze_resend_ns " + I64(config.hardening.freeze_resend_ns) +
-           '\n';
-  }
-  if (config.hardening.tick_rescue) {
-    out += "hardening.tick_rescue 1\n";
-  }
-  if (config.hardening.reconciler) {
-    out += "hardening.reconciler 1\n";
-    out += "reconciler.check_ns " + I64(config.reconciler.check_period) + '\n';
-    out += "reconciler.grace_ns " + I64(config.reconciler.grace) + '\n';
-  }
-  out += "fault_seed " + std::to_string(config.faults.seed) + '\n';
+  knobs_through(kFaultSeed);
   if (!config.faults.empty()) {
     out += "faults " + config.faults.ToString() + '\n';
   }
@@ -316,6 +381,8 @@ bool ParseScenario(const std::string& text, Scenario* out, std::string* error) {
   std::string line;
   int lineno = 0;
   bool saw_header = false;
+  // The line each knob was set on, 0 = not yet: a scalar key may appear once.
+  int knob_line[std::size(kKnobs)] = {};
   auto fail = [&](const std::string& why) {
     if (error != nullptr) {
       *error = "line " + std::to_string(lineno) + ": " + why;
@@ -341,16 +408,20 @@ bool ParseScenario(const std::string& text, Scenario* out, std::string* error) {
     }
     const std::string key = line.substr(first, sp - first);
     const std::string value = line.substr(sp + 1);
-    int64_t num = 0;
-    const bool numeric = ParseI64(value, &num);
-    if (key == "seed" || key == "fault_seed") {
-      uint64_t u = 0;
-      if (!ParseU64(value, &u)) return fail("bad uint64 for " + key);
-      if (key == "seed") {
-        s.seed = u;
-      } else {
-        s.config.faults.seed = u;
+    const auto knob =
+        std::find_if(std::begin(kKnobs), std::end(kKnobs),
+                     [&](const ScenarioKnob& k) { return key == k.key; });
+    if (knob != std::end(kKnobs)) {
+      int& set_on = knob_line[knob - std::begin(kKnobs)];
+      if (set_on != 0) {
+        return fail("duplicate key \"" + key + "\" (first set on line " +
+                    std::to_string(set_on) + ")");
       }
+      set_on = lineno;
+      int64_t v = 0;
+      std::string why;
+      if (!ParseKnobValue(*knob, value, &v, &why)) return fail(why);
+      knob->set(s, v);
     } else if (key == "policy") {
       if (!ParsePolicyToken(value, &s.config.policy)) {
         return fail("unknown policy \"" + value + "\"");
@@ -370,60 +441,6 @@ bool ParseScenario(const std::string& text, Scenario* out, std::string* error) {
       if (!FaultPlan::Parse(value, &s.config.faults, &why)) {
         return fail("bad fault plan: " + why);
       }
-    } else if (!numeric) {
-      return fail("bad integer value for " + key + ": \"" + value + "\"");
-    } else if (key == "pcpus") {
-      s.config.pool_pcpus = static_cast<int>(num);
-    } else if (key == "vcpus") {
-      s.config.primary_vcpus = static_cast<int>(num);
-    } else if (key == "background_vms") {
-      s.config.background_vms = static_cast<int>(num);
-    } else if (key == "crunch_ns") {
-      s.config.crunch_mean = num;
-    } else if (key == "quiet_ns") {
-      s.config.quiet_mean = num;
-    } else if (key == "horizon_ns") {
-      s.horizon = num;
-    } else if (key == "daemon.poll_ns") {
-      s.config.daemon.poll_period = num;
-    } else if (key == "daemon.shrink_confirmations") {
-      s.config.daemon.shrink_confirmations = static_cast<int>(num);
-    } else if (key == "daemon.grow_confirmations") {
-      s.config.daemon.grow_confirmations = static_cast<int>(num);
-    } else if (key == "daemon.stale_reads_threshold") {
-      s.config.daemon.stale_reads_threshold = static_cast<int>(num);
-    } else if (key == "daemon.unhealthy_cycles") {
-      s.config.daemon.unhealthy_cycles = static_cast<int>(num);
-    } else if (key == "daemon.resume_confirmations") {
-      s.config.daemon.resume_confirmations = static_cast<int>(num);
-    } else if (key == "daemon.safe_vcpu_floor") {
-      s.config.daemon.safe_vcpu_floor = static_cast<int>(num);
-    } else if (key == "watchdog.check_ns") {
-      s.config.watchdog.check_period = num;
-    } else if (key == "watchdog.missed_cycles") {
-      s.config.watchdog.missed_cycles = static_cast<int>(num);
-    } else if (key == "watchdog.safe_vcpu_floor") {
-      s.config.watchdog.safe_vcpu_floor = static_cast<int>(num);
-    } else if (key == "hardening.acct_time_based") {
-      s.config.hardening.acct_time_based = num != 0;
-    } else if (key == "hardening.boost_budget") {
-      s.config.hardening.boost_budget = static_cast<int>(num);
-    } else if (key == "hardening.waited_cap_pct") {
-      s.config.hardening.waited_cap_ratio = static_cast<double>(num) / 100.0;
-    } else if (key == "hardening.plausibility_clamp") {
-      s.config.hardening.plausibility_clamp = num != 0;
-    } else if (key == "hardening.ipi_dedup") {
-      s.config.hardening.ipi_dedup = num != 0;
-    } else if (key == "hardening.freeze_resend_ns") {
-      s.config.hardening.freeze_resend_ns = num;
-    } else if (key == "hardening.tick_rescue") {
-      s.config.hardening.tick_rescue = num != 0;
-    } else if (key == "hardening.reconciler") {
-      s.config.hardening.reconciler = num != 0;
-    } else if (key == "reconciler.check_ns") {
-      s.config.reconciler.check_period = num;
-    } else if (key == "reconciler.grace_ns") {
-      s.config.reconciler.grace = num;
     } else {
       return fail("unknown key \"" + key + "\"");
     }

@@ -7,15 +7,18 @@
 // fuzzer find survives as an artifact: the shrinker serializes the minimal
 // failing scenario, tools/fuzz_run --replay re-runs it bit-identically, and
 // tests/corpus/ checks past finds in as permanent regression tests. The format
-// is strict — unknown keys and malformed values are errors, never silently
-// skipped — because a repro file that half-parses is worse than none.
+// is strict — unknown keys, malformed or out-of-range values and repeated
+// scalar keys are errors, never silently skipped or overridden — because a
+// repro file that half-parses is worse than none.
 // docs/FUZZING.md documents the grammar.
 
 #ifndef VSCALE_SRC_FUZZ_SCENARIO_H_
 #define VSCALE_SRC_FUZZ_SCENARIO_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/time.h"
@@ -66,26 +69,54 @@ struct Scenario {
   TimeNs horizon = Seconds(20);
 
   // Domains the testbed will instantiate (primary + desktops + antagonists).
-  int Domains() const {
-    return 1 + (config.background_vms > 0 ? config.background_vms : 0) +
-           static_cast<int>(config.antagonists.size());
-  }
+  int Domains() const { return ResolveTopology(config).domains; }
 
   // VS_REQUIRE-rejects scenarios no oracle verdict could be trusted on:
   // empty workload mix, non-positive horizon, fault windows or web client
   // windows extending past the horizon — on top of TestbedConfig::Validate().
   void Validate() const;
+  // Non-aborting Validate(): swallows the reports and returns whether there
+  // were none, with the first message in *why (if non-null) when there were.
+  bool ProbeLegal(std::string* why) const;
 
   // Canonical text form; Parse(ToString()) reproduces the scenario exactly
   // and ToString() output is a fixpoint (stable field order, ns-exact times).
   std::string ToString() const;
 };
 
-// Short stable policy tokens for scenario files: "baseline",
-// "baseline-pvlock", "vscale", "vscale-pvlock" (the display ToString(Policy)
-// forms contain '/' and '+', hostile to grep and filenames).
-const char* PolicyToken(Policy p);
-bool ParsePolicyToken(const std::string& token, Policy* out);
+// One scalar `<key> <integer>` line of the grammar. ScenarioKnobs() lists
+// them all in canonical order; ToString(), ParseScenario() and the generator's
+// uniform knob draws walk that one table, so adding a knob is one entry in
+// src/fuzz/scenario.cc plus its model code.
+struct ScenarioKnob {
+  // The range a parsed value must fit: 0/1, int32, int64 or uint64.
+  enum class Width : uint8_t { kBool, kI32, kI64, kU64 };
+  // Canonical position, which also says when ToString() omits the line:
+  // kHardening lines at their OFF default (0), kReconciler lines unless
+  // hardening.reconciler is on. `policy` follows kSeed, the workload and
+  // antagonist lines follow kBody, `faults` follows kFaultSeed.
+  enum class Section : uint8_t { kSeed, kBody, kHardening, kReconciler, kFaultSeed };
+  // kGenerated: GenerateScenario draws it from its `knobs` stream;
+  // kRedrawn: MutateScenario's knob mutation redraws it as well.
+  enum class Draw : uint8_t { kNone, kGenerated, kRedrawn };
+
+  const char* key;
+  Width width;
+  // Field access in the text's units; uint64 fields pass through the int64
+  // by modular conversion.
+  int64_t (*get)(const Scenario&);
+  void (*set)(Scenario&, int64_t);
+  Section section = Section::kBody;
+  Draw draw = Draw::kNone;
+  int64_t draw_lo = 0, draw_hi = 0, draw_unit = 1;  // UniformInt(lo, hi) * unit
+};
+
+std::span<const ScenarioKnob> ScenarioKnobs();
+
+// Strict base-10 integers, the grammar's only number form: an optional '-'
+// (signed only), digits, nothing else, no overflow. False on anything else.
+bool ParseI64(std::string_view s, int64_t* out);
+bool ParseU64(std::string_view s, uint64_t* out);
 
 // Parses a scenario text (see docs/FUZZING.md). On failure returns false with
 // a line-numbered message in *error and leaves *out untouched.

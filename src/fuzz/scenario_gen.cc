@@ -26,6 +26,15 @@ Policy DrawPolicy(Rng& rng) {
   return Policy::kVscalePvlock;
 }
 
+// Pool width, primary width and an explicit consolidation level; -1 = a
+// dedicated machine. The auto-fill (0) is deliberately never drawn —
+// scenarios state their topology outright.
+void DrawTopology(Rng& topo, TestbedConfig* c) {
+  c->pool_pcpus = static_cast<int>(topo.UniformInt(2, 8));
+  c->primary_vcpus = static_cast<int>(topo.UniformInt(2, 8));
+  c->background_vms = topo.Chance(0.4) ? -1 : static_cast<int>(topo.UniformInt(1, 3));
+}
+
 int64_t DrawSpinCount(Rng& rng) {
   const uint64_t r = rng.NextBelow(100);
   if (r < 30) return kSpinCountPassive;
@@ -131,11 +140,11 @@ TimeNs ComputeHorizon(const Scenario& s) {
   for (const AntagonistConfig& a : s.config.antagonists) {
     antagonist_vcpus += a.vcpus;
   }
+  const ResolvedTopology topology = ResolveTopology(s.config);
   const int total_vcpus = s.config.primary_vcpus +
-                          2 * std::max(0, s.config.background_vms) +
-                          antagonist_vcpus;
+                          2 * topology.background_vms + antagonist_vcpus;
   const int64_t contention =
-      (total_vcpus + s.config.pool_pcpus - 1) / s.config.pool_pcpus;
+      (total_vcpus + topology.pool_pcpus - 1) / topology.pool_pcpus;
   // A working attack squeezes the primary harder than weight-fair contention
   // predicts; double the compute slack so the liveness oracle blames real
   // hangs, not a slow-but-progressing victim.
@@ -165,13 +174,15 @@ void DrawDeliveryHardening(Rng& rng, HardeningConfig* h) {
   h->reconciler = true;
 }
 
-bool PlansDeliveryFault(const Scenario& s) {
-  for (const FaultEvent& ev : s.config.faults.events) {
-    if (IsDeliveryFault(ev.kind)) {
-      return true;
+// Draws the table's uniform knobs from the `knobs` stream in table order:
+// every drawn knob for a fresh scenario, or only the kRedrawn subset.
+void DrawKnobs(Rng& knobs, bool redrawn_only, Scenario* s) {
+  using Draw = ScenarioKnob::Draw;
+  for (const ScenarioKnob& k : ScenarioKnobs()) {
+    if (k.draw == Draw::kRedrawn || (k.draw == Draw::kGenerated && !redrawn_only)) {
+      k.set(*s, knobs.UniformInt(k.draw_lo, k.draw_hi) * k.draw_unit);
     }
   }
-  return false;
 }
 
 }  // namespace
@@ -191,29 +202,9 @@ Scenario GenerateScenario(uint64_t seed) {
   s.seed = seed;
   s.config.seed = seed;
   s.config.policy = DrawPolicy(topo);
-  s.config.pool_pcpus = static_cast<int>(topo.UniformInt(2, 8));
-  s.config.primary_vcpus = static_cast<int>(topo.UniformInt(2, 8));
-  // Explicit consolidation level; -1 = dedicated machine. The auto-fill (0)
-  // is deliberately never drawn — scenarios state their topology outright.
-  s.config.background_vms =
-      topo.Chance(0.4) ? -1 : static_cast<int>(topo.UniformInt(1, 3));
+  DrawTopology(topo, &s.config);
 
-  s.config.crunch_mean = Milliseconds(knobs.UniformInt(2000, 6000));
-  s.config.quiet_mean = Milliseconds(knobs.UniformInt(500, 2000));
-  s.config.daemon.poll_period = Milliseconds(knobs.UniformInt(5, 20));
-  s.config.daemon.shrink_confirmations = static_cast<int>(knobs.UniformInt(2, 6));
-  s.config.daemon.grow_confirmations = static_cast<int>(knobs.UniformInt(1, 3));
-  s.config.daemon.stale_reads_threshold =
-      static_cast<int>(knobs.UniformInt(4, 12));
-  s.config.daemon.unhealthy_cycles = static_cast<int>(knobs.UniformInt(1, 3));
-  s.config.daemon.resume_confirmations =
-      static_cast<int>(knobs.UniformInt(1, 4));
-  s.config.daemon.safe_vcpu_floor = static_cast<int>(knobs.UniformInt(0, 2));
-  s.config.watchdog.check_period = Milliseconds(knobs.UniformInt(5, 20));
-  // The watchdog deadline must clear the daemon's worst healthy cycle; the
-  // lower bound here stays above (poll <= 20ms) * retries with margin.
-  s.config.watchdog.missed_cycles = static_cast<int>(knobs.UniformInt(6, 16));
-  s.config.watchdog.safe_vcpu_floor = 0;  // inherit the daemon floor
+  DrawKnobs(knobs, /*redrawn_only=*/false, &s);
 
   const int n_workloads = work.Chance(0.35) ? 2 : 1;
   for (int i = 0; i < n_workloads; ++i) {
@@ -254,7 +245,8 @@ Scenario GenerateScenario(uint64_t seed) {
   // would only rediscover it through the liveness/watchdog oracles. Hardened
   // cells instead arm kNotificationLost, which is the real fuzz target: a lost
   // notification must degrade to latency, never wedge.
-  if (PlansDeliveryFault(s) && !s.config.hardening.AnyDeliveryEnabled()) {
+  if (s.config.faults.HasDeliveryFault() &&
+      !s.config.hardening.AnyDeliveryEnabled()) {
     DrawDeliveryHardening(adv, &s.config.hardening);
   }
 
@@ -286,10 +278,7 @@ Scenario MutateScenario(const Scenario& base, uint64_t seed) {
       break;
     }
     case 1: {  // topology: pool width, primary width, consolidation level
-      s.config.pool_pcpus = static_cast<int>(topo.UniformInt(2, 8));
-      s.config.primary_vcpus = static_cast<int>(topo.UniformInt(2, 8));
-      s.config.background_vms =
-          topo.Chance(0.4) ? -1 : static_cast<int>(topo.UniformInt(1, 3));
+      DrawTopology(topo, &s.config);
       break;
     }
     case 2: {  // workload mix: grow, shrink, or replace one entry
@@ -322,7 +311,8 @@ Scenario MutateScenario(const Scenario& base, uint64_t seed) {
       // Same pairing rule as generation: a plan that now carries a delivery
       // fault always arms the delivery-hardening suite (stock wedging is the
       // documented baseline, not a fuzz target).
-      if (PlansDeliveryFault(s) && !s.config.hardening.AnyDeliveryEnabled()) {
+      if (s.config.faults.HasDeliveryFault() &&
+          !s.config.hardening.AnyDeliveryEnabled()) {
         DrawDeliveryHardening(fault_rng, &s.config.hardening);
       }
       break;
@@ -342,22 +332,7 @@ Scenario MutateScenario(const Scenario& base, uint64_t seed) {
       break;
     }
     default: {  // daemon/watchdog knob redraw, same ranges as the generator
-      s.config.daemon.poll_period = Milliseconds(knobs.UniformInt(5, 20));
-      s.config.daemon.shrink_confirmations =
-          static_cast<int>(knobs.UniformInt(2, 6));
-      s.config.daemon.grow_confirmations =
-          static_cast<int>(knobs.UniformInt(1, 3));
-      s.config.daemon.stale_reads_threshold =
-          static_cast<int>(knobs.UniformInt(4, 12));
-      s.config.daemon.unhealthy_cycles =
-          static_cast<int>(knobs.UniformInt(1, 3));
-      s.config.daemon.resume_confirmations =
-          static_cast<int>(knobs.UniformInt(1, 4));
-      s.config.daemon.safe_vcpu_floor =
-          static_cast<int>(knobs.UniformInt(0, 2));
-      s.config.watchdog.check_period = Milliseconds(knobs.UniformInt(5, 20));
-      s.config.watchdog.missed_cycles =
-          static_cast<int>(knobs.UniformInt(6, 16));
+      DrawKnobs(knobs, /*redrawn_only=*/true, &s);
       break;
     }
   }
@@ -394,29 +369,15 @@ CoverageVector PredictedCoverage(const Scenario& s) {
   CoverageVector v(kNumCoveragePoints, 0);
   const auto hit = [&v](CoveragePoint p) { ++v[static_cast<size_t>(p)]; };
 
-  // Resolve auto topology the way the Testbed constructor does, so the
-  // predicted shape bins match what RecordShape will actually record.
-  const int pool = s.config.pool_pcpus > 0 ? s.config.pool_pcpus : 12;
-  int bg = s.config.background_vms;
-  if (bg == 0) {
-    bg = std::max(0, (2 * pool - s.config.primary_vcpus) / 2);
-  } else if (bg < 0) {
-    bg = 0;
+  // Resolve and bin the topology exactly as the Testbed constructor does.
+  const ResolvedTopology topology = ResolveTopology(s.config);
+  for (const CoveragePoint p :
+       ShapePoints(static_cast<int>(s.config.policy), topology.domains,
+                   s.config.primary_vcpus, topology.background_vms == 0,
+                   !s.config.antagonists.empty(),
+                   s.config.hardening.AnyEnabled())) {
+    hit(p);
   }
-  const int domains = 1 + bg + static_cast<int>(s.config.antagonists.size());
-  hit(domains <= 1   ? CoveragePoint::kShapeDomains1
-      : domains <= 4 ? CoveragePoint::kShapeDomains2To4
-                     : CoveragePoint::kShapeDomains5Plus);
-  hit(s.config.primary_vcpus <= 4 ? CoveragePoint::kShapeVcpusSmall
-                                  : CoveragePoint::kShapeVcpusLarge);
-  hit(bg == 0 ? CoveragePoint::kShapeDedicated
-              : CoveragePoint::kShapeConsolidated);
-  // The shape.policy_* block mirrors the Policy enum order.
-  hit(static_cast<CoveragePoint>(
-      static_cast<int>(CoveragePoint::kShapePolicyBaseline) +
-      static_cast<int>(s.config.policy)));
-  if (!s.config.antagonists.empty()) hit(CoveragePoint::kShapeAntagonist);
-  if (s.config.hardening.AnyEnabled()) hit(CoveragePoint::kShapeHardened);
 
   // One fault.* point per planned window: the oracle never stops a run before
   // every window has opened and closed, so a planned kind is a reached kind.

@@ -3,34 +3,32 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/base/check.h"
-
 namespace vscale {
 
 namespace {
-
-// Non-aborting legality probe: swallow violation reports, count the delta.
-// Shrink moves routinely produce illegal candidates (a halved horizon can
-// strand a fault window); those are rejected here for free.
-bool IsLegal(const Scenario& s) {
-  const uint64_t before = InvariantViolationCount();
-  InvariantHandler prev =
-      SetInvariantHandler([](const InvariantViolation&) {});
-  s.Validate();
-  SetInvariantHandler(std::move(prev));
-  return InvariantViolationCount() == before;
-}
 
 class Shrinker {
  public:
   Shrinker(OracleVerdict verdict, int budget) : verdict_(verdict), budget_(budget) {}
 
   // Same-verdict acceptance: legal, within budget, and failing identically.
+  // Shrink moves routinely produce illegal candidates (a halved horizon can
+  // strand a fault window); the legality probe rejects those for free.
   bool Accept(const Scenario& cand) {
-    if (runs_ >= budget_ || !IsLegal(cand)) return false;
+    if (runs_ >= budget_ || !cand.ProbeLegal(nullptr)) return false;
     ++runs_;
     if (RunOracle(cand).verdict != verdict_) return false;
     ++accepted_;
+    return true;
+  }
+
+  // Applies `move` to a copy of *cur and keeps the copy if it is accepted.
+  template <typename Move>
+  bool Try(Scenario* cur, Move&& move) {
+    Scenario cand = *cur;
+    move(cand);
+    if (!Accept(cand)) return false;
+    *cur = std::move(cand);
     return true;
   }
 
@@ -57,79 +55,55 @@ Scenario ShrinkScenario(const Scenario& failing, OracleVerdict verdict,
     // Drop fault events, last first (late events are least likely to matter
     // for a failure that manifested earlier).
     for (size_t i = cur.config.faults.events.size(); i-- > 0;) {
-      Scenario cand = cur;
-      cand.config.faults.events.erase(cand.config.faults.events.begin() +
-                                      static_cast<long>(i));
-      if (sh.Accept(cand)) {
-        cur = std::move(cand);
-        progress = true;
-      }
+      progress |= sh.Try(&cur, [i](Scenario& c) {
+        c.config.faults.events.erase(c.config.faults.events.begin() +
+                                     static_cast<long>(i));
+      });
     }
 
     // Drop antagonists, last first. Zero is legal; a fairness-violation
     // verdict keeps its load-bearing attacker automatically (dropping it
     // disarms the fairness oracle, the verdict changes, the move is rejected).
     for (size_t i = cur.config.antagonists.size(); i-- > 0;) {
-      Scenario cand = cur;
-      cand.config.antagonists.erase(cand.config.antagonists.begin() +
-                                    static_cast<long>(i));
-      if (sh.Accept(cand)) {
-        cur = std::move(cand);
-        progress = true;
-      }
+      progress |= sh.Try(&cur, [i](Scenario& c) {
+        c.config.antagonists.erase(c.config.antagonists.begin() +
+                                   static_cast<long>(i));
+      });
     }
 
     // Drop workloads, keeping at least one (an empty mix is illegal and the
     // liveness oracle would be vacuous).
-    for (size_t i = cur.workloads.size(); i-- > 0;) {
-      if (cur.workloads.size() <= 1) break;
-      Scenario cand = cur;
-      cand.workloads.erase(cand.workloads.begin() + static_cast<long>(i));
-      if (sh.Accept(cand)) {
-        cur = std::move(cand);
-        progress = true;
-      }
+    for (size_t i = cur.workloads.size(); i-- > 0 && cur.workloads.size() > 1;) {
+      progress |= sh.Try(&cur, [i](Scenario& c) {
+        c.workloads.erase(c.workloads.begin() + static_cast<long>(i));
+      });
     }
 
     // Drop consolidation: all background VMs at once, else one fewer.
     if (cur.config.background_vms > 0) {
-      Scenario cand = cur;
-      cand.config.background_vms = -1;
-      if (sh.Accept(cand)) {
-        cur = std::move(cand);
-        progress = true;
-      } else {
-        cand = cur;
-        cand.config.background_vms -= 1;
-        if (cand.config.background_vms == 0) cand.config.background_vms = -1;
-        if (sh.Accept(cand)) {
-          cur = std::move(cand);
-          progress = true;
-        }
-      }
+      progress |=
+          sh.Try(&cur, [](Scenario& c) { c.config.background_vms = -1; }) ||
+          sh.Try(&cur, [](Scenario& c) {
+            c.config.background_vms -= 1;
+            if (c.config.background_vms == 0) c.config.background_vms = -1;
+          });
     }
 
     // Halve the horizon (floor 1 s; legality probe rejects halvings that
     // strand a fault or web window).
     if (cur.horizon > Seconds(1)) {
-      Scenario cand = cur;
-      cand.horizon = std::max<TimeNs>(Seconds(1), cur.horizon / 2);
-      if (sh.Accept(cand)) {
-        cur = std::move(cand);
-        progress = true;
-      }
+      progress |= sh.Try(&cur, [](Scenario& c) {
+        c.horizon = std::max<TimeNs>(Seconds(1), c.horizon / 2);
+      });
     }
 
     // Halve OMP interval counts toward the 2-interval floor.
     for (size_t i = 0; i < cur.workloads.size(); ++i) {
-      WorkloadSpec& w = cur.workloads[i];
+      const WorkloadSpec& w = cur.workloads[i];
       if (w.kind != WorkloadSpec::Kind::kOmp || w.intervals <= 2) continue;
-      Scenario cand = cur;
-      cand.workloads[i].intervals = std::max<int64_t>(2, w.intervals / 2);
-      if (sh.Accept(cand)) {
-        cur = std::move(cand);
-        progress = true;
-      }
+      progress |= sh.Try(&cur, [i](Scenario& c) {
+        c.workloads[i].intervals = std::max<int64_t>(2, c.workloads[i].intervals / 2);
+      });
     }
   }
   if (stats != nullptr) {

@@ -321,25 +321,34 @@ void CoverageMap::OnStallDominant(StallBucket b) {
       static_cast<int>(CoveragePoint::kDominantRunning) + i));
 }
 
-void CoverageMap::RecordShape(int policy, int domains, int primary_vcpus,
-                              bool dedicated, bool antagonist, bool hardened) {
-  if (domains <= 1) {
-    Record(CoveragePoint::kShapeDomains1);
-  } else if (domains <= 4) {
-    Record(CoveragePoint::kShapeDomains2To4);
-  } else {
-    Record(CoveragePoint::kShapeDomains5Plus);
-  }
-  Record(primary_vcpus <= 4 ? CoveragePoint::kShapeVcpusSmall
-                            : CoveragePoint::kShapeVcpusLarge);
-  Record(dedicated ? CoveragePoint::kShapeDedicated
-                   : CoveragePoint::kShapeConsolidated);
+std::vector<CoveragePoint> ShapePoints(int policy, int domains,
+                                       int primary_vcpus, bool dedicated,
+                                       bool antagonist, bool hardened) {
+  std::vector<CoveragePoint> points = {
+      domains <= 1   ? CoveragePoint::kShapeDomains1
+      : domains <= 4 ? CoveragePoint::kShapeDomains2To4
+                     : CoveragePoint::kShapeDomains5Plus,
+      primary_vcpus <= 4 ? CoveragePoint::kShapeVcpusSmall
+                         : CoveragePoint::kShapeVcpusLarge,
+      dedicated ? CoveragePoint::kShapeDedicated
+                : CoveragePoint::kShapeConsolidated,
+  };
+  // The shape.policy_* block mirrors the Policy enum order.
   if (policy >= 0 && policy < 4) {
-    Record(static_cast<CoveragePoint>(
+    points.push_back(static_cast<CoveragePoint>(
         static_cast<int>(CoveragePoint::kShapePolicyBaseline) + policy));
   }
-  if (antagonist) Record(CoveragePoint::kShapeAntagonist);
-  if (hardened) Record(CoveragePoint::kShapeHardened);
+  if (antagonist) points.push_back(CoveragePoint::kShapeAntagonist);
+  if (hardened) points.push_back(CoveragePoint::kShapeHardened);
+  return points;
+}
+
+void CoverageMap::RecordShape(int policy, int domains, int primary_vcpus,
+                              bool dedicated, bool antagonist, bool hardened) {
+  for (const CoveragePoint p : ShapePoints(policy, domains, primary_vcpus,
+                                           dedicated, antagonist, hardened)) {
+    Record(p);
+  }
 }
 
 int64_t CoverageMap::count(CoveragePoint p) const {

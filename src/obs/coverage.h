@@ -192,6 +192,12 @@ void WriteCoverageText(std::ostream& os, const CoverageVector& v);
 bool ParseCoverageText(std::istream& is, CoverageVector* out,
                        std::string* error);
 
+// The shape.* points a resolved testbed config lands in; shared by RecordShape
+// and the generator's PredictedCoverage. `policy` is static_cast<int>(Policy).
+std::vector<CoveragePoint> ShapePoints(int policy, int domains,
+                                       int primary_vcpus, bool dedicated,
+                                       bool antagonist, bool hardened);
+
 class CoverageMap {
  public:
   CoverageMap();

@@ -95,18 +95,24 @@ void TestbedConfig::Validate() const {
   }
 }
 
+ResolvedTopology ResolveTopology(const TestbedConfig& config) {
+  const int pool = config.pool_pcpus > 0 ? config.pool_pcpus : 12;
+  int background = config.background_vms;
+  if (background == 0) {
+    // Consolidate to an average of 2 vCPUs per pCPU with 2-vCPU desktops.
+    background = std::max(0, (2 * pool - config.primary_vcpus) / 2);
+  } else if (background < 0) {
+    background = 0;  // dedicated machine
+  }
+  return {pool, background,
+          1 + background + static_cast<int>(config.antagonists.size())};
+}
+
 Testbed::Testbed(TestbedConfig config) : config_(config) {
   config_.Validate();
-  if (config_.pool_pcpus <= 0) {
-    config_.pool_pcpus = 12;
-  }
-  if (config_.background_vms == 0) {
-    // Consolidate to an average of 2 vCPUs per pCPU with 2-vCPU desktops.
-    const int target_vcpus = 2 * config_.pool_pcpus;
-    config_.background_vms = std::max(0, (target_vcpus - config_.primary_vcpus) / 2);
-  } else if (config_.background_vms < 0) {
-    config_.background_vms = 0;  // dedicated machine
-  }
+  const ResolvedTopology topology = ResolveTopology(config_);
+  config_.pool_pcpus = topology.pool_pcpus;
+  config_.background_vms = topology.background_vms;
 
   // Arm the stall accountant before the machine exists so the per-vCPU birth
   // hooks in CreateDomain land in this run's timeline.
@@ -121,10 +127,8 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   cover_enabled_ = config_.coverage || g_coverage_default;
   if (cover_enabled_) {
     CoverageMap::Global().BeginRun();
-    const int domains = 1 + config_.background_vms +
-                        static_cast<int>(config_.antagonists.size());
     CoverageMap::Global().RecordShape(
-        static_cast<int>(config_.policy), domains, config_.primary_vcpus,
+        static_cast<int>(config_.policy), topology.domains, config_.primary_vcpus,
         /*dedicated=*/config_.background_vms == 0,
         /*antagonist=*/!config_.antagonists.empty(),
         /*hardened=*/config_.hardening.AnyEnabled());

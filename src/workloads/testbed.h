@@ -153,6 +153,16 @@ struct TestbedConfig {
   void Validate() const;
 };
 
+// The machine a config builds once its auto values resolve: pool_pcpus <= 0
+// means the paper's 12-pCPU pool, background_vms == 0 fills to ~2 vCPUs per
+// pCPU with 2-vCPU desktops, and a negative count means a dedicated machine.
+struct ResolvedTopology {
+  int pool_pcpus;
+  int background_vms;
+  int domains;  // primary + desktops + antagonists
+};
+ResolvedTopology ResolveTopology(const TestbedConfig& config);
+
 class Testbed {
  public:
   explicit Testbed(TestbedConfig config);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -99,6 +101,46 @@ TEST(ScenarioGenTest, SeedsDiversifyTheGrammar) {
   EXPECT_TRUE(saw_non_vscale);
 }
 
+// FNV-64 folded over canonical scenario texts.
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+uint64_t Fnv64(uint64_t h, const std::string& text) {
+  for (const unsigned char c : text) {
+    h = (h ^ c) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(ScenarioGenTest, SeedsGenerateThePinnedScenarios) {
+  // Seed stability: the same seed must generate (and mutate into) the same
+  // scenario forever, or every corpus seed and soak range silently changes
+  // meaning. The constants hash the canonical text, so they also pin the knob
+  // table's line order and the generator's RNG draw order.
+  uint64_t generated = kFnvOffset;
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    generated = Fnv64(generated, GenerateScenario(seed).ToString());
+  }
+  EXPECT_EQ(generated, 0xa15f1e85c9c8e8f8ull);
+
+  std::vector<std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(VSCALE_CORPUS_DIR)) {
+    if (e.path().extension() == ".scenario") files.push_back(e.path().string());
+  }
+  std::sort(files.begin(), files.end());
+  // The mutation constant covers exactly this corpus; a new corpus file needs
+  // the constant recomputed from the commit before the one adding it.
+  ASSERT_EQ(files.size(), 9u);
+  uint64_t mutated = kFnvOffset;
+  for (const std::string& path : files) {
+    Scenario base;
+    std::string error;
+    ASSERT_TRUE(LoadScenarioFile(path, &base, &error)) << error;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      mutated = Fnv64(mutated, MutateScenario(base, seed).ToString());
+    }
+  }
+  EXPECT_EQ(mutated, 0x78b2a5d212b5e0c3ull);
+}
+
 // --- canonical text round-trip ---------------------------------------------
 
 TEST(ScenarioTextTest, ToStringParseRoundTripsGeneratedScenarios) {
@@ -117,6 +159,32 @@ TEST(ScenarioTextTest, ToStringParseRoundTripsGeneratedScenarios) {
     EXPECT_EQ(parsed.horizon, s.horizon);
     // The canonical form is a fixpoint: re-serializing reproduces the text.
     EXPECT_EQ(parsed.ToString(), text) << "seed " << seed;
+  }
+
+  // Every table knob round-trips at a non-default value, and the sections
+  // omitted at their default vanish from the text there.
+  using Section = ScenarioKnob::Section;
+  for (const ScenarioKnob& k : ScenarioKnobs()) {
+    const std::string line_start = "\n" + std::string(k.key) + " ";
+    Scenario s = TinyScenario(1);
+    s.config.hardening.reconciler = k.section == Section::kReconciler;
+    const int64_t value =
+        k.width == ScenarioKnob::Width::kBool ? 1 - k.get(s) : k.get(s) + 1;
+    k.set(s, value);
+    const std::string text = s.ToString();
+    EXPECT_NE(text.find(line_start), std::string::npos) << k.key;
+    Scenario parsed;
+    std::string error;
+    ASSERT_TRUE(ParseScenario(text, &parsed, &error)) << k.key << ": " << error;
+    EXPECT_EQ(k.get(parsed), value) << k.key;
+    EXPECT_EQ(parsed.ToString(), text) << k.key;
+
+    if (k.section == Section::kHardening) k.set(s, 0);
+    s.config.hardening.reconciler = false;
+    const bool omitted = s.ToString().find(line_start) == std::string::npos;
+    EXPECT_EQ(omitted, k.section == Section::kHardening ||
+                           k.section == Section::kReconciler)
+        << k.key;
   }
 }
 
@@ -145,6 +213,17 @@ TEST(ScenarioTextTest, ParseErrorsNameTheLineAndToken) {
        "unknown workload kind \"gpu\""},
       {"vscale-scenario v1\nfaults crash@1s\n", "bad fault plan"},
       {"vscale-scenario v1\nseed -1\n", "bad uint64 for seed"},
+      // Strict integers: no silent wrap into the field, no int64/uint64
+      // overflow, no second value quietly overriding the first.
+      {"vscale-scenario v1\npcpus 4294967298\n",
+       "pcpus value 4294967298 outside [-2147483648, 2147483647]"},
+      {"vscale-scenario v1\nseed 18446744073709551617\n",
+       "bad uint64 for seed"},
+      {"vscale-scenario v1\ncrunch_ns 9223372036854775808\n",
+       "bad integer value for crunch_ns"},
+      {"vscale-scenario v1\nhardening.tick_rescue 2\n", "outside [0, 1]"},
+      {"vscale-scenario v1\npcpus 4\npcpus 2\n",
+       "line 3: duplicate key \"pcpus\" (first set on line 2)"},
   };
   for (const auto& c : kCases) {
     Scenario out = GenerateScenario(1);
@@ -195,6 +274,17 @@ TEST(ScenarioTextTest, ValidateRejectsUntrustworthyScenarios) {
     s.Validate();
     ASSERT_FALSE(cap.messages.empty());
     EXPECT_NE(cap.messages[0].find("past the"), std::string::npos);
+  }
+  {
+    // The legal counterpart: an auto-filled consolidation level (0) counts
+    // the desktops the testbed resolves it to, not zero of them.
+    Scenario s = TinyScenario(1);
+    s.config.pool_pcpus = 4;
+    s.config.background_vms = 0;
+    EXPECT_TRUE(s.ProbeLegal(nullptr));
+    Testbed bed(s.config);
+    EXPECT_EQ(s.Domains(), bed.machine().n_domains());
+    EXPECT_EQ(s.Domains(), 4);  // primary + (2 * 4 - 2) / 2 desktops
   }
 }
 

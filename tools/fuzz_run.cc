@@ -39,14 +39,12 @@
 // prints reproduces bit-identically from the command line that produced it.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/base/check.h"
 #include "src/fuzz/oracle.h"
 #include "src/fuzz/scenario.h"
 #include "src/fuzz/scenario_gen.h"
@@ -57,19 +55,17 @@ namespace {
 
 using namespace vscale;
 
-// Non-aborting validity probe for scenarios arriving from files: capture the
-// first violation message instead of dying, so the tool can report it.
-bool ProbeLegal(const Scenario& s, std::string* why) {
-  const uint64_t before = InvariantViolationCount();
-  std::string first;
-  InvariantHandler prev =
-      SetInvariantHandler([&first](const InvariantViolation& v) {
-        if (first.empty()) first = v.message;
-      });
-  s.Validate();
-  SetInvariantHandler(std::move(prev));
-  if (InvariantViolationCount() != before) {
-    *why = first;
+// Loads a .scenario file and probes it for legality without aborting;
+// reports either failure on stderr.
+bool LoadLegalScenario(const std::string& path, Scenario* s) {
+  std::string error;
+  if (!LoadScenarioFile(path, s, &error)) {
+    std::fprintf(stderr, "fuzz_run: %s\n", error.c_str());
+    return false;
+  }
+  if (!s->ProbeLegal(&error)) {
+    std::fprintf(stderr, "fuzz_run: %s: illegal scenario: %s\n", path.c_str(),
+                 error.c_str());
     return false;
   }
   return true;
@@ -189,16 +185,7 @@ int Sweep(uint64_t seed0, int count, const std::string& out_dir,
 int MutateSweep(const std::string& base_path, uint64_t seed0, int count,
                 const std::string& out_dir) {
   Scenario base;
-  std::string error;
-  if (!LoadScenarioFile(base_path, &base, &error)) {
-    std::fprintf(stderr, "fuzz_run: %s\n", error.c_str());
-    return 2;
-  }
-  if (!ProbeLegal(base, &error)) {
-    std::fprintf(stderr, "fuzz_run: %s: illegal scenario: %s\n",
-                 base_path.c_str(), error.c_str());
-    return 2;
-  }
+  if (!LoadLegalScenario(base_path, &base)) return 2;
   CoverageVector cumulative;
   int finds = 0;
   for (int i = 0; i < count; ++i) {
@@ -321,16 +308,7 @@ int CanaryHunt(uint64_t seed0, int count, const std::string& out_dir) {
 int FairnessCanary(const std::vector<std::string>& paths) {
   for (const std::string& path : paths) {
     Scenario s;
-    std::string error;
-    if (!LoadScenarioFile(path, &s, &error)) {
-      std::fprintf(stderr, "fuzz_run: %s\n", error.c_str());
-      return 2;
-    }
-    if (!ProbeLegal(s, &error)) {
-      std::fprintf(stderr, "fuzz_run: %s: illegal scenario: %s\n", path.c_str(),
-                   error.c_str());
-      return 2;
-    }
+    if (!LoadLegalScenario(path, &s)) return 2;
     if (s.config.antagonists.empty() || !s.config.hardening.AnyEnabled()) {
       std::fprintf(stderr,
                    "fuzz_run: %s: fairness canary needs a hardened antagonist "
@@ -372,16 +350,7 @@ int FairnessCanary(const std::vector<std::string>& paths) {
 int Replay(const std::vector<std::string>& paths) {
   for (const std::string& path : paths) {
     Scenario s;
-    std::string error;
-    if (!LoadScenarioFile(path, &s, &error)) {
-      std::fprintf(stderr, "fuzz_run: %s\n", error.c_str());
-      return 2;
-    }
-    if (!ProbeLegal(s, &error)) {
-      std::fprintf(stderr, "fuzz_run: %s: illegal scenario: %s\n", path.c_str(),
-                   error.c_str());
-      return 2;
-    }
+    if (!LoadLegalScenario(path, &s)) return 2;
     const OracleReport report = RunOracle(s);
     std::printf("fuzz_run: %s: %s%s%s (end %lld ns, %s)\n", path.c_str(),
                 ToString(report.verdict), report.failed() ? " — " : "",
@@ -450,7 +419,7 @@ int main(int argc, char** argv) {
       mode = Mode::kCanary;
     } else if (std::strcmp(argv[i], "--gen") == 0 && i + 1 < argc) {
       mode = Mode::kGen;
-      gen_seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseU64(argv[++i], &gen_seed)) return Usage();
     } else if (std::strcmp(argv[i], "--replay") == 0) {
       mode = Mode::kReplay;
     } else if (std::strcmp(argv[i], "--mutate") == 0 && i + 1 < argc) {
@@ -462,9 +431,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--fairness-canary") == 0) {
       mode = Mode::kFairnessCanary;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseU64(argv[++i], &seed)) return Usage();
     } else if (std::strcmp(argv[i], "--count") == 0 && i + 1 < argc) {
-      count = std::atoi(argv[++i]);
+      int64_t n = 0;
+      if (!ParseI64(argv[++i], &n) || n < 1 || n > INT32_MAX) return Usage();
+      count = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--frontier-in") == 0 && i + 1 < argc) {
@@ -481,10 +452,8 @@ int main(int argc, char** argv) {
 
   switch (mode) {
     case Mode::kSmoke:
-      if (count < 1) return Usage();
       return Sweep(seed, count, out_dir, frontier_in, frontier_out);
     case Mode::kCanary:
-      if (count < 1) return Usage();
       return CanaryHunt(seed, count, out_dir);
     case Mode::kGen: {
       const Scenario s = GenerateScenario(gen_seed);
@@ -495,10 +464,8 @@ int main(int argc, char** argv) {
       if (replay_paths.empty()) return Usage();
       return Replay(replay_paths);
     case Mode::kMutate:
-      if (count < 1) return Usage();
       return MutateSweep(mutate_path, seed, count, out_dir);
     case Mode::kCovCheck:
-      if (count < 1) return Usage();
       return CovCheckGate(seed, count);
     case Mode::kFairnessCanary:
       if (replay_paths.empty()) return Usage();
