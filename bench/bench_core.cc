@@ -10,9 +10,9 @@
 //
 //   --out FILE          where to write the JSON (default BENCH_core.json)
 //   --quick             CI-sized run: fewer iterations and repeats
-//   --repeats N         repeats per metric; the best repeat is reported (the
-//                       minimum-time estimator — scheduler noise only ever
-//                       adds time, so the floor is the signal)
+//   --repeats N         repeats per metric, N >= 1; the best repeat is reported
+//                       (the minimum-time estimator — scheduler noise only
+//                       ever adds time, so the floor is the signal)
 //   --check BASELINE    compare gated metrics against a baseline JSON and
 //                       exit 1 if any regresses beyond the tolerance band
 //   --tolerance PCT     band half-width for --check (default 50; generous on
@@ -32,8 +32,10 @@
 #include <chrono>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/base/parse.h"
 #include "src/fuzz/oracle.h"
 #include "src/fuzz/scenario_gen.h"
 #include "src/sim/event_queue.h"
@@ -260,6 +262,14 @@ int CheckAgainstBaseline(const std::string& current_json,
   return 0;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_core [--out FILE] [--quick] [--repeats N>=1]\n"
+               "                  [--check BASELINE [--tolerance PCT]]\n"
+               "                  [--inject-slowdown[=SPINS]]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -279,17 +289,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--repeats" && i + 1 < argc) {
-      repeats = std::atoi(argv[++i]);
+      // At least one repeat: with none, every best-of stays at its 1e18
+      // sentinel and the snapshot would pass the gate on garbage.
+      int64_t n = 0;
+      if (!ParseI64(argv[++i], &n) || n < 1 || n > INT32_MAX) return Usage();
+      repeats = static_cast<int>(n);
     } else if (arg == "--inject-slowdown") {
       g_slowdown_spins = 400;
     } else if (arg.rfind("--inject-slowdown=", 0) == 0) {
-      g_slowdown_spins = std::atoi(arg.c_str() + std::strlen("--inject-slowdown="));
+      int64_t n = 0;
+      if (!ParseI64(std::string_view(arg).substr(std::strlen("--inject-slowdown=")),
+                    &n) ||
+          n < 0 || n > INT32_MAX) {
+        return Usage();
+      }
+      g_slowdown_spins = static_cast<int>(n);
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_core [--out FILE] [--quick] [--repeats N]\n"
-                   "                  [--check BASELINE [--tolerance PCT]]\n"
-                   "                  [--inject-slowdown[=SPINS]]\n");
-      return 2;
+      return Usage();
     }
   }
 

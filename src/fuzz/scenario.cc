@@ -1,7 +1,6 @@
 #include "src/fuzz/scenario.h"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -275,22 +274,9 @@ bool ParseKnobValue(const ScenarioKnob& k, const std::string& value,
   return true;
 }
 
-template <typename T>
-bool ParseDecimal(std::string_view s, T* out) {
-  T v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 std::span<const ScenarioKnob> ScenarioKnobs() { return kKnobs; }
-
-bool ParseI64(std::string_view s, int64_t* out) { return ParseDecimal(s, out); }
-
-bool ParseU64(std::string_view s, uint64_t* out) { return ParseDecimal(s, out); }
 
 void Scenario::Validate() const {
   config.Validate();

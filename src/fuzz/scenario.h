@@ -18,9 +18,9 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "src/base/parse.h"
 #include "src/base/time.h"
 #include "src/workloads/omp_app.h"
 #include "src/workloads/testbed.h"
@@ -112,11 +112,6 @@ struct ScenarioKnob {
 };
 
 std::span<const ScenarioKnob> ScenarioKnobs();
-
-// Strict base-10 integers, the grammar's only number form: an optional '-'
-// (signed only), digits, nothing else, no overflow. False on anything else.
-bool ParseI64(std::string_view s, int64_t* out);
-bool ParseU64(std::string_view s, uint64_t* out);
 
 // Parses a scenario text (see docs/FUZZING.md). On failure returns false with
 // a line-numbered message in *error and leaves *out untouched.

@@ -46,7 +46,7 @@ void GuestKernel::TotalThreadTimes(TimeNs* cpu_time, TimeNs* spin_time,
   TimeNs cpu = 0;
   TimeNs spin = 0;
   TimeNs wait = 0;
-  const TimeNs now = hv_.Now();
+  const TimeNs now = sim_.Now();
   for (const auto& t : threads_) {
     cpu += t->cpu_time;
     spin += t->spin_time;
@@ -174,7 +174,7 @@ TimeNs GuestKernel::NextEventDelta(VcpuId vcpu) {
     delta = 0;  // dispatch or go idle
   }
   if (c.next_tick != kTimeNever) {
-    const TimeNs tick_in = std::max<TimeNs>(0, c.next_tick - hv_.Now());
+    const TimeNs tick_in = std::max<TimeNs>(0, c.next_tick - sim_.Now());
     delta = std::min(delta, tick_in);
   }
   return delta;
@@ -182,7 +182,7 @@ TimeNs GuestKernel::NextEventDelta(VcpuId vcpu) {
 
 void GuestKernel::OnDeadline(VcpuId vcpu) {
   GuestCpu& c = cpus_[static_cast<size_t>(vcpu)];
-  const TimeNs now = hv_.Now();
+  const TimeNs now = sim_.Now();
   if (c.next_tick != kTimeNever && now >= c.next_tick) {
     HandleTick(c);
     return;
@@ -213,19 +213,19 @@ void GuestKernel::DeliverEvent(VcpuId vcpu, EvtchnPort port) {
       // the same instant on the same port did all its work the first time —
       // absorb it instead of charging ipi_deliver_cost again (kIpiDup, and the
       // back-to-back drain of a stacked pending queue, hit exactly this shape).
-      if (c.last_ipi_at == hv_.Now() && c.last_ipi_port == port) {
+      if (c.last_ipi_at == sim_.Now() && c.last_ipi_port == port) {
         ++dup_ipis_ignored_;
         VS_COVER(OnIpiDedup());
         return;
       }
-      c.last_ipi_at = hv_.Now();
+      c.last_ipi_at = sim_.Now();
       c.last_ipi_port = port;
     }
     ++c.stats.resched_ipis;
     c.pending_kernel_ns += cost_.ipi_deliver_cost;
-    VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "ipi_recv",
+    VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_recv",
                              domain_.id(), c.id, -1, "port", port);
-    VSCALE_STALL_HOOK(OnIpiDelivered(domain_.id(), c.id, hv_.Now()));
+    VSCALE_STALL_HOOK(OnIpiDelivered(domain_.id(), c.id, sim_.Now()));
     HandleReschedIpi(c);
   } else if (port == kPortPvlockKick) {
     // The kicked waiter already owns the lock (granted before the kick); just resume.
@@ -238,7 +238,7 @@ void GuestKernel::DeliverEvent(VcpuId vcpu, EvtchnPort port) {
              port - kPortIoBase < static_cast<int>(io_irqs_.size())) {
     ++c.stats.io_irqs;
     c.pending_kernel_ns += cost_.irq_handle_cost;
-    VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "io_irq",
+    VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "io_irq",
                              domain_.id(), c.id, -1, "port", port);
     IoIrq& irq = io_irqs_[static_cast<size_t>(port - kPortIoBase)];
     if (irq.handler) {
@@ -256,7 +256,7 @@ void GuestKernel::ArmTickIfNeeded(GuestCpu& c) {
   const bool has_work =
       c.current != nullptr || !c.runq.empty() || c.pending_kernel_ns > 0;
   if (has_work && c.next_tick == kTimeNever) {
-    c.next_tick = hv_.Now() + cost_.guest_tick_period;
+    c.next_tick = sim_.Now() + cost_.guest_tick_period;
   }
 }
 
@@ -264,7 +264,7 @@ void GuestKernel::HandleTick(GuestCpu& c) {
 #if VSCALE_CHECKED
   CheckKernelInvariants();
 #endif
-  const TimeNs now = hv_.Now();
+  const TimeNs now = sim_.Now();
   ++c.stats.timer_ints;
   c.pending_kernel_ns += cost_.guest_tick_cost;
   c.next_tick = now + cost_.guest_tick_period;
@@ -432,9 +432,9 @@ TimeNs GuestKernel::FreezeCpu(int target) {
   GuestCpu& c = cpus_[static_cast<size_t>(target)];
   assert(!c.frozen);
   assert(target != 0 && "vCPU0 (the master) is never frozen");
-  VSCALE_TRACE_INSTANT(hv_.Now(), TraceCategory::kGuest, "freeze", domain_.id(),
+  VSCALE_TRACE_INSTANT(sim_.Now(), TraceCategory::kGuest, "freeze", domain_.id(),
                        target, -1);
-  VSCALE_STALL_HOOK(OnFreezeRequested(domain_.id(), target, hv_.Now()));
+  VSCALE_STALL_HOOK(OnFreezeRequested(domain_.id(), target, sim_.Now()));
   // Master-side steps, in the order of Algorithm 2 / Table 3:
   // (1)-(2) set cpu_freeze_mask bit; other vCPUs stop pushing tasks here.
   c.frozen = true;
@@ -444,7 +444,7 @@ TimeNs GuestKernel::FreezeCpu(int target) {
   hv_.NotifyFreeze(domain_.id(), target, true);
   // (5) reschedule IPI tickles the target's scheduler to migrate its load.
   c.evacuate_pending = true;
-  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, hv_.Now()));
+  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
   NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
   if (config_.freeze_resend_ns > 0) {
     // Quiescence deadline: if the target has not evacuated by then, the freeze
@@ -461,7 +461,7 @@ TimeNs GuestKernel::FreezeCpu(int target) {
 TimeNs GuestKernel::UnfreezeCpu(int target) {
   GuestCpu& c = cpus_[static_cast<size_t>(target)];
   assert(c.frozen);
-  VSCALE_TRACE_INSTANT(hv_.Now(), TraceCategory::kGuest, "unfreeze", domain_.id(),
+  VSCALE_TRACE_INSTANT(sim_.Now(), TraceCategory::kGuest, "unfreeze", domain_.id(),
                        target, -1);
   c.frozen = false;
   c.evacuate_pending = false;
@@ -471,7 +471,7 @@ TimeNs GuestKernel::UnfreezeCpu(int target) {
     ++c.freeze_epoch;  // retire any resend chain of the superseded freeze
   }
   // wake_up_idle_cpu(): the target will idle-balance and pull threads over.
-  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, hv_.Now()));
+  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
   NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
   return cost_.freeze_syscall + cost_.freeze_lock + cost_.freeze_mask_update +
          cost_.freeze_group_power_update + cost_.freeze_hypercall +
@@ -525,7 +525,7 @@ void GuestKernel::EvacuateCpu(GuestCpu& c) {
   }
   // Remaining non-migratable (pinned) uthreads keep the vCPU alive; otherwise it will
   // drain pending work and idle-block, completing the freeze.
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "evacuate",
+  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "evacuate",
                            domain_.id(), c.id, -1, "moved",
                            static_cast<int64_t>(to_move.size()));
 }
@@ -559,7 +559,7 @@ void GuestKernel::NotifyVcpu(int target, EvtchnPort port, bool urgent) {
             static_cast<int>(FaultKind::kPortMask) -
             static_cast<int>(FaultKind::kIpiDrop))));
       }
-      VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "ipi_masked",
+      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_masked",
                                domain_.id(), target, -1, "port", port);
       return;
     }
@@ -568,7 +568,7 @@ void GuestKernel::NotifyVcpu(int target, EvtchnPort port, bool urgent) {
       if (freeze_in_flight()) {
         VS_COVER(OnDeliveryFaultDuringFreeze(0));
       }
-      VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "ipi_dropped",
+      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_dropped",
                                domain_.id(), target, -1, "port", port);
       return;
     }
@@ -581,7 +581,7 @@ void GuestKernel::NotifyVcpu(int target, EvtchnPort port, bool urgent) {
       }
       const TimeNs delay =
           faults_->Magnitude(FaultKind::kIpiDelay) * cost_.ipi_deliver_cost;
-      VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "ipi_delayed",
+      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_delayed",
                                domain_.id(), target, -1, "delay_ns", delay);
       const DomainId dom = domain_.id();
       sim_.ScheduleAfter(delay, [this, dom, target, port, urgent] {
@@ -597,7 +597,7 @@ void GuestKernel::NotifyVcpu(int target, EvtchnPort port, bool urgent) {
             static_cast<int>(FaultKind::kIpiDup) -
             static_cast<int>(FaultKind::kIpiDrop))));
       }
-      VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "ipi_duped",
+      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_duped",
                                domain_.id(), target, -1, "extra", extra);
       for (int64_t i = 0; i < extra; ++i) {
         hv_.NotifyEvent(domain_.id(), target, port, urgent);
@@ -644,10 +644,10 @@ void GuestKernel::ScheduleFreezeResend(int target, TimeNs delay, int64_t epoch) 
     // The master (vCPU0, daemon context) pays for the repeated kick, exactly
     // like the original freeze_resched_ipi component.
     cpus_[0].pending_kernel_ns += cost_.freeze_resched_ipi;
-    VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "freeze_resend",
+    VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "freeze_resend",
                              domain_.id(), target, -1, "left",
                              static_cast<int64_t>(c.freeze_resends_left));
-    VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, hv_.Now()));
+    VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
     NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
     ScheduleFreezeResend(target, delay * 2, epoch);
   });
@@ -794,7 +794,7 @@ void GuestKernel::CheckKernelInvariants() {
 // ---------------------------------------------------------------------------
 
 TimeNs GuestKernel::HotplugRemove(int target, TimeNs modeled_latency) {
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "hotplug_remove",
+  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "hotplug_remove",
                            domain_.id(), target, -1, "latency_ns", modeled_latency);
   // stop_machine(): every online vCPU is halted with interrupts off for the whole
   // window — modeled as kernel backlog injected on each of them.
@@ -808,17 +808,17 @@ TimeNs GuestKernel::HotplugRemove(int target, TimeNs modeled_latency) {
   }
   GuestCpu& c = cpus_[static_cast<size_t>(target)];
   c.frozen = true;
-  VSCALE_STALL_HOOK(OnFreezeRequested(domain_.id(), target, hv_.Now()));
+  VSCALE_STALL_HOOK(OnFreezeRequested(domain_.id(), target, sim_.Now()));
   UpdateGroupPower();
   hv_.NotifyFreeze(domain_.id(), target, true);
   c.evacuate_pending = true;
-  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, hv_.Now()));
+  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
   NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
   return modeled_latency;
 }
 
 TimeNs GuestKernel::HotplugAdd(int target, TimeNs modeled_latency) {
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "hotplug_add",
+  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "hotplug_add",
                            domain_.id(), target, -1, "latency_ns", modeled_latency);
   GuestCpu& master = cpus_[0];
   master.pending_kernel_ns += modeled_latency;
@@ -830,7 +830,7 @@ TimeNs GuestKernel::HotplugAdd(int target, TimeNs modeled_latency) {
   c.evacuate_pending = false;
   UpdateGroupPower();
   hv_.NotifyFreeze(domain_.id(), target, false);
-  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, hv_.Now()));
+  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
   NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
   return modeled_latency;
 }

@@ -125,7 +125,7 @@ class GuestKernel : public GuestOs {
   GuestCpu& cpu(int id) { return cpus_[static_cast<size_t>(id)]; }
   const GuestCpu& cpu(int id) const { return cpus_[static_cast<size_t>(id)]; }
   int online_cpus() const;
-  TimeNs NowNs() const { return hv_.Now(); }
+  TimeNs NowNs() const { return sim_.Now(); }
   Simulator& sim() { return sim_; }
 
   // --- threads ---

@@ -46,7 +46,7 @@ void GuestKernel::EnqueueThread(GuestCpu& c, GuestThread& t) {
   // vslint: allow(stall-hook, guest thread-level transition; per-vCPU stall buckets are charged at the hooked hv RunOn/Desched/Wake sites)
   t.state = ThreadState::kRunnable;
   t.cpu = c.id;
-  t.enqueued_at = hv_.Now();
+  t.enqueued_at = sim_.Now();
   if (t.rt) {
     // RT class: ahead of every fair thread, FIFO among RT.
     auto pos = c.runq.begin();
@@ -89,9 +89,9 @@ void GuestKernel::DispatchNext(GuestCpu& c) {
   // vslint: allow(stall-hook, guest thread-level transition; per-vCPU stall buckets are charged at the hooked hv RunOn/Desched/Wake sites)
   t->state = ThreadState::kRunning;
   t->cpu = c.id;
-  t->wait_time += hv_.Now() - t->enqueued_at;
+  t->wait_time += sim_.Now() - t->enqueued_at;
   c.current = t;
-  c.current_started = hv_.Now();
+  c.current_started = sim_.Now();
   c.min_vruntime = std::max(c.min_vruntime, t->vruntime);
   c.pending_kernel_ns += cost_.guest_context_switch;
   ++c.stats.guest_switches;
@@ -148,12 +148,12 @@ int GuestKernel::SelectTaskRq(const GuestThread& t) {
 
 void GuestKernel::SendReschedIpi(int from_cpu, int to_cpu, EvtchnPort port) {
   (void)from_cpu;  // only the trace hook reads it
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "ipi_send",
+  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_send",
                            domain_.id(), from_cpu, -1, "to", to_cpu);
   if (port == kPortResched || port == kPortFreeze) {
     // Timer wakeups ride the same helper but are not IPIs; only scheduler
     // kicks feed the send->delivery latency histogram.
-    VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), to_cpu, hv_.Now()));
+    VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), to_cpu, sim_.Now()));
   }
   NotifyVcpu(to_cpu, port, /*urgent=*/false);
 }
@@ -168,7 +168,7 @@ void GuestKernel::WakeThread(GuestThread& t, EvtchnPort wake_port) {
     ++t.migrations;
   }
   EnqueueThread(c, t);
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "thread_wake",
+  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "thread_wake",
                            domain_.id(), dest, -1, "thread", t.id());
   // Remote enqueue notifies the destination CPU with a reschedule IPI; a wake onto the
   // CPU the waker itself runs on needs none (the local scheduler will see it).

@@ -48,7 +48,7 @@ void GuestKernel::FetchNextOp(GuestThread& t) {
   assert(t.body() != nullptr);
   t.op = t.body()->Next(*this, t);
   t.op_phase = -1;
-  Tr(t, "fetch", hv_.Now());
+  Tr(t, "fetch", sim_.Now());
   t.op_active = true;
   t.run_mode = RunMode::kCompute;
   t.remaining_ns = 0;
@@ -63,7 +63,7 @@ void GuestKernel::BeginOp(GuestThread& t) { FetchNextOp(t); }
 
 // Completes the current op of a thread that is spinning on ANOTHER vCPU (barrier
 // release, spin-flag raise, kernel-lock grant): settle that vCPU's elapsed spin first,
-// mutate, then re-arm its advance event.
+// mutate, then re-arm its advance timer.
 void GuestKernel::CompleteOpRemote(GuestThread& t) {
   GuestCpu& c = cpus_[static_cast<size_t>(t.cpu)];
   TouchVcpu(c);  // settle spin time up to now
@@ -516,7 +516,7 @@ void GuestKernel::DoKernelLockAcquire(GuestCpu& c, GuestThread& t) {
   // Contended: ticket queue + busy wait (Figure 1(a) territory). With pv-spinlock the
   // spin is bounded; vanilla 3.14 ticket locks spin forever.
   ++kl.contentions;
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "lock_contend",
+  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "lock_contend",
                            domain_.id(), t.cpu, -1, "lock", lock_id);
   kl.queue.push_back(&t);
   t.waiting_lock = lock_id;
@@ -533,7 +533,7 @@ void GuestKernel::GrantKernelLock(KernelLock& kl, GuestThread& t) {
   const int lock_id = static_cast<int>(&kl - kernel_locks_.data());
   t.held_lock = lock_id;
   ++kl.acquisitions;
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "lock_grant",
+  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "lock_grant",
                            domain_.id(), t.cpu, -1, "lock", lock_id);
   StartKernelSection(t);
   if (config_.pv_spinlock) {
@@ -561,7 +561,7 @@ void GuestKernel::ReleaseKernelLock(int lock_id, GuestThread& releaser) {
 
 void GuestKernel::BlockCurrent(GuestCpu& c, GuestThread& t) {
   assert(c.current == &t);
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "thread_block",
+  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "thread_block",
                            domain_.id(), c.id, -1, "thread", t.id());
   DispatchNext(c);
 }

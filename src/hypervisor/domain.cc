@@ -5,7 +5,7 @@ namespace vscale {
 Domain::Domain(DomainId id, std::string name, int weight, int n_vcpus)
     : id_(id), name_(std::move(name)), weight_(weight) {
   // Reserve exactly: the vCPU array never grows afterwards, which is what makes
-  // the Vcpu* held by run queues and advance-event closures stable.
+  // the Vcpu* held by run queues and advance-timer closures stable.
   vcpus_.reserve(static_cast<size_t>(n_vcpus));
   for (int i = 0; i < n_vcpus; ++i) {
     vcpus_.emplace_back(this, i);

@@ -21,8 +21,8 @@ class GuestOs;
 // one contiguous array (fixed at domain creation, so Vcpu* stay stable).
 //
 // Field order is deliberate: the members every scheduling decision reads —
-// identity, state/priority flags, the settle/slice clocks and the advance event
-// — are packed into the leading cache line; lifetime statistics, which only
+// identity, state/priority flags, the settle/slice clocks and the armed advance
+// timer — are packed into the leading cache line; lifetime statistics, which only
 // reports read, trail behind it.
 class Vcpu {
  public:
@@ -46,7 +46,8 @@ class Vcpu {
   TimeNs last_settle = 0;        // last time runtime was settled
   TimeNs wait_since = 0;         // when it entered kRunnable
 
-  Simulator::EventId advance_event = Simulator::kInvalidEvent;
+  // Armed exactly while RUNNING (Machine::CreateDomain registers it).
+  Simulator::TimerId advance_timer = 0;
 
   // BOOST grants consumed this accounting period (reset by Accounting); only
   // consulted when MachineConfig::boost_budget > 0.

@@ -1,12 +1,13 @@
 // Interface the hypervisor uses to drive a guest operating system.
 //
-// The co-simulation contract: while a vCPU runs on a pCPU, the hypervisor keeps exactly
-// one pending "advance" event for it at the earliest interesting boundary
-// (min(guest-internal event, slice end)). Whenever anything happens to the vCPU, the
-// hypervisor settles elapsed time into the guest via Advance() and re-asks
-// NextEventDelta(). The guest never schedules simulator events for its own running
-// vCPUs; it reports boundaries through NextEventDelta and reacts in OnDeadline. For
-// non-running vCPUs the guest acts through HvServices (wake, IPI, state-changed).
+// The co-simulation contract: while a vCPU runs on a pCPU, the hypervisor keeps its
+// one "advance" timer armed at the earliest interesting boundary
+// (min(guest-internal event, slice end)), and disarms it when the vCPU stops running.
+// Whenever anything happens to the vCPU, the hypervisor settles elapsed time into the
+// guest via Advance(), re-asks NextEventDelta() and re-arms the timer. The guest never
+// schedules simulator events for its own running vCPUs; it reports boundaries through
+// NextEventDelta and reacts in OnDeadline. For non-running vCPUs the guest acts
+// through HvServices (wake, IPI, state-changed).
 
 #ifndef VSCALE_SRC_HYPERVISOR_GUEST_OS_H_
 #define VSCALE_SRC_HYPERVISOR_GUEST_OS_H_

@@ -45,6 +45,7 @@ Domain& Machine::CreateDomain(const std::string& name, int weight, int n_vcpus) 
     v.credit_ns = config_.cost.hv_accounting_period;
     v.priority = CreditPriority::kUnder;
     v.wait_since = sim_.Now();
+    v.advance_timer = sim_.AddTimer([this, &v] { OnAdvance(v); });
     VSCALE_STALL_HOOK(OnVcpuCreated(id, i, sim_.Now()));
   }
   return d;
@@ -316,15 +317,12 @@ void Machine::RearmAdvance(Vcpu& v) {
   if (deadline < now) {
     deadline = now;
   }
-  v.advance_event =
-      sim_.Reschedule(v.advance_event, deadline, [this, &v] { OnAdvance(v); });
+  sim_.ArmTimer(v.advance_timer, deadline);
 }
 
 void Machine::OnAdvance(Vcpu& v) {
-  v.advance_event = Simulator::kInvalidEvent;
-  if (v.state != VcpuState::kRunning) {
-    return;  // stale event that lost a cancellation race; harmless
-  }
+  // DescheduleCurrent disarms the timer, so it only ever fires on a RUNNING vCPU.
+  assert(v.state == VcpuState::kRunning);
   SettleRunning(v);
   Pcpu& p = PcpuOf(v);
   if (sim_.Now() >= v.slice_end) {
@@ -333,7 +331,7 @@ void Machine::OnAdvance(Vcpu& v) {
     return;
   }
   v.domain()->guest()->OnDeadline(v.id());
-  if (v.state == VcpuState::kRunning && v.advance_event == Simulator::kInvalidEvent) {
+  if (v.state == VcpuState::kRunning && !sim_.TimerArmed(v.advance_timer)) {
     RearmAdvance(v);
   }
 }
@@ -343,8 +341,7 @@ void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail)
   const TimeNs now = sim_.Now();
   VSCALE_TRACE_END(now, TraceCategory::kHypervisor, "run", v.domain()->id(), v.id(),
                    p.id);
-  sim_.Cancel(v.advance_event);
-  v.advance_event = Simulator::kInvalidEvent;
+  sim_.DisarmTimer(v.advance_timer);
   sim_.Cancel(p.ratelimit_check);
   p.ratelimit_check = Simulator::kInvalidEvent;
   p.current = nullptr;
@@ -719,6 +716,14 @@ void Machine::CheckSchedulerInvariants() {
                      "dom %d vcpu %d claims to RUN on pcpu %d but is not its current",
                      d->id(), i, v.pcpu);
       }
+      // Co-simulation contract: the advance timer drives a running vCPU's guest
+      // forward. Unarmed while RUNNING, the guest stalls until some other event
+      // happens to settle it; armed while not RUNNING, it advances a guest that
+      // holds no pCPU.
+      VS_INVARIANT((v.state == VcpuState::kRunning) == sim_.TimerArmed(v.advance_timer),
+                   "dom %d vcpu %d is in state %d but its advance timer is %s",
+                   d->id(), i, static_cast<int>(v.state),
+                   sim_.TimerArmed(v.advance_timer) ? "armed" : "disarmed");
       // BOOST legality: BOOST exists to accelerate a wakeup toward a pCPU; a vCPU
       // that went back to sleep must have been demoted on the way out.
       VS_INVARIANT(v.state != VcpuState::kBlocked ||

@@ -11,9 +11,11 @@
 //  * a wakeup ratelimit: a vCPU that just started running is not preempted for
 //    hv_ratelimit ns, matching Xen's sched_ratelimit_us.
 //
-// Co-simulation: each RUNNING vCPU has exactly one pending advance event at
-// min(guest-internal boundary, slice end). All state changes settle elapsed time first
-// (SettleRunning), then recompute the deadline. See guest_os.h for the contract.
+// Co-simulation: each RUNNING vCPU has exactly one armed advance timer (a
+// Simulator timer-lane entry registered per vCPU in CreateDomain), due at
+// min(guest-internal boundary, slice end), and no other vCPU has one armed. All
+// state changes settle elapsed time first (SettleRunning), then re-arm the
+// timer at the recomputed deadline. See guest_os.h for the contract.
 
 #ifndef VSCALE_SRC_HYPERVISOR_MACHINE_H_
 #define VSCALE_SRC_HYPERVISOR_MACHINE_H_
@@ -168,19 +170,22 @@ class Machine : public HvServices {
   Vcpu* StealWork(Pcpu& thief);
   bool Schedulable(const Vcpu& v) const;
 
-  // Puts v on p (v must be runnable and dequeued); installs slice + advance event.
+  // Puts v on p (v must be runnable and dequeued); installs slice + arms advance.
   void RunOn(Pcpu& p, Vcpu& v);
 
   // Settles elapsed runtime of a RUNNING vCPU into credits, domain windows and the
   // guest. Idempotent at a given Now().
   void SettleRunning(Vcpu& v);
 
-  // Recomputes and installs the advance event for a settled, still-running vCPU.
+  // Re-arms the advance timer of a settled, still-running vCPU at its
+  // recomputed deadline.
   void RearmAdvance(Vcpu& v);
 
+  // The advance timer's callback: settle, then slice end or the guest boundary.
   void OnAdvance(Vcpu& v);
 
-  // Takes the pCPU away from its current vCPU (already settled) and requeues/blocks it.
+  // Takes the pCPU away from its current vCPU (already settled), disarms its
+  // advance timer and requeues/blocks it.
   void DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail = true);
 
   // Wakes a blocked vCPU (event arrival): BOOST eligibility + insert + tickle.
@@ -196,6 +201,8 @@ class Machine : public HvServices {
   // called under the gate). Read-only: per docs/CHECKING.md it polices
   //  * pCPU/vCPU dispatch consistency (at most one RUNNING vCPU per pCPU, and every
   //    RUNNING vCPU is the `current` of the pCPU it points at);
+  //  * the co-simulation contract: a vCPU is RUNNING iff its advance timer is
+  //    armed;
   //  * run-queue sanity (entries RUNNABLE, on the right queue, priority-sorted);
   //  * BOOST/UNDER/OVER legality and credit-balance bounds (paper Algorithm 1's
   //    credit flow, clamped to ±accounting period by csched_acct).

@@ -31,21 +31,7 @@ void Simulator::CompactHeap() {
 }
 
 void Simulator::RunUntil(TimeNs deadline) {
-  while (true) {
-    SkimStale();
-    if (heap_.empty() || heap_[0].when > deadline) {
-      break;
-    }
-    FireTop();
-    // Same-tick batch: drain every event at Now() back-to-back. Equal-time events
-    // cannot overshoot the deadline, so it is not re-checked inside the batch.
-    while (true) {
-      SkimStale();
-      if (heap_.empty() || heap_[0].when != now_) {
-        break;
-      }
-      FireTop();
-    }
+  while (FireNext(deadline)) {
   }
   if (deadline > now_) {
     now_ = deadline;
@@ -65,14 +51,12 @@ bool Simulator::RunUntilCondition(const std::function<bool()>& stop, TimeNs dead
     if (stop()) {
       return true;
     }
-    SkimStale();
-    if (heap_.empty() || heap_[0].when > deadline) {
+    if (!FireNext(deadline)) {
       if (deadline > now_) {
         now_ = deadline;
       }
       return stop();
     }
-    FireTop();
   }
 }
 

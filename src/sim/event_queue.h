@@ -1,34 +1,37 @@
 // Discrete-event simulation engine.
 //
-// A Simulator owns virtual time and a priority queue of (time, sequence) ordered
-// events. Events are plain std::function callbacks; scheduling returns an EventId
-// that can be cancelled. Ties are broken by schedule order, so runs are fully
+// A Simulator owns virtual time and two queues of (time, sequence) ordered
+// occurrences: a heap of one-shot events (ScheduleAt returns a cancellable
+// EventId) and a lane of re-armable timers (AddTimer registers one callback,
+// ArmTimer/DisarmTimer move its single pending fire). Both draw `seq` from one
+// counter and the run loops always fire the earlier root by (when, seq), so
+// ties are broken by schedule order across both queues and runs are fully
 // deterministic.
 //
 // Hot-path design (docs/PERFORMANCE.md has the full story and the numbers):
 //
-//  * Slab allocator. Callbacks live in a slab of Nodes indexed by a 32-bit slot,
-//    recycled through a LIFO free list — steady-state scheduling performs no heap
-//    allocation at all (small callbacks also fit std::function's inline buffer).
-//  * Flat binary heap. Pending events are 24-byte {when, seq, slot, gen} entries in
-//    a contiguous min-heap ordered by (when, seq) — no per-node allocation, no
-//    pointer chasing, and `seq` is the monotonically increasing schedule order that
-//    implements the tie-break.
+//  * Slab allocator. One-shot callbacks live in a slab of Nodes indexed by a
+//    32-bit slot, recycled through a LIFO free list — steady-state scheduling
+//    performs no heap allocation at all.
+//  * Flat binary heap. Pending one-shots are 24-byte {when, seq, slot, gen}
+//    entries in a contiguous min-heap ordered by (when, seq) — no per-node
+//    allocation, no pointer chasing, and `seq` is the monotonically increasing
+//    schedule order that implements the tie-break.
 //  * O(1) tombstone Cancel. An EventId packs {generation:32, slot:32}. Each slot
 //    carries a generation counter that is bumped whenever the slot is released
 //    (fire or cancel), so Cancel is a bounds check plus a generation compare: a
 //    match releases the slot immediately; a mismatch means the event already fired
-//    (or the slot was recycled) and the call is a no-op. The two-level scheduler
-//    simulation cancels and reschedules aggressively (every settle of a running
-//    vCPU), which is exactly the traffic this makes nearly free.
+//    (or the slot was recycled) and the call is a no-op.
 //  * Lazy deletion + compaction. A cancelled event's heap entry stays behind as a
 //    tombstone (its generation no longer matches the slot's) and is skipped when it
 //    surfaces at the root. When tombstones outnumber live entries the heap is
 //    compacted in one O(n) filter-and-heapify pass, so cancel-heavy workloads can't
 //    bloat it.
-//  * Same-tick batching. The run loops drain every event at the current timestamp
-//    back-to-back without re-checking the deadline in between (equal-time events
-//    cannot overshoot it), keeping the root of the heap hot in cache.
+//  * Timer lane. A callback that is re-armed over and over (each running vCPU's
+//    advance event moves on every settle) is registered once as a timer. Armed
+//    timers sit in a small indexed min-heap beside the slab heap: re-arming
+//    re-keys the entry in place and disarming removes it, so the re-arm traffic
+//    leaves no tombstones and never touches the slab or the one-shot heap.
 //
 // Cancel semantics, pinned by SimulatorTest.CancelSlotReuseIsSafe and
 // SimulatorTest.CancelAfterFireAndUnknownIdsAreNoOps: Cancel(kInvalidEvent),
@@ -37,8 +40,17 @@
 // generation check guarantees that a stale id can never cancel a *different*
 // live event that happens to reuse the same slab slot.
 //
+// Timer semantics, pinned by the SimulatorTimerTest cases and checked against
+// a reference model by SimulatorPropertyTest.TimerLaneMatchesReferenceModel: a
+// timer fires at most once per ArmTimer and is disarmed when its callback
+// starts (TimerArmed is false inside it until the callback re-arms). ArmTimer
+// draws exactly one `seq` per call, even when the deadline is unchanged, and
+// DisarmTimer draws none, so arming orders exactly like Cancel + ScheduleAt of
+// a one-shot. events_processed() counts timer fires and pending_events()
+// counts armed timers, so both read as if every arm were a one-shot event.
+//
 // Determinism: the firing order is a pure function of the (when, seq) keys — the
-// heap is never iterated, only its root consumed — and all bookkeeping is
+// heaps are never iterated, only their roots consumed — and all bookkeeping is
 // index-based, so no container iteration order or allocator address can leak into
 // a run (tools/det_lint polices hashed containers and wall clocks tree-wide).
 
@@ -87,14 +99,20 @@ class Simulator {
   // all are deterministic no-ops (see the header comment for the pinned contract).
   void Cancel(EventId id);
 
-  // Exactly Cancel(id) followed by ScheduleAt(when, fn) — same slot reuse (the
-  // free list is LIFO, so the cancelled slot is the one a scheduling would pop),
-  // same generation bump, same sequence draw, hence a bit-identical firing
-  // order — minus the free-list round trip and the second id decode. This is
-  // the scheduler's rearm idiom (every settle of a running vCPU moves its
-  // advance event), which is why it rates a fused fast path.
+  // --- timer lane (see the header comment for the pinned contract) ---
+  using TimerId = uint32_t;
+
+  // Registers `fn` as a timer, disarmed. The callback is fixed for the
+  // Simulator's lifetime. Must not be called from inside a timer callback: the
+  // lane invokes callbacks in place, so their storage must not grow under them.
   template <typename F>
-  EventId Reschedule(EventId id, TimeNs when, F&& fn);
+  TimerId AddTimer(F&& fn);
+  // (Re-)arms the timer to fire at `when` (>= Now()), replacing any pending
+  // fire. Draws one `seq`, as one ScheduleAt would.
+  void ArmTimer(TimerId t, TimeNs when);
+  // Removes a pending fire; a no-op on a disarmed timer. Draws no `seq`.
+  void DisarmTimer(TimerId t);
+  bool TimerArmed(TimerId t) const { return lane_pos_[t] != kDisarmed; }
 
   // Runs a single event; returns false if the queue is empty.
   bool Step();
@@ -109,7 +127,8 @@ class Simulator {
   // the deadline passes. Returns true if `stop` triggered.
   bool RunUntilCondition(const std::function<bool()>& stop, TimeNs deadline);
 
-  size_t pending_events() const { return live_; }
+  // Both count timer arms and fires as events.
+  size_t pending_events() const { return live_ + lane_.size(); }
   uint64_t events_processed() const { return events_processed_; }
 
  private:
@@ -148,23 +167,44 @@ class Simulator {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  // Min-heap order: earliest (when, seq) at the root.
-  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
+  // An armed timer in the lane's min-heap; lane_pos_[timer] indexes it back.
+  // `timer` is the lane's own index, not an owned handle (vslint timer-owner).
+  struct LaneEntry {
+    TimeNs when;
+    uint64_t seq;
+    uint32_t timer;
+  };
+  static constexpr uint32_t kDisarmed = UINT32_MAX;
+
+  // Min-heap order, within and across the two heaps: earliest (when, seq) first.
+  template <typename A, typename B>
+  static bool Earlier(const A& a, const B& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
   bool Stale(const HeapEntry& e) const { return NodeAt(e.slot).gen != e.gen; }
 
-  // The schedule/cancel/fire path is defined inline below the class: these run
-  // tens of millions of times per simulated second, and letting them inline into
-  // callers (RearmAdvance cancels + reschedules on every settle) is worth several
-  // ns per event — see docs/PERFORMANCE.md for the measured effect.
+  // The schedule/cancel/arm/fire path is defined inline below the class: these
+  // run tens of millions of times per simulated second, and letting them inline
+  // into callers (RearmAdvance re-arms on every settle) is worth several ns per
+  // event — see docs/PERFORMANCE.md for the measured effect.
   void SiftUp(size_t i);
   void SiftDown(size_t i);
   void PopRoot();      // removes heap_[0], restores heap order
   void SkimStale();    // pops tombstones off the root until it is live or empty
   void FireTop();      // fires heap_[0] (must be live): advance clock, run callback
   void CompactHeap();  // one O(n) filter-and-heapify pass dropping all tombstones
+  void LanePlace(size_t i, const LaneEntry& e);  // stores e at i, records its index
+  void LaneSiftUp(size_t i);
+  void LaneSiftDown(size_t i);
+  void LaneRemove(size_t i);  // disarms lane_[i]'s timer, restores heap order
+  void FireLaneTop();         // fires lane_[0]: disarm, advance clock, run callback
+  // Bookkeeping shared by both fire paths, run once the occurrence has left
+  // its queue: order checks, clock, counter, trace.
+  void NoteFire(TimeNs when, uint64_t seq);
+  // Fires the earlier root of the two heaps if it is due by `deadline`;
+  // returns false when nothing is.
+  bool FireNext(TimeNs deadline);
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;
@@ -173,6 +213,10 @@ class Simulator {
   uint32_t n_nodes_ = 0;        // slots handed out so far (all chunks, all states)
   std::vector<uint32_t> free_;  // LIFO free list: the hottest slot is reused first
   size_t live_ = 0;             // scheduled and neither fired nor cancelled
+  std::vector<LaneEntry> lane_;       // armed timers, (when, seq) min-heap
+  std::vector<uint32_t> lane_pos_;    // [timer] -> index in lane_, or kDisarmed
+  std::vector<EventFn> timer_fns_;    // [timer] -> callback, invoked in place
+  bool in_timer_callback_ = false;    // guards timer_fns_ against growth mid-call
   uint64_t events_processed_ = 0;
   // Checked builds verify the (when, seq) firing order is strictly increasing — the
   // stable tie-break every replay relies on. Dead weight otherwise.
@@ -206,31 +250,6 @@ inline Simulator::EventId Simulator::ScheduleAt(TimeNs when, F&& fn) {
   heap_.push_back(HeapEntry{when, next_seq_++, slot, gen});
   SiftUp(heap_.size() - 1);
   ++live_;
-  return Pack(slot, gen);
-}
-
-template <typename F>
-inline Simulator::EventId Simulator::Reschedule(EventId id, TimeNs when, F&& fn) {
-  const uint32_t slot = static_cast<uint32_t>(id);
-  const uint32_t old_gen = static_cast<uint32_t>(id >> 32);
-  if (id == kInvalidEvent || slot >= n_nodes_ || NodeAt(slot).gen != old_gen) {
-    return ScheduleAt(when, std::forward<F>(fn));  // nothing live to replace
-  }
-  assert(when >= now_ && "cannot schedule in the past");
-  if (when < now_) {
-    when = now_;
-  }
-  Node& n = NodeAt(slot);
-  n.fn.Reset();  // frees a boxed callable; no-op for the inline common case
-  const uint32_t gen = ++n.gen;  // tombstones the old heap entry, as Cancel would
-  n.fn.Emplace(std::forward<F>(fn));
-  heap_.push_back(HeapEntry{when, next_seq_++, slot, gen});
-  SiftUp(heap_.size() - 1);
-  // live_ is unchanged (one release, one schedule), but the old entry became a
-  // tombstone — apply the same compaction policy as Cancel.
-  if (heap_.size() >= kCompactMinHeapSize && heap_.size() - live_ > live_) {
-    CompactHeap();
-  }
   return Pack(slot, gen);
 }
 
@@ -308,34 +327,37 @@ inline void Simulator::SkimStale() {
   }
 }
 
-inline void Simulator::FireTop() {
-  const HeapEntry e = heap_[0];
-  PopRoot();
+inline void Simulator::NoteFire(TimeNs when, [[maybe_unused]] uint64_t seq) {
   // Virtual time is monotonic and the tie-break is stable: events at the same
   // timestamp fire in schedule order. Every replay guarantee rests on these two.
-  VS_INVARIANT(e.when >= now_,
+  VS_INVARIANT(when >= now_,
                "event %llu fires at %lld ns but Now() is already %lld ns",
-               static_cast<unsigned long long>(e.seq),
-               static_cast<long long>(e.when), static_cast<long long>(now_));
-  VS_INVARIANT(e.when > last_fired_when_ ||
-                   (e.when == last_fired_when_ && e.seq > last_fired_seq_),
+               static_cast<unsigned long long>(seq), static_cast<long long>(when),
+               static_cast<long long>(now_));
+  VS_INVARIANT(when > last_fired_when_ ||
+                   (when == last_fired_when_ && seq > last_fired_seq_),
                "tie-break regression: event %llu at %lld ns fired after event %llu "
                "at %lld ns",
-               static_cast<unsigned long long>(e.seq),
-               static_cast<long long>(e.when),
+               static_cast<unsigned long long>(seq), static_cast<long long>(when),
                static_cast<unsigned long long>(last_fired_seq_),
                static_cast<long long>(last_fired_when_));
 #if VSCALE_CHECKED
-  last_fired_when_ = e.when;
-  last_fired_seq_ = e.seq;
+  last_fired_when_ = when;
+  last_fired_seq_ = seq;
 #endif
-  now_ = e.when;
-  Node& n = NodeAt(e.slot);
-  ++n.gen;  // invalidates the outstanding EventId: Cancel after fire is a no-op
-  --live_;
+  now_ = when;
   ++events_processed_;
   VSCALE_TRACE_INSTANT_ARG(now_, TraceCategory::kSim, "event_fire", -1, -1, -1,
                            "pending", pending_events());
+}
+
+inline void Simulator::FireTop() {
+  const HeapEntry e = heap_[0];
+  PopRoot();
+  Node& n = NodeAt(e.slot);
+  ++n.gen;  // invalidates the outstanding EventId: Cancel after fire is a no-op
+  --live_;
+  NoteFire(e.when, e.seq);
   // In-place invocation: the chunked slab guarantees `n` stays put even if the
   // callback grows the slab, and the slot is not on the free list yet, so a
   // callback that schedules can never clobber its own executing closure. The
@@ -345,14 +367,123 @@ inline void Simulator::FireTop() {
   free_.push_back(e.slot);
 }
 
-inline bool Simulator::Step() {
+// --- timer lane --------------------------------------------------------------
+
+template <typename F>
+inline Simulator::TimerId Simulator::AddTimer(F&& fn) {
+  VS_REQUIRE(!in_timer_callback_,
+             "AddTimer from inside a timer callback would move the running "
+             "callback's storage");
+  const TimerId t = static_cast<TimerId>(timer_fns_.size());
+  timer_fns_.emplace_back(std::forward<F>(fn));
+  lane_pos_.push_back(kDisarmed);
+  return t;
+}
+
+inline void Simulator::LanePlace(size_t i, const LaneEntry& e) {
+  lane_[i] = e;
+  lane_pos_[e.timer] = static_cast<uint32_t>(i);
+}
+
+inline void Simulator::LaneSiftUp(size_t i) {
+  const LaneEntry e = lane_[i];
+  while (i > 0 && Earlier(e, lane_[(i - 1) / 2])) {
+    const size_t parent = (i - 1) / 2;
+    LanePlace(i, lane_[parent]);
+    i = parent;
+  }
+  LanePlace(i, e);
+}
+
+inline void Simulator::LaneSiftDown(size_t i) {
+  const size_t n = lane_.size();
+  const LaneEntry e = lane_[i];
+  while (true) {
+    size_t child = 2 * i + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && Earlier(lane_[child + 1], lane_[child])) {
+      ++child;
+    }
+    if (!Earlier(lane_[child], e)) {
+      break;
+    }
+    LanePlace(i, lane_[child]);
+    i = child;
+  }
+  LanePlace(i, e);
+}
+
+inline void Simulator::ArmTimer(TimerId t, TimeNs when) {
+  assert(when >= now_ && "cannot schedule in the past");
+  if (when < now_) {
+    when = now_;
+  }
+  // The fresh seq outranks every pending one, so a re-arm to a later-or-equal
+  // deadline can only sink and a re-arm to an earlier one can only rise.
+  const LaneEntry e{when, next_seq_++, t};
+  const uint32_t pos = lane_pos_[t];
+  if (pos == kDisarmed) {
+    lane_.push_back(e);
+    LaneSiftUp(lane_.size() - 1);
+  } else if (when < lane_[pos].when) {
+    lane_[pos] = e;
+    LaneSiftUp(pos);
+  } else {
+    lane_[pos] = e;
+    LaneSiftDown(pos);
+  }
+}
+
+inline void Simulator::LaneRemove(size_t i) {
+  lane_pos_[lane_[i].timer] = kDisarmed;
+  const LaneEntry last = lane_.back();
+  lane_.pop_back();
+  if (i == lane_.size()) {
+    return;  // removed the tail entry; nothing to refill
+  }
+  lane_[i] = last;
+  if (i > 0 && Earlier(last, lane_[(i - 1) / 2])) {
+    LaneSiftUp(i);
+  } else {
+    LaneSiftDown(i);
+  }
+}
+
+inline void Simulator::DisarmTimer(TimerId t) {
+  const uint32_t pos = lane_pos_[t];
+  if (pos != kDisarmed) {
+    LaneRemove(pos);
+  }
+}
+
+inline void Simulator::FireLaneTop() {
+  const LaneEntry e = lane_[0];
+  LaneRemove(0);  // disarmed before the callback: it may re-arm itself
+  NoteFire(e.when, e.seq);
+  in_timer_callback_ = true;
+  timer_fns_[e.timer]();
+  in_timer_callback_ = false;
+}
+
+inline bool Simulator::FireNext(TimeNs deadline) {
   SkimStale();
-  if (heap_.empty()) {
+  if (!lane_.empty() && (heap_.empty() || Earlier(lane_[0], heap_[0]))) {
+    if (lane_[0].when > deadline) {
+      return false;
+    }
+    FireLaneTop();
+    return true;
+  }
+  if (heap_.empty() || heap_[0].when > deadline) {
     return false;
   }
   FireTop();
   return true;
 }
+
+inline bool Simulator::Step() { return FireNext(kTimeNever); }
 
 // Re-schedules itself at a fixed period until stopped. The callback observes Now().
 class PeriodicTask {

@@ -137,6 +137,43 @@ TEST(CheckedSweepTest, CorruptedCreditBalanceIsDetected) {
   EXPECT_TRUE(capture.AnyMessageContains("dom 0 vcpu 0"));
 }
 
+// Co-simulation contract: a RUNNING vCPU's guest only moves forward through its
+// armed advance timer. Disarm one behind the scheduler's back and the next
+// HvTick sweep must name that vCPU.
+TEST(CheckedSweepTest, DisarmedAdvanceTimerIsDetected) {
+  CaptureViolations capture;
+  TestbedConfig cfg;
+  cfg.primary_vcpus = 2;
+  cfg.pool_pcpus = 2;
+  cfg.background_vms = -1;  // dedicated: no desktop VM preempts the victim
+  cfg.seed = 11;
+  Testbed bed(cfg);
+  OmpAppConfig ac = NpbProfile("ep", 2, kSpinCountDefault);
+  ac.intervals = 1'000'000;  // effectively endless
+  OmpApp app(bed.primary(), ac, 3);
+  bed.sim().RunUntil(Milliseconds(200));
+  app.Start();
+  bed.sim().RunUntil(Milliseconds(400));  // includes the 400 ms tick sweep
+  ASSERT_EQ(InvariantViolationCount(), 0u);
+
+  Domain& dom = bed.primary_domain();
+  Vcpu* victim = nullptr;
+  for (int i = 0; i < dom.n_vcpus() && victim == nullptr; ++i) {
+    if (dom.vcpu(i).state == VcpuState::kRunning) victim = &dom.vcpu(i);
+  }
+  ASSERT_NE(victim, nullptr) << "no running vCPU to corrupt";
+  ASSERT_TRUE(bed.sim().TimerArmed(victim->advance_timer));
+  bed.sim().DisarmTimer(victim->advance_timer);
+  bed.sim().RunUntil(Milliseconds(415));  // spans the 410 ms tick sweep
+
+  EXPECT_GT(InvariantViolationCount(), 0u);
+  EXPECT_TRUE(capture.AnyMessageContains("advance timer is disarmed"))
+      << "first message: "
+      << (capture.captured().empty() ? "<none>" : capture.captured()[0].message);
+  EXPECT_TRUE(capture.AnyMessageContains("dom " + std::to_string(dom.id()) + " vcpu " +
+                                         std::to_string(victim->id())));
+}
+
 // Paper Algorithm 2 quiescence: after evacuation completes, a frozen vCPU's
 // run queue must hold nothing migratable. Sneak a runnable worker back onto it
 // and the next kernel sweep must object.

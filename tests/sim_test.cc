@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <tuple>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -310,57 +312,272 @@ TEST(SimulatorPropertyTest, FiringOrderMatchesReferenceModel) {
   }
 }
 
-// Reschedule(id, when, fn) is specified as exactly Cancel(id) followed by
-// ScheduleAt(when, fn) — same slot reuse, same generation bump, same single
-// seq draw — so two simulators driven by the two spellings must fire the
-// identical sequence. The scheduler's advance-event rearm leans on this.
-TEST(SimulatorPropertyTest, RescheduleMatchesCancelPlusSchedule) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    auto run = [](uint64_t s, bool fused) {
-      Simulator sim;
-      Rng rng(s);
-      std::vector<std::pair<TimeNs, int>> fired;
-      Simulator::EventId tracked = Simulator::kInvalidEvent;
-      for (int i = 0; i < 200; ++i) {
-        const TimeNs when =
-            sim.Now() + Microseconds(1 + static_cast<TimeNs>(rng.NextBelow(10)));
-        const int tag = i;
-        auto fn = [&fired, &sim, tag] { fired.emplace_back(sim.Now(), tag); };
-        if (rng.Chance(0.5)) {
-          if (fused) {
-            tracked = sim.Reschedule(tracked, when, fn);
-          } else {
-            sim.Cancel(tracked);
-            tracked = sim.ScheduleAt(when, fn);
-          }
-        } else {
-          sim.ScheduleAt(when, fn);
-        }
-        if (rng.Chance(0.3)) sim.Step();
+// --- timer lane ------------------------------------------------------------
+
+// The reference model for both queues at once: every ScheduleAt and ArmTimer
+// draws one seq, re-arming replaces a timer's single pending fire, DisarmTimer
+// and Cancel draw nothing, and the earliest live (when, seq) fires next. It
+// scans a flat list, so its only cleverness is the contract itself.
+class RefQueue {
+ public:
+  std::function<void(int)> on_fire;
+
+  uint64_t Schedule(TimeNs when, int tag) {
+    items_.push_back(Item{when, next_seq_++, tag, -1, true});
+    return items_.size();  // id = index + 1, so 0 stays invalid
+  }
+  void Cancel(uint64_t id) {
+    if (id != 0 && id <= items_.size()) items_[id - 1].live = false;
+  }
+  int AddTimer(int tag) {
+    timer_tags_.push_back(tag);
+    timer_item_.push_back(kNone);
+    return static_cast<int>(timer_tags_.size()) - 1;
+  }
+  void Arm(int t, TimeNs when) {
+    Disarm(t);
+    items_.push_back(Item{when, next_seq_++, timer_tags_[static_cast<size_t>(t)], t, true});
+    timer_item_[static_cast<size_t>(t)] = items_.size() - 1;
+  }
+  void Disarm(int t) {
+    size_t& item = timer_item_[static_cast<size_t>(t)];
+    if (item != kNone) {
+      items_[item].live = false;
+      item = kNone;
+    }
+  }
+  bool Armed(int t) const { return timer_item_[static_cast<size_t>(t)] != kNone; }
+  bool Step() {
+    size_t best = kNone;
+    for (size_t i = 0; i < items_.size(); ++i) {
+      const Item& it = items_[i];
+      if (it.live && (best == kNone || it.when < items_[best].when ||
+                      (it.when == items_[best].when && it.seq < items_[best].seq))) {
+        best = i;
       }
-      sim.RunUntilIdle();
-      return fired;
-    };
-    ASSERT_EQ(run(seed, true), run(seed, false)) << "seed " << seed;
+    }
+    if (best == kNone) return false;
+    Item& it = items_[best];
+    it.live = false;
+    if (it.timer >= 0) timer_item_[static_cast<size_t>(it.timer)] = kNone;
+    now_ = it.when;
+    ++processed_;
+    on_fire(it.tag);
+    return true;
+  }
+  TimeNs Now() const { return now_; }
+  size_t Pending() const {
+    size_t n = 0;
+    for (const Item& it : items_) n += it.live ? 1 : 0;
+    return n;
+  }
+  uint64_t Processed() const { return processed_; }
+
+ private:
+  static constexpr size_t kNone = SIZE_MAX;
+  struct Item {
+    TimeNs when;
+    uint64_t seq;
+    int tag;
+    int timer;  // -1 for a one-shot event
+    bool live;
+  };
+  std::vector<Item> items_;
+  std::vector<int> timer_tags_;
+  std::vector<size_t> timer_item_;
+  uint64_t next_seq_ = 1;
+  TimeNs now_ = 0;
+  uint64_t processed_ = 0;
+};
+
+// The Simulator behind RefQueue's interface; every callback reports its tag.
+class SimQueue {
+ public:
+  std::function<void(int)> on_fire;
+
+  uint64_t Schedule(TimeNs when, int tag) {
+    return sim_.ScheduleAt(when, [this, tag] { on_fire(tag); });
+  }
+  void Cancel(uint64_t id) { sim_.Cancel(id); }
+  int AddTimer(int tag) {
+    return static_cast<int>(sim_.AddTimer([this, tag] { on_fire(tag); }));
+  }
+  void Arm(int t, TimeNs when) { sim_.ArmTimer(Id(t), when); }
+  void Disarm(int t) { sim_.DisarmTimer(Id(t)); }
+  bool Armed(int t) const { return sim_.TimerArmed(Id(t)); }
+  bool Step() { return sim_.Step(); }
+  TimeNs Now() const { return sim_.Now(); }
+  size_t Pending() const { return sim_.pending_events(); }
+  uint64_t Processed() const { return sim_.events_processed(); }
+
+ private:
+  static Simulator::TimerId Id(int t) { return static_cast<Simulator::TimerId>(t); }
+  Simulator sim_;
+};
+
+// One fire as seen from inside its callback: (Now, tag, own timer armed?,
+// pending, processed).
+using FireRecord = std::tuple<TimeNs, int, bool, size_t, uint64_t>;
+constexpr int kScriptTimers = 5;  // tags below this name timers, the rest events
+
+// Drives a queue with a seeded mix of ScheduleAt, Cancel, ArmTimer (fresh,
+// moved and unchanged deadlines) and DisarmTimer, from the top level and from
+// inside callbacks — timers re-arm or disarm themselves from their own
+// callback. Deadlines fall in 1 us buckets, so lane timers and heap events tie
+// on `when` constantly. The Rng is consumed in firing order, so any divergence
+// from the reference order also diverges the rest of the script.
+template <typename Q>
+std::vector<FireRecord> DriveLaneScript(uint64_t seed) {
+  Q q;
+  Rng rng(seed);
+  std::vector<FireRecord> log;
+  std::vector<uint64_t> ids;
+  std::vector<TimeNs> armed_at(kScriptTimers, 0);
+  int next_tag = kScriptTimers;
+  auto near = [&] {
+    return q.Now() + Microseconds(static_cast<TimeNs>(rng.NextBelow(4)));
+  };
+  auto arm = [&](int t, TimeNs when) {
+    q.Arm(t, when);
+    armed_at[static_cast<size_t>(t)] = when;
+  };
+  auto random_op = [&] {
+    const int t = static_cast<int>(rng.NextBelow(kScriptTimers));
+    switch (rng.NextBelow(5)) {
+      case 0:
+        ids.push_back(q.Schedule(near(), next_tag++));
+        break;
+      case 1:
+        if (!ids.empty()) q.Cancel(ids[rng.NextBelow(ids.size())]);
+        break;
+      case 2:
+        arm(t, near());
+        break;
+      case 3:  // unchanged deadline: must still draw a fresh seq
+        if (q.Armed(t)) arm(t, armed_at[static_cast<size_t>(t)]);
+        break;
+      default:
+        q.Disarm(t);
+        break;
+    }
+  };
+  q.on_fire = [&](int tag) {
+    const bool own_armed = tag < kScriptTimers && q.Armed(tag);
+    log.emplace_back(q.Now(), tag, own_armed, q.Pending(), q.Processed());
+    if (tag < kScriptTimers) {
+      switch (rng.NextBelow(4)) {
+        case 0:
+          arm(tag, near());  // re-arm from inside its own callback
+          break;
+        case 1:
+          arm(tag, near());
+          q.Disarm(tag);  // ... and take it back before returning
+          break;
+        default:
+          break;
+      }
+    }
+    if (rng.Chance(0.3)) random_op();
+  };
+  for (int t = 0; t < kScriptTimers; ++t) {
+    q.AddTimer(t);
+  }
+  for (int i = 0; i < 400; ++i) {
+    random_op();
+    if (rng.Chance(0.3)) q.Step();
+  }
+  while (q.Step()) {
+  }
+  EXPECT_EQ(q.Pending(), 0u);
+  EXPECT_EQ(q.Processed(), log.size());
+  return log;
+}
+
+// Property: with the timer lane beside the heap, firing order, events_processed()
+// and pending_events() match the reference model over random interleavings.
+TEST(SimulatorPropertyTest, TimerLaneMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::vector<FireRecord> got = DriveLaneScript<SimQueue>(seed);
+    const std::vector<FireRecord> want = DriveLaneScript<RefQueue>(seed);
+    ASSERT_EQ(got, want) << "seed " << seed;
+    // Non-vacuous: both kinds fired, and a timer and an event shared a tick.
+    bool timer_fired = false;
+    bool event_fired = false;
+    bool mixed_tie = false;
+    for (size_t i = 0; i < got.size(); ++i) {
+      const bool is_timer = std::get<1>(got[i]) < kScriptTimers;
+      (is_timer ? timer_fired : event_fired) = true;
+      if (i > 0 && std::get<0>(got[i]) == std::get<0>(got[i - 1]) &&
+          is_timer != (std::get<1>(got[i - 1]) < kScriptTimers)) {
+        mixed_tie = true;
+      }
+    }
+    EXPECT_TRUE(timer_fired && event_fired && mixed_tie) << "seed " << seed;
   }
 }
 
-// A Reschedule holding a dead handle (never issued, already fired, or the
-// sentinel) degrades to a plain ScheduleAt.
-TEST(SimulatorTest, RescheduleWithDeadIdActsAsFreshSchedule) {
+// Pinned: a timer is disarmed when its callback starts, and TimerArmed turns
+// true again only once the callback re-arms it.
+TEST(SimulatorTimerTest, ArmedIsFalseInsideOwnCallbackUntilRearmed) {
   Simulator sim;
+  std::vector<bool> seen;
   int fires = 0;
-  const Simulator::EventId id = sim.Reschedule(
-      Simulator::kInvalidEvent, Microseconds(3), [&] { ++fires; });
-  EXPECT_NE(id, Simulator::kInvalidEvent);
+  Simulator::TimerId t = 0;
+  t = sim.AddTimer([&] {
+    seen.push_back(sim.TimerArmed(t));
+    if (++fires < 3) {
+      sim.ArmTimer(t, sim.Now() + Microseconds(5));
+      seen.push_back(sim.TimerArmed(t));
+    }
+  });
+  EXPECT_FALSE(sim.TimerArmed(t));
+  sim.ArmTimer(t, Microseconds(10));
+  EXPECT_TRUE(sim.TimerArmed(t));
+  EXPECT_EQ(sim.pending_events(), 1u);
   sim.RunUntilIdle();
-  EXPECT_EQ(fires, 1);
-  // The id is now fired/dead: rescheduling through it must not resurrect it.
-  const Simulator::EventId id2 = sim.Reschedule(id, Microseconds(9), [&] { ++fires; });
-  EXPECT_NE(id2, id);
+  EXPECT_EQ(seen, (std::vector<bool>{false, true, false, true, false}));
+  EXPECT_FALSE(sim.TimerArmed(t));
+  EXPECT_EQ(sim.Now(), Microseconds(20));
+  EXPECT_EQ(sim.events_processed(), 3u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// Pinned: DisarmTimer on a timer that was never armed, already fired, or was
+// just disarmed does nothing — in particular it never touches another timer.
+TEST(SimulatorTimerTest, DisarmOnDisarmedTimerIsNoOp) {
+  Simulator sim;
+  int a_fires = 0;
+  int b_fires = 0;
+  const Simulator::TimerId a = sim.AddTimer([&] { ++a_fires; });
+  const Simulator::TimerId b = sim.AddTimer([&] { ++b_fires; });
+  sim.DisarmTimer(a);  // never armed
+  sim.ArmTimer(a, Microseconds(1));
+  sim.ArmTimer(b, Microseconds(2));
+  sim.RunUntil(Microseconds(1));
+  EXPECT_EQ(a_fires, 1);
+  sim.DisarmTimer(a);  // already fired
+  sim.DisarmTimer(a);  // and again
+  EXPECT_TRUE(sim.TimerArmed(b));
+  EXPECT_EQ(sim.pending_events(), 1u);
   sim.RunUntilIdle();
-  EXPECT_EQ(fires, 2);
-  EXPECT_EQ(sim.Now(), Microseconds(9));
+  EXPECT_EQ(a_fires, 1);
+  EXPECT_EQ(b_fires, 1);
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+// Pinned: ArmTimer with the deadline it already has still draws a fresh seq,
+// so an event scheduled in between at the same instant now fires first — the
+// order a Cancel + ScheduleAt would give. Keeping the old seq would reorder
+// this tie (docs/PERFORMANCE.md).
+TEST(SimulatorTimerTest, RearmWithUnchangedDeadlineDrawsFreshSeq) {
+  Simulator sim;
+  std::vector<char> order;
+  const Simulator::TimerId t = sim.AddTimer([&] { order.push_back('t'); });
+  sim.ArmTimer(t, Microseconds(5));
+  sim.ScheduleAt(Microseconds(5), [&] { order.push_back('e'); });
+  sim.ArmTimer(t, Microseconds(5));
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<char>{'e', 't'}));
 }
 
 TEST(PeriodicTaskTest, FiresAtFixedPeriod) {

@@ -8,7 +8,12 @@
 // replay is not bit-identical and figure regeneration cannot be trusted.
 //
 //   digest_run --selftest            run every scenario twice in-process and
-//                                    fail on any digest mismatch (ctest entry)
+//                                    fail on any digest mismatch
+//   digest_run --selftest --golden FILE
+//                                    ... and also fail unless every digest
+//                                    equals the one FILE pins for this seed
+//                                    (ctest runs it on tests/digests.golden:
+//                                    a commit that changes a digest fails)
 //   digest_run --stall-check         run the quickstart cell with stall
 //                                    attribution off then on; the machine/guest
 //                                    digests must match bit-for-bit (the
@@ -33,10 +38,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/metrics_registry.h"
+#include "src/base/parse.h"
 #include "src/base/time.h"
 #include "src/faults/fault_plan.h"
 #include "src/metrics/state_digest.h"
@@ -274,7 +285,53 @@ int CovCheck(uint64_t seed) {
   return 0;
 }
 
-int SelfTest(uint64_t seed) {
+// (scenario, seed) -> pinned digest in hex.
+using GoldenDigests = std::map<std::pair<std::string, uint64_t>, std::string>;
+
+// A golden file holds one "<scenario> <seed> <digest>" line per pinned digest —
+// the single-scenario mode's output format — plus '#' comments and blank
+// lines. Returns false with a message on a malformed line or unknown scenario.
+bool LoadGolden(const char* path, GoldenDigests* out, std::string* error) {
+  std::ifstream in(path);
+  if (!in) {
+    *error = std::string("cannot open ") + path;
+    return false;
+  }
+  std::string line;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name, seed_text, digest, extra;
+    uint64_t seed = 0;
+    if (!(fields >> name >> seed_text >> digest) || (fields >> extra) ||
+        !ParseU64(seed_text, &seed) || digest.size() != 16 ||
+        digest.find_first_not_of("0123456789abcdef") != std::string::npos) {
+      *error = std::string(path) + ":" + std::to_string(line_no) +
+               ": want \"<scenario> <seed> <16 hex digits>\"";
+      return false;
+    }
+    if (!std::any_of(std::begin(kScenarios), std::end(kScenarios),
+                     [&](const Scenario& s) { return name == s.name; })) {
+      *error = std::string(path) + ":" + std::to_string(line_no) +
+               ": unknown scenario '" + name + "'";
+      return false;
+    }
+    (*out)[{name, seed}] = digest;
+  }
+  return true;
+}
+
+// Runs every scenario twice (the runs must agree) and, given a golden file,
+// also requires each digest to equal the pinned one for this seed.
+int SelfTest(uint64_t seed, const char* golden_path) {
+  GoldenDigests golden;
+  if (golden_path != nullptr) {
+    std::string error;
+    if (!LoadGolden(golden_path, &golden, &error)) {
+      std::fprintf(stderr, "digest_run: golden: %s\n", error.c_str());
+      return 2;
+    }
+  }
   int failures = 0;
   for (const Scenario& s : kScenarios) {
     const uint64_t first = DigestScenario(s, seed);
@@ -284,10 +341,22 @@ int SelfTest(uint64_t seed) {
                    "digest_run: %s: NOT deterministic: run1=%s run2=%s\n",
                    s.name, Hex(first).c_str(), Hex(second).c_str());
       ++failures;
-    } else {
-      std::printf("digest_run: %s seed=%llu digest=%s (two runs identical)\n",
-                  s.name, static_cast<unsigned long long>(seed),
-                  Hex(first).c_str());
+      continue;
+    }
+    std::printf("digest_run: %s seed=%llu digest=%s (two runs identical)\n",
+                s.name, static_cast<unsigned long long>(seed), Hex(first).c_str());
+    if (golden_path == nullptr) continue;
+    const auto it = golden.find({s.name, seed});
+    if (it == golden.end()) {
+      std::fprintf(stderr, "digest_run: %s: %s pins no digest for seed %llu\n",
+                   s.name, golden_path, static_cast<unsigned long long>(seed));
+      ++failures;
+    } else if (it->second != Hex(first)) {
+      std::fprintf(stderr,
+                   "digest_run: %s: golden mismatch: got %s, %s pins %s — the "
+                   "change altered the simulation\n",
+                   s.name, Hex(first).c_str(), golden_path, it->second.c_str());
+      ++failures;
     }
   }
   if (failures != 0) {
@@ -306,11 +375,21 @@ int SelfTest(uint64_t seed) {
   return 0;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: digest_run --selftest [--golden FILE] [--seed N] | "
+               "digest_run --stall-check [--seed N] | "
+               "digest_run --cov-check [--seed N] | "
+               "digest_run <scenario> [--seed N] | digest_run --list\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   uint64_t seed = 7;
   const char* scenario = nullptr;
+  const char* golden = nullptr;
   bool selftest = false;
   bool stall_check = false;
   bool cov_check = false;
@@ -322,7 +401,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cov-check") == 0) {
       cov_check = true;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!ParseU64(argv[++i], &seed)) return Usage();
+    } else if (std::strcmp(argv[i], "--golden") == 0 && i + 1 < argc) {
+      golden = argv[++i];
     } else if (std::strcmp(argv[i], "--list") == 0) {
       for (const Scenario& s : kScenarios) {
         std::printf("%-12s %s\n", s.name, s.what);
@@ -331,13 +412,11 @@ int main(int argc, char** argv) {
     } else if (argv[i][0] != '-' && scenario == nullptr) {
       scenario = argv[i];
     } else {
-      std::fprintf(stderr,
-                   "usage: digest_run --selftest [--seed N] | "
-                   "digest_run --stall-check [--seed N] | "
-                   "digest_run --cov-check [--seed N] | "
-                   "digest_run <scenario> [--seed N] | digest_run --list\n");
-      return 2;
+      return Usage();
     }
+  }
+  if (golden != nullptr && !selftest) {
+    return Usage();  // a golden file pins the selftest's digests
   }
   if (stall_check) {
     return StallCheck(seed);
@@ -346,7 +425,7 @@ int main(int argc, char** argv) {
     return CovCheck(seed);
   }
   if (selftest) {
-    return SelfTest(seed);
+    return SelfTest(seed, golden);
   }
   if (scenario == nullptr) {
     std::fprintf(stderr, "digest_run: need a scenario name or --selftest\n");

@@ -45,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/parse.h"
 #include "src/fuzz/oracle.h"
 #include "src/fuzz/scenario.h"
 #include "src/fuzz/scenario_gen.h"

@@ -21,6 +21,7 @@ void FloatAccum(const Project&, std::vector<Finding>*);
 
 // event-lifecycle family
 void EventOwner(const Project&, std::vector<Finding>*);
+void TimerOwner(const Project&, std::vector<Finding>*);
 void EventFreezePath(const Project&, std::vector<Finding>*);
 
 // stall-attribution family

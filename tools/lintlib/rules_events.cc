@@ -1,13 +1,19 @@
-// event-lifecycle rules: every EventId that outlives the scheduling statement
-// must have an owner that can retire it.
+// event-lifecycle rules: every EventId or TimerId that outlives the scheduling
+// statement must have an owner that can retire it.
 //
 //   event-owner        — a class member of type (Simulator::)EventId must be
-//                        named inside a Cancel(...) or Reschedule(...) call
-//                        somewhere in the project. A stored id nobody can
-//                        cancel is a leak waiting for a stale fire: the
-//                        two-level scheduler cancels and rearms on every
-//                        settle, so an uncancellable stored id is always a
-//                        protocol miss, not a style choice.
+//                        named inside a Cancel(...) call somewhere in the
+//                        project. A stored id nobody can cancel is a leak
+//                        waiting for a stale fire: the two-level scheduler
+//                        cancels on every deschedule, so an uncancellable
+//                        stored id is always a protocol miss, not a style
+//                        choice.
+//   timer-owner        — the same contract for the timer lane: a class member
+//                        of type (Simulator::)TimerId must be named inside a
+//                        DisarmTimer(...) call somewhere in the project. A
+//                        timer nobody disarms keeps firing for an owner that
+//                        has stopped (an advance timer outliving its vCPU's
+//                        run).
 //   event-freeze-path  — src/guest/ and src/vscale/ (the layers the vScale
 //                        freeze path reenters) must not persist raw EventIds
 //                        at all: a frozen vCPU's stored id can be recycled
@@ -28,22 +34,22 @@ namespace rules {
 
 namespace {
 
-struct EventIdMember {
+struct IdMember {
   std::string rel;
   int line;
   std::string cls;
   std::string name;
 };
 
-// Member declarations of type `EventId` / `Simulator::EventId` at class scope
+// Member declarations of type `type` / `Simulator::<type>` at class scope
 // (function bodies excluded, so locals never match).
-void CollectEventIdMembers(const ParsedFile& pf,
-                           std::vector<EventIdMember>* out) {
+void CollectIdMembers(const ParsedFile& pf, const std::string& type,
+                      std::vector<IdMember>* out) {
   const std::vector<Token>& toks = pf.src.tokens;
   for (const ClassInfo& ci : pf.classes) {
     for (size_t t = ci.body_begin; t + 1 < ci.body_end && t < toks.size();
          ++t) {
-      if (toks[t].kind != Token::kIdent || toks[t].text != "EventId") continue;
+      if (toks[t].kind != Token::kIdent || toks[t].text != type) continue;
       if (InFunctionBody(pf, t)) continue;
       // Skip `using EventId = ...;` aliases and `static constexpr EventId`
       // constants (kInvalidEvent is a sentinel, not a stored schedule).
@@ -75,14 +81,14 @@ void CollectEventIdMembers(const ParsedFile& pf,
   }
 }
 
-// Every identifier that appears inside a Cancel(...) or Reschedule(...)
-// argument list anywhere in the project.
-void CollectRetiredNames(const Project& project, std::set<std::string>* out) {
+// Every identifier that appears inside a `call(...)` argument list anywhere
+// in the project.
+void CollectRetiredNames(const Project& project, const std::string& call,
+                         std::set<std::string>* out) {
   for (const ParsedFile& pf : project.files) {
     const std::vector<Token>& toks = pf.src.tokens;
     for (size_t t = 0; t + 1 < toks.size(); ++t) {
-      if (toks[t].kind != Token::kIdent ||
-          (toks[t].text != "Cancel" && toks[t].text != "Reschedule")) {
+      if (toks[t].kind != Token::kIdent || toks[t].text != call) {
         continue;
       }
       if (toks[t + 1].kind != Token::kPunct || toks[t + 1].text != "(") {
@@ -101,23 +107,35 @@ void CollectRetiredNames(const Project& project, std::set<std::string>* out) {
   }
 }
 
-}  // namespace
-
-void EventOwner(const Project& project, std::vector<Finding>* out) {
-  std::vector<EventIdMember> members;
+// Flags every stored `type` member never named inside a `retire_call(...)`.
+void CheckOwned(const Project& project, const std::string& type,
+                const std::string& retire_call, const char* rule,
+                std::vector<Finding>* out) {
+  std::vector<IdMember> members;
   for (const ParsedFile& pf : project.files) {
-    CollectEventIdMembers(pf, &members);
+    CollectIdMembers(pf, type, &members);
   }
   if (members.empty()) return;
   std::set<std::string> retired;
-  CollectRetiredNames(project, &retired);
-  for (const EventIdMember& m : members) {
+  CollectRetiredNames(project, retire_call, &retired);
+  for (const IdMember& m : members) {
     if (retired.count(m.name) != 0) continue;
-    out->push_back({m.rel, m.line, "event-owner",
-                    "stored EventId '" + m.name + "' in class '" + m.cls +
-                        "' is never passed to Cancel()/Reschedule(); every "
-                        "persisted id needs a cancel-or-fire owner"});
+    out->push_back({m.rel, m.line, rule,
+                    "stored " + type + " '" + m.name + "' in class '" + m.cls +
+                        "' is never passed to " + retire_call +
+                        "(); every persisted " + type + " needs an owner that "
+                        "retires it"});
   }
+}
+
+}  // namespace
+
+void EventOwner(const Project& project, std::vector<Finding>* out) {
+  CheckOwned(project, "EventId", "Cancel", "event-owner", out);
+}
+
+void TimerOwner(const Project& project, std::vector<Finding>* out) {
+  CheckOwned(project, "TimerId", "DisarmTimer", "timer-owner", out);
 }
 
 void EventFreezePath(const Project& project, std::vector<Finding>* out) {
@@ -126,9 +144,9 @@ void EventFreezePath(const Project& project, std::vector<Finding>* out) {
     if (rel.rfind("src/guest/", 0) != 0 && rel.rfind("src/vscale/", 0) != 0) {
       continue;
     }
-    std::vector<EventIdMember> members;
-    CollectEventIdMembers(pf, &members);
-    for (const EventIdMember& m : members) {
+    std::vector<IdMember> members;
+    CollectIdMembers(pf, "EventId", &members);
+    for (const IdMember& m : members) {
       out->push_back({m.rel, m.line, "event-freeze-path",
                       "raw EventId '" + m.name +
                           "' persisted in a freeze-path layer; the freeze "

@@ -160,11 +160,21 @@ int RunSelfTest(bool full) {
        {"src/sim/poller.cc",
         "void Poller::Disarm() { sim_->Cancel(tick_); }\n"}},
       "", All(), {});
+  const char* kOrphanTimer =
+      "class Runner {\n"
+      " private:\n"
+      "  Simulator::TimerId advance_;\n"
+      "};\n";
+  failures += Expect("timer-owner-orphan",
+                     {{"src/hypervisor/runner.h", kOrphanTimer},
+                      {"src/hypervisor/runner.cc",
+                       "void Runner::Run() { sim_->ArmTimer(advance_, when); }\n"}},
+                     "", All(), {"timer-owner"});
   failures += Expect(
-      "event-owner-rescheduled",
-      {{"src/sim/poller.h", kOrphanEvent},
-       {"src/sim/poller.cc",
-        "void Poller::Arm() { tick_ = sim_->Reschedule(tick_, when); }\n"}},
+      "timer-owner-disarmed",
+      {{"src/hypervisor/runner.h", kOrphanTimer},
+       {"src/hypervisor/runner.cc",
+        "void Runner::Stop() { sim_->DisarmTimer(advance_); }\n"}},
       "", All(), {});
   failures += Expect(
       "event-freeze-path",

@@ -20,13 +20,16 @@
 // Produce the input with any stall-enabled harness, e.g.:
 //   ./examples/quickstart lu 4 --stall-csv stall.csv
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
+#include "src/base/parse.h"
 #include "src/obs/stall_report.h"
 #include "tools/flat_json.h"
 
@@ -94,15 +97,15 @@ bool ParseWeights(const std::string& spec,
   std::string item;
   while (std::getline(ss, item, ',')) {
     const size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= item.size()) {
+    int64_t dom = 0;
+    int64_t weight = 0;
+    if (eq == std::string::npos ||
+        !ParseI64(std::string_view(item).substr(0, eq), &dom) ||
+        !ParseI64(std::string_view(item).substr(eq + 1), &weight) || dom < 0 ||
+        dom > INT32_MAX) {
       return false;
     }
-    try {
-      out->emplace_back(std::stoi(item.substr(0, eq)),
-                        std::stoll(item.substr(eq + 1)));
-    } catch (...) {
-      return false;
-    }
+    out->emplace_back(static_cast<int>(dom), weight);
   }
   return !out->empty();
 }
@@ -230,6 +233,8 @@ int SelfTest() {
     weights.clear();
     ST_CHECK(!ParseWeights("0:768", &weights));
     ST_CHECK(!ParseWeights("", &weights));
+    ST_CHECK(!ParseWeights("0=768x", &weights));  // trailing junk
+    ST_CHECK(!ParseWeights("1=99999999999999999999", &weights));  // overflow
   }
 
   // JSON export: must parse back through the repo's own flat-JSON reader with
@@ -283,8 +288,13 @@ int Run(int argc, char** argv) {
       return SelfTest();
     }
     if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top_n = std::atoi(argv[i + 1]);
-      ++i;
+      int64_t n = 0;
+      if (!ParseI64(argv[++i], &n) || n < 1 || n > INT32_MAX) {
+        std::fprintf(stderr, "stall_report: --top wants an integer >= 1, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
+      top_n = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--collapsed") == 0) {
       collapsed = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {

@@ -18,6 +18,7 @@
 //       finite values, stall_* monotone per pid) and requires the eight
 //       StallAccountant bucket counter tracks to be present.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/base/parse.h"
 #include "src/base/trace.h"
 #include "src/metrics/trace_export.h"
 #include "src/metrics/trace_validate.h"
@@ -150,10 +152,15 @@ int main(int argc, char** argv) {
   size_t min_categories = 0;
   size_t min_domains = 0;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--min-categories") == 0 && i + 1 < argc) {
-      min_categories = static_cast<size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--min-domains") == 0 && i + 1 < argc) {
-      min_domains = static_cast<size_t>(std::atoi(argv[++i]));
+    const bool categories = std::strcmp(argv[i], "--min-categories") == 0;
+    if ((categories || std::strcmp(argv[i], "--min-domains") == 0) && i + 1 < argc) {
+      uint64_t n = 0;
+      if (!vscale::ParseU64(argv[++i], &n)) {
+        std::fprintf(stderr, "trace_lint: %s wants a count, got '%s'\n", argv[i - 1],
+                     argv[i]);
+        return 2;
+      }
+      (categories ? min_categories : min_domains) = static_cast<size_t>(n);
     } else {
       std::fprintf(stderr, "trace_lint: unknown option '%s'\n", argv[i]);
       return 2;
