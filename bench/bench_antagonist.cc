@@ -94,9 +94,10 @@ struct Outcome {
   int64_t cycles = 0;      // attack cycles completed (activity telemetry)
 };
 
-TestbedConfig MakeRig(const CellSpec& cell, bool hardened,
-                      bool with_antagonist) {
+TestbedConfig MakeRig(const CellSpec& cell, bool hardened, bool with_antagonist,
+                      const Observers& obs) {
   TestbedConfig tb;
+  tb.observers = obs;
   tb.policy = cell.policy;
   tb.primary_vcpus = 3;
   tb.pool_pcpus = 2;
@@ -118,8 +119,9 @@ TestbedConfig MakeRig(const CellSpec& cell, bool hardened,
   return tb;
 }
 
-Outcome RunCell(const CellSpec& cell, bool hardened, bool with_antagonist) {
-  Testbed bed(MakeRig(cell, hardened, with_antagonist));
+Outcome RunCell(const CellSpec& cell, bool hardened, bool with_antagonist,
+                const Observers& obs) {
+  Testbed bed(MakeRig(cell, hardened, with_antagonist, obs));
 
   std::unique_ptr<FairnessProbe> probe;
   TimeNs slack_sum = 0;
@@ -200,8 +202,10 @@ int main(int argc, char** argv) {
     for (int h = 0; h < 2; ++h) {
       const bool hardened = h == 1;
       const double base =
-          RunCell(cell, hardened, /*with_antagonist=*/false).victim_s;
-      const Outcome out = RunCell(cell, hardened, /*with_antagonist=*/true);
+          RunCell(cell, hardened, /*with_antagonist=*/false, scope.observers())
+              .victim_s;
+      const Outcome out =
+          RunCell(cell, hardened, /*with_antagonist=*/true, scope.observers());
       if (!hardened && out.violated) {
         ++unhardened_violations;
       }

@@ -79,9 +79,10 @@ struct Outcome {
   int online_end = 0;
 };
 
-Outcome RunPlan(const PlanSpec& p) {
+Outcome RunPlan(const PlanSpec& p, const Observers& obs) {
   MachineConfig mc;
   mc.n_pcpus = 4;
+  mc.observers = obs;
   Machine machine(mc);
   Domain& prime = machine.CreateDomain("primary", 1024, 4);
   Domain& rd = machine.CreateDomain("rival", 1024, 4);
@@ -194,9 +195,11 @@ bool TriStateClean(const GuestKernel& kernel, const Domain& dom) {
   return true;
 }
 
-DeliveryOutcome RunDelivery(const DeliverySpec& p, bool hardened) {
+DeliveryOutcome RunDelivery(const DeliverySpec& p, bool hardened,
+                            const Observers& obs) {
   MachineConfig mc;
   mc.n_pcpus = 4;
+  mc.observers = obs;
   Machine machine(mc);
   Domain& prime = machine.CreateDomain("primary", 1024, 4);
   Domain& rd = machine.CreateDomain("rival", 1024, 4);
@@ -284,15 +287,15 @@ const DeliverySpec kDeliveryPlans[] = {
 constexpr TimeNs kCheckReconvergeBound = Milliseconds(250);
 constexpr TimeNs kCheckDetectBound = Milliseconds(50);
 
-int CheckDelivery() {
+int CheckDelivery(const Observers& obs) {
   int failures = 0;
   const auto fail = [&failures](const char* plan, const std::string& what) {
     std::printf("FAIL  %-20s %s\n", plan, what.c_str());
     ++failures;
   };
   for (const DeliverySpec& p : kDeliveryPlans) {
-    const DeliveryOutcome hard = RunDelivery(p, /*hardened=*/true);
-    const DeliveryOutcome stock = RunDelivery(p, /*hardened=*/false);
+    const DeliveryOutcome hard = RunDelivery(p, /*hardened=*/true, obs);
+    const DeliveryOutcome stock = RunDelivery(p, /*hardened=*/false, obs);
     if (hard.reconverge < 0 || hard.reconverge > kCheckReconvergeBound) {
       fail(p.name, "hardened MTTR " + Ms(hard.reconverge) + " ms, bound " +
                        Ms(kCheckReconvergeBound) + " ms");
@@ -322,7 +325,7 @@ int CheckDelivery() {
   return failures == 0 ? 0 : 1;
 }
 
-void PrintDeliveryTable() {
+void PrintDeliveryTable(const Observers& obs) {
   std::printf(
       "\nDelivery fault domain: freeze handshake under lossy vIPIs\n"
       "(two idle vCPUs frozen at t=300ms inside a 200..800ms fault window;\n"
@@ -333,7 +336,7 @@ void PrintDeliveryTable() {
                    "repairs", "resends", "faulted deliveries"});
   for (const DeliverySpec& p : kDeliveryPlans) {
     for (const bool hardened : {false, true}) {
-      const DeliveryOutcome out = RunDelivery(p, hardened);
+      const DeliveryOutcome out = RunDelivery(p, hardened, obs);
       table.AddRow({p.name, hardened ? "hardened" : "stock", Ms(out.detect),
                     Ms(out.reconverge),
                     TextTable::Num(static_cast<double>(out.repairs), 0),
@@ -358,7 +361,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--check") {
       // CI mode: run only the delivery-fault gates, exit non-zero on any miss.
-      return CheckDelivery();
+      return CheckDelivery(scope.observers());
     }
   }
   std::printf("Chaos recovery: fault detection latency and time-to-recover\n");
@@ -369,7 +372,7 @@ int main(int argc, char** argv) {
   TextTable table({"fault plan", "detect (ms)", "recover (ms)", "wd trips",
                    "degrades", "resumes", "stale-held", "end vCPUs"});
   for (const PlanSpec& p : kPlans) {
-    const Outcome out = RunPlan(p);
+    const Outcome out = RunPlan(p, scope.observers());
     table.AddRow({p.name, Ms(out.detect), Ms(out.recover),
                   TextTable::Num(static_cast<double>(out.trips), 0),
                   TextTable::Num(static_cast<double>(out.degradations), 0),
@@ -385,6 +388,6 @@ int main(int argc, char** argv) {
       "the resume confirmations before normal scaling restarts. A crashed\n"
       "daemon reboots with fresh control state instead of resuming (recover\n"
       "'-'): it re-packs the VM through the ordinary confirmation path.\n");
-  PrintDeliveryTable();
+  PrintDeliveryTable(scope.observers());
   return 0;
 }

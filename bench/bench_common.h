@@ -9,10 +9,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/base/metrics_registry.h"
+#include "src/base/observers.h"
+#include "src/base/parse.h"
 #include "src/base/table.h"
 #include "src/base/trace.h"
 #include "src/metrics/state_digest.h"
@@ -23,24 +26,27 @@
 
 namespace vscale {
 
-// Opt-in flight recording for a bench binary: construct one at the top of main()
-// and the whole run records into the global tracer, exported on destruction.
+// Opt-in observation for a bench binary: construct one at the top of main() and
+// attach observers() to every TestbedConfig and bare MachineConfig the bench
+// builds; the sinks are exported on destruction.
 //
 //   bench_fig9_waiting_time --trace fig9.trace.json --metrics fig9.csv
 //
 // Also honored via environment (so wrapper scripts need no flag plumbing):
-// VSCALE_TRACE_OUT=<path> and VSCALE_METRICS_OUT=<path>. With neither given this
-// is inert: the tracer stays disabled and runs are bit-identical to an untraced
-// binary. See docs/OBSERVABILITY.md.
+// VSCALE_TRACE_OUT=<path> and VSCALE_METRICS_OUT=<path>. Only the sinks the flags
+// ask for are built — a tracer for --trace, a registry for --metrics or --digest,
+// an accountant for --stall — so with none given the runs observe nothing and are
+// bit-identical to an unobserved binary. See docs/OBSERVABILITY.md.
 //
 // --digest (or VSCALE_DIGEST=1) prints the 64-bit FNV-1a digest of the run's
-// end state — every frozen metric, plus the recorded event count when tracing —
-// on exit. Re-running the same bench command must reprint the same digest;
-// docs/CHECKING.md describes the double-run determinism check built on this.
+// end state — every published metric, plus the recorded event count when
+// tracing — on exit. Re-running the same bench command must reprint the same
+// digest; docs/CHECKING.md describes the double-run determinism check built on
+// this.
 //
-// --stall (or VSCALE_STALL=1) enables stall attribution for every Testbed the
-// bench constructs; --stall-csv <path> (or VSCALE_STALL_CSV=<path>) also dumps
-// the bucket time series for tools/stall_report on destruction.
+// --stall (or VSCALE_STALL=1) attaches stall attribution to every observed
+// Testbed; --stall-csv <path> (or VSCALE_STALL_CSV=<path>) also dumps the
+// bucket time series for tools/stall_report on destruction.
 class BenchTraceScope {
  public:
   BenchTraceScope(int argc, char** argv) {
@@ -50,11 +56,9 @@ class BenchTraceScope {
     if (const char* env = std::getenv("VSCALE_METRICS_OUT")) {
       metrics_path_ = env;
     }
+    bool want_stall = std::getenv("VSCALE_STALL") != nullptr;
     if (std::getenv("VSCALE_DIGEST") != nullptr) {
       want_digest_ = true;
-    }
-    if (std::getenv("VSCALE_STALL") != nullptr) {
-      want_stall_ = true;
     }
     if (const char* env = std::getenv("VSCALE_STALL_CSV")) {
       stall_csv_path_ = env;
@@ -69,29 +73,27 @@ class BenchTraceScope {
       } else if (std::strcmp(argv[i], "--digest") == 0) {
         want_digest_ = true;
       } else if (std::strcmp(argv[i], "--stall") == 0) {
-        want_stall_ = true;
+        want_stall = true;
       }
     }
-    if (!stall_csv_path_.empty()) {
-      want_stall_ = true;
-    }
-    if (want_stall_) {
-      Testbed::SetStallAccountingDefault(true);
-    }
     if (!trace_path_.empty()) {
-      GlobalTracer().Clear();
-      GlobalTracer().Enable();
+      tracer_ = std::make_unique<Tracer>();
+    }
+    if (want_stall || !stall_csv_path_.empty()) {
+      stall_ = std::make_unique<StallAccountant>();
+    }
+    if (!metrics_path_.empty() || want_digest_) {
+      metrics_ = std::make_unique<MetricsRegistry>();
     }
   }
 
   ~BenchTraceScope() {
-    if (!trace_path_.empty()) {
-      GlobalTracer().Disable();
+    if (tracer_ != nullptr) {
       std::string error;
-      if (WriteChromeTraceFile(GlobalTracer(), trace_path_, &error)) {
+      if (WriteChromeTraceFile(*tracer_, trace_path_, &error)) {
         std::printf("trace: wrote %zu events to %s (%llu dropped by ring)\n",
-                    GlobalTracer().size(), trace_path_.c_str(),
-                    static_cast<unsigned long long>(GlobalTracer().dropped()));
+                    tracer_->size(), trace_path_.c_str(),
+                    static_cast<unsigned long long>(tracer_->dropped()));
       } else {
         std::fprintf(stderr, "trace: %s\n", error.c_str());
       }
@@ -99,9 +101,9 @@ class BenchTraceScope {
     if (!metrics_path_.empty()) {
       std::ofstream f(metrics_path_);
       if (f) {
-        MetricsRegistry::Global().WriteCsv(f);
-        std::printf("metrics: wrote %zu metrics to %s\n",
-                    MetricsRegistry::Global().size(), metrics_path_.c_str());
+        metrics_->WriteCsv(f);
+        std::printf("metrics: wrote %zu metrics to %s\n", metrics_->size(),
+                    metrics_path_.c_str());
       } else {
         std::fprintf(stderr, "metrics: cannot open %s\n", metrics_path_.c_str());
       }
@@ -109,24 +111,29 @@ class BenchTraceScope {
     if (!stall_csv_path_.empty()) {
       std::ofstream f(stall_csv_path_);
       if (f) {
-        StallAccountant::Global().WriteCsv(f);
+        stall_->WriteCsv(f);
         std::printf("stall: wrote bucket time series to %s\n",
                     stall_csv_path_.c_str());
       } else {
         std::fprintf(stderr, "stall: cannot open %s\n", stall_csv_path_.c_str());
       }
     }
-    if (want_stall_) {
-      Testbed::SetStallAccountingDefault(false);
-    }
     if (want_digest_) {
       StateDigest digest;
-      digest.AbsorbRegistry(MetricsRegistry::Global());
-      if (!trace_path_.empty()) {
-        digest.Absorb(static_cast<uint64_t>(GlobalTracer().size()));
+      digest.AbsorbRegistry(*metrics_);
+      if (tracer_ != nullptr) {
+        digest.Absorb(static_cast<uint64_t>(tracer_->size()));
       }
       std::printf("digest %s\n", digest.Hex().c_str());
     }
+  }
+
+  BenchTraceScope(const BenchTraceScope&) = delete;
+  BenchTraceScope& operator=(const BenchTraceScope&) = delete;
+
+  // The sinks the flags asked for; null members are observers left off.
+  Observers observers() const {
+    return {tracer_.get(), stall_.get(), nullptr, metrics_.get()};
   }
 
  private:
@@ -134,23 +141,24 @@ class BenchTraceScope {
   std::string metrics_path_;
   std::string stall_csv_path_;
   bool want_digest_ = false;
-  bool want_stall_ = false;
+  std::unique_ptr<Tracer> tracer_;
+  std::unique_ptr<StallAccountant> stall_;
+  std::unique_ptr<MetricsRegistry> metrics_;
 };
 
+// VSCALE_BENCH_SEEDS picks how many of the five bench seeds each cell runs:
+// unset means 1, anything but an integer in 1..5 is a usage error (exit 2).
 inline std::vector<uint64_t> BenchSeeds() {
-  int n = 1;
-  if (const char* env = std::getenv("VSCALE_BENCH_SEEDS")) {
-    n = std::atoi(env);
-  }
   static const uint64_t kSeeds[] = {42, 137, 999, 2024, 5150};
-  std::vector<uint64_t> seeds;
-  for (int i = 0; i < n && i < 5; ++i) {
-    seeds.push_back(kSeeds[i]);
+  int64_t n = 1;
+  if (const char* env = std::getenv("VSCALE_BENCH_SEEDS")) {
+    if (!ParseI64(env, &n) || n < 1 || n > 5) {
+      std::fprintf(stderr, "VSCALE_BENCH_SEEDS wants an integer in 1..5, got '%s'\n",
+                   env);
+      std::exit(2);
+    }
   }
-  if (seeds.empty()) {
-    seeds.push_back(42);
-  }
-  return seeds;
+  return std::vector<uint64_t>(kSeeds, kSeeds + n);
 }
 
 inline CampaignConfig MakeCampaign(int vcpus) {

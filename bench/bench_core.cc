@@ -15,9 +15,10 @@
 //                       ever adds time, so the floor is the signal)
 //   --check BASELINE    compare gated metrics against a baseline JSON and
 //                       exit 1 if any regresses beyond the tolerance band
-//   --tolerance PCT     band half-width for --check (default 50; generous on
-//                       purpose — shared CI runners drift ±20-30%, and the
-//                       gate's job is catching structural slowdowns, not ns)
+//   --tolerance PCT     band half-width for --check, a finite number >= 0
+//                       (default 50; generous on purpose — shared CI runners
+//                       drift ±20-30%, and the gate's job is catching
+//                       structural slowdowns, not ns)
 //   --inject-slowdown   negative-test hook: burn a calibrated spin per event
 //                       so a healthy build reads like a regression; CI runs
 //                       this to prove the gate actually trips (red-gate test)
@@ -285,7 +286,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--check" && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (arg == "--tolerance" && i + 1 < argc) {
-      tolerance_pct = std::strtod(argv[++i], nullptr);
+      // A band is a finite, non-negative percentage: "50abc" is not 50.
+      if (!ParseF64(argv[++i], &tolerance_pct) || tolerance_pct < 0) return Usage();
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--repeats" && i + 1 < argc) {

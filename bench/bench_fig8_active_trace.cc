@@ -14,11 +14,12 @@ using namespace vscale;
 
 namespace {
 
-void TraceRun(int vcpus) {
+void TraceRun(int vcpus, const Observers& obs) {
   TestbedConfig tb;
   tb.policy = Policy::kVscale;
   tb.primary_vcpus = vcpus;
   tb.seed = 42;
+  tb.observers = obs;
   Testbed bed(tb);
 
   std::vector<std::pair<TimeNs, int>> trace;
@@ -66,8 +67,8 @@ void TraceRun(int vcpus) {
 int main(int argc, char** argv) {
   BenchTraceScope trace_scope(argc, argv);  // --trace/--metrics (OBSERVABILITY.md)
   std::printf("Figure 8: active vCPUs over time running bt with vScale\n\n");
-  TraceRun(4);
-  TraceRun(8);
+  TraceRun(4, trace_scope.observers());
+  TraceRun(8, trace_scope.observers());
   std::printf("paper shape: continuous adaptation between ~2 and the VM's full size\n");
   return 0;
 }

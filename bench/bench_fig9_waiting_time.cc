@@ -13,7 +13,8 @@ using namespace vscale;
 
 int main(int argc, char** argv) {
   BenchTraceScope trace_scope(argc, argv);  // --trace/--metrics (OBSERVABILITY.md)
-  const CampaignConfig cfg = MakeCampaign(/*vcpus=*/4);
+  CampaignConfig cfg = MakeCampaign(/*vcpus=*/4);
+  cfg.testbed.observers = trace_scope.observers();
   std::printf("Figure 9: VM waiting-time reduction with vScale (NPB, 4-vCPU VM)\n");
   std::printf("(seeds per cell: %zu; GOMP_SPINCOUNT = 30 billion)\n\n",
               cfg.seeds.size());

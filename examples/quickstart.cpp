@@ -7,10 +7,11 @@
 //                           [--stall-csv out.csv]
 //
 // --trace records both runs into the flight recorder and writes a Chrome trace_event
-// JSON file (open it in ui.perfetto.dev); --metrics dumps the named counter/gauge
+// JSON file (open it in ui.perfetto.dev); --metrics dumps the end-of-run counter
 // registry as CSV (docs/OBSERVABILITY.md). --digest prints the 64-bit state
 // digest of the pair of runs: identical invocations must print identical
-// digests, in every build flavour (docs/CHECKING.md).
+// digests, in every build flavour (docs/CHECKING.md). Each flag attaches its
+// own sink (TestbedConfig::observers); without flags the runs observe nothing.
 //
 // --stall turns on stall attribution: per-vCPU exclusive-state time buckets,
 // latency histograms and per-domain counter tracks in the trace. --stall-csv
@@ -32,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,13 +69,13 @@ struct RunOutcome {
 
 RunOutcome RunOnce(vscale::Policy policy, const std::string& app_name, int vcpus,
                    uint64_t seed, vscale::StateDigest* digest,
-                   const vscale::FaultPlan& faults, bool stall) {
+                   const vscale::FaultPlan& faults, const vscale::Observers& obs) {
   using namespace vscale;
   TestbedConfig cfg;
   cfg.policy = policy;
   cfg.primary_vcpus = vcpus;
   cfg.seed = seed;
-  cfg.stall_accounting = stall;
+  cfg.observers = obs;
   // Faults only make sense where there is a control plane to harden; the baseline
   // run stays clean so the comparison still shows vScale's healthy-path win.
   if (PolicyUsesVscale(policy)) {
@@ -171,12 +173,22 @@ int main(int argc, char** argv) {
   const std::string app = !positional.empty() ? positional[0] : "lu";
   const int vcpus = positional.size() > 1 ? std::atoi(positional[1].c_str()) : 4;
 
+  // Attach only the sinks the flags ask for; an unobserved run builds none.
+  std::unique_ptr<vscale::Tracer> tracer;
+  std::unique_ptr<vscale::StallAccountant> stall;
+  std::unique_ptr<vscale::MetricsRegistry> metrics;
   if (!trace_path.empty()) {
     // Both runs (baseline then vScale) share one timeline; a larger ring keeps the
     // baseline window from being overwritten by the second run (~50 MB transient).
-    vscale::GlobalTracer().SetCapacity(1u << 20);
-    vscale::GlobalTracer().Enable();
+    tracer = std::make_unique<vscale::Tracer>(1u << 20);
   }
+  if (want_stall) {
+    stall = std::make_unique<vscale::StallAccountant>();
+  }
+  if (!metrics_path.empty() || want_digest) {
+    metrics = std::make_unique<vscale::MetricsRegistry>();
+  }
+  const vscale::Observers obs{tracer.get(), stall.get(), nullptr, metrics.get()};
 
   std::printf("vScale quickstart: NPB '%s' on a %d-vCPU VM, 2 vCPUs per pCPU\n\n",
               app.c_str(), vcpus);
@@ -184,20 +196,18 @@ int main(int argc, char** argv) {
   vscale::StateDigest digest;
   vscale::StateDigest* d = want_digest ? &digest : nullptr;
   const RunOutcome base =
-      RunOnce(vscale::Policy::kBaseline, app, vcpus, 42, d, faults, want_stall);
-  const RunOutcome vs =
-      RunOnce(vscale::Policy::kVscale, app, vcpus, 42, d, faults, want_stall);
+      RunOnce(vscale::Policy::kBaseline, app, vcpus, 42, d, faults, obs);
+  const RunOutcome vs = RunOnce(vscale::Policy::kVscale, app, vcpus, 42, d, faults, obs);
 
   // Export observability artifacts before printing the comparison: the two runs sit
   // back to back on one timeline (the tracer rebases the second run's timestamps).
-  if (!trace_path.empty()) {
-    vscale::GlobalTracer().Disable();
+  if (tracer != nullptr) {
     std::string error;
-    if (vscale::WriteChromeTraceFile(vscale::GlobalTracer(), trace_path, &error)) {
+    if (vscale::WriteChromeTraceFile(*tracer, trace_path, &error)) {
       std::printf("trace: wrote %zu events to %s (%llu dropped by ring) — open in "
                   "ui.perfetto.dev\n",
-                  vscale::GlobalTracer().size(), trace_path.c_str(),
-                  static_cast<unsigned long long>(vscale::GlobalTracer().dropped()));
+                  tracer->size(), trace_path.c_str(),
+                  static_cast<unsigned long long>(tracer->dropped()));
     } else {
       std::fprintf(stderr, "trace: %s\n", error.c_str());
     }
@@ -205,9 +215,9 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) {
     std::ofstream f(metrics_path);
     if (f) {
-      vscale::MetricsRegistry::Global().WriteCsv(f);
-      std::printf("metrics: wrote %zu metrics to %s\n",
-                  vscale::MetricsRegistry::Global().size(), metrics_path.c_str());
+      metrics->WriteCsv(f);
+      std::printf("metrics: wrote %zu metrics to %s\n", metrics->size(),
+                  metrics_path.c_str());
     } else {
       std::fprintf(stderr, "metrics: cannot open %s\n", metrics_path.c_str());
     }
@@ -216,7 +226,7 @@ int main(int argc, char** argv) {
   if (!stall_csv_path.empty()) {
     std::ofstream f(stall_csv_path);
     if (f) {
-      vscale::StallAccountant::Global().WriteCsv(f);
+      stall->WriteCsv(f);
       std::printf("stall: wrote bucket time series for both runs to %s — "
                   "summarize with tools/stall_report\n",
                   stall_csv_path.c_str());
@@ -227,7 +237,7 @@ int main(int argc, char** argv) {
 
   if (want_digest) {
     // End-of-run registry state folds in, so metric drift also changes the digest.
-    digest.AbsorbRegistry(vscale::MetricsRegistry::Global());
+    digest.AbsorbRegistry(*metrics);
     std::printf("digest %s\n", digest.Hex().c_str());
   }
 

@@ -6,84 +6,30 @@ namespace vscale {
 
 int64_t& MetricsRegistry::Counter(const std::string& name) { return counters_[name]; }
 
-void MetricsRegistry::RegisterGauge(const std::string& name, Gauge fn) {
-  gauges_[name] = std::move(fn);
-}
-
 bool MetricsRegistry::Has(const std::string& name) const {
-  return gauges_.count(name) > 0 || counters_.count(name) > 0;
+  return counters_.count(name) > 0;
 }
 
 int64_t MetricsRegistry::Value(const std::string& name) const {
-  if (auto it = gauges_.find(name); it != gauges_.end()) {
-    return it->second();
-  }
-  if (auto it = counters_.find(name); it != counters_.end()) {
-    return it->second;
-  }
-  return 0;
+  const auto it = counters_.find(name);
+  return it != counters_.end() ? it->second : 0;
 }
 
 std::vector<std::pair<std::string, int64_t>> MetricsRegistry::Collect() const {
-  // Both maps are name-sorted; merge them, gauges shadowing same-named counters.
-  std::vector<std::pair<std::string, int64_t>> out;
-  out.reserve(counters_.size() + gauges_.size());
-  auto ci = counters_.begin();
-  auto gi = gauges_.begin();
-  while (ci != counters_.end() || gi != gauges_.end()) {
-    if (gi == gauges_.end() ||
-        (ci != counters_.end() && ci->first < gi->first)) {
-      out.emplace_back(ci->first, ci->second);
-      ++ci;
-    } else {
-      if (ci != counters_.end() && ci->first == gi->first) {
-        ++ci;  // shadowed counter
-      }
-      out.emplace_back(gi->first, gi->second());
-      ++gi;
-    }
-  }
-  return out;
-}
-
-void MetricsRegistry::FreezeGauges() {
-  for (auto& [name, fn] : gauges_) {
-    counters_[name] = fn();
-  }
-  gauges_.clear();
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other,
-                                const std::string& prefix) {
-  for (const auto& [name, value] : other.Collect()) {
-    counters_[prefix + name] = value;
-  }
+  return {counters_.begin(), counters_.end()};
 }
 
 void MetricsRegistry::WriteCsv(std::ostream& os) const {
   os << "metric,value\n";
-  for (const auto& [name, value] : Collect()) {
+  for (const auto& [name, value] : counters_) {
     os << name << ',' << value << '\n';
   }
 }
 
-void MetricsRegistry::Clear() {
-  counters_.clear();
-  gauges_.clear();
-}
-
-size_t MetricsRegistry::size() const {
-  size_t n = counters_.size();
-  for (const auto& [name, fn] : gauges_) {
-    (void)fn;
-    if (counters_.count(name) == 0) {
-      ++n;
-    }
-  }
-  return n;
-}
+void MetricsRegistry::Clear() { counters_.clear(); }
 
 MetricsRegistry& MetricsRegistry::Global() {
+  // vslint: allow(observer-global, the perfbench-only sink declared in the header)
   static MetricsRegistry registry;
   return registry;
 }

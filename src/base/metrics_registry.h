@@ -1,16 +1,12 @@
-// MetricsRegistry: a named counter/gauge registry so experiment harnesses read
-// metrics by stable, documented names instead of reaching into ad-hoc struct fields.
+// MetricsRegistry: a named counter registry so experiment harnesses read metrics by
+// stable, documented names instead of reaching into ad-hoc struct fields.
 //
-// Two kinds of entries:
-//  * counters — int64 slots owned by the registry; callers keep the reference from
-//    Counter() and increment it directly (no per-increment lookup);
-//  * gauges — callbacks evaluated at collection time, used to expose live simulation
-//    state (domain wait time, IPI counts, ...) without copying it on every change.
-//
-// A gauge captures references into a Machine/GuestKernel, so it must not outlive the
-// simulation it reads. FreezeGauges() evaluates every gauge into a counter of the same
-// name and drops the callback — call it (Testbed's destructor does) before the
-// simulation is torn down, and the final values stay exportable.
+// Every entry is an int64 counter slot owned by the registry; callers keep the
+// reference from Counter() and write it directly (no per-write lookup). A run
+// publishes into the registry attached as its Observers::metrics: the Testbed
+// writes its machine, guest and control-plane statistics as counters at teardown,
+// so the registry never refers back into a simulation and outlives every run it
+// collected.
 //
 // Naming convention (docs/OBSERVABILITY.md): dot-separated lowercase path,
 // `<layer>.<scope>.<metric>[_<unit>]`, e.g. "hv.context_switches",
@@ -21,7 +17,6 @@
 #define VSCALE_SRC_BASE_METRICS_REGISTRY_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -32,44 +27,33 @@ namespace vscale {
 
 class MetricsRegistry {
  public:
-  using Gauge = std::function<int64_t()>;
-
   MetricsRegistry() = default;
 
   // Returns the counter slot for `name`, creating it at 0 on first use. The reference
   // stays valid until Clear() (std::map nodes are stable).
   int64_t& Counter(const std::string& name);
 
-  // Installs (or replaces) a gauge. A gauge shadows a counter of the same name.
-  void RegisterGauge(const std::string& name, Gauge fn);
-
   bool Has(const std::string& name) const;
 
-  // Current value: gauge if present, else counter, else 0.
+  // Current value, or 0 for an unknown name.
   int64_t Value(const std::string& name) const;
 
-  // All metrics, name-sorted, gauges evaluated now.
+  // All metrics, name-sorted.
   std::vector<std::pair<std::string, int64_t>> Collect() const;
-
-  // Evaluates every gauge into a counter of the same name and removes the callback.
-  void FreezeGauges();
-
-  // Copies every metric of `other` (gauges evaluated) into this registry as
-  // counters named `prefix + name`.
-  void MergeFrom(const MetricsRegistry& other, const std::string& prefix);
 
   // CSV dump: header line "metric,value", then one name-sorted row per metric.
   void WriteCsv(std::ostream& os) const;
 
   void Clear();
-  size_t size() const;
+  size_t size() const { return counters_.size(); }
 
-  // The process-wide registry the simulation harnesses register into.
+  // A process-wide registry nothing in src/ writes. It stays because the
+  // benchmark harness clears it after every testbed (perfbench/harness/bench.cc).
+  // vslint: allow(observer-global, kept only for the perfbench harness's Clear())
   static MetricsRegistry& Global();
 
  private:
   std::map<std::string, int64_t> counters_;
-  std::map<std::string, Gauge> gauges_;
 };
 
 // Lowercases `s` and maps anything outside [a-z0-9_.] to '_', for embedding free-form

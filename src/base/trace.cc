@@ -2,10 +2,6 @@
 
 namespace vscale {
 
-namespace trace_internal {
-bool g_global_enabled = false;
-}  // namespace trace_internal
-
 const char* ToString(TraceCategory c) {
   switch (c) {
     case TraceCategory::kSim:
@@ -22,46 +18,9 @@ const char* ToString(TraceCategory c) {
 
 Tracer::Tracer(size_t capacity) { ring_.resize(capacity > 0 ? capacity : 1); }
 
-Tracer& GlobalTracer() {
-  static Tracer tracer;
-  return tracer;
-}
-
-void Tracer::Enable(uint32_t category_mask) {
-  enabled_ = true;
-  mask_ = category_mask;
-  if (this == &GlobalTracer()) {
-    trace_internal::g_global_enabled = true;
-  }
-}
-
-void Tracer::Disable() {
-  enabled_ = false;
-  if (this == &GlobalTracer()) {
-    trace_internal::g_global_enabled = false;
-  }
-}
-
-void Tracer::Clear() {
-  head_ = 0;
-  count_ = 0;
-  recorded_ = 0;
-  rebase_offset_ = 0;
-  last_ts_ = 0;
-  domain_names_.clear();
-}
-
-void Tracer::SetCapacity(size_t capacity) {
-  ring_.assign(capacity > 0 ? capacity : 1, TraceEvent{});
-  Clear();
-}
-
 void Tracer::Record(TimeNs ts, TraceCategory category, TracePhase phase,
                     const char* name, int domain, int vcpu, int pcpu,
                     const char* arg_name, int64_t arg) {
-  if (!enabled_ || (mask_ & static_cast<uint32_t>(category)) == 0) {
-    return;
-  }
   // Rebase: a fresh Machine restarts simulated time at 0; shift it past everything
   // already recorded so the buffer (and any export) stays chronological.
   TimeNs t = ts + rebase_offset_;

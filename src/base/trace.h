@@ -1,19 +1,20 @@
 // Flight recorder: a bounded ring buffer of typed, timestamped trace events that the
 // whole simulation stack (sim engine, hypervisor, guest kernels, vScale) records into
-// when tracing is enabled. It exists to make cross-layer pathologies *visible*: lock
-// holder preemption, delayed virtual IPIs and delayed I/O interrupts (paper Fig. 1)
-// only show up when hypervisor scheduling decisions and guest synchronization events
-// line up on one timeline.
+// when a run has a Tracer attached (Observers::tracer, src/base/observers.h). It
+// exists to make cross-layer pathologies *visible*: lock holder preemption, delayed
+// virtual IPIs and delayed I/O interrupts (paper Fig. 1) only show up when hypervisor
+// scheduling decisions and guest synchronization events line up on one timeline.
 //
 // Design constraints:
-//  * Zero overhead when disabled. Call sites go through the VSCALE_TRACE_* macros,
+//  * Nothing to pay when unattached. Call sites go through the VSCALE_TRACE_* macros,
 //    which (a) compile to nothing when the VSCALE_TRACE CMake option is OFF, and
-//    (b) otherwise gate on a single global bool before touching the tracer. Recording
-//    never allocates: event names are string literals and the ring is preallocated.
+//    (b) otherwise branch on the run's tracer pointer before touching it. Recording
+//    never allocates: event names are string literals and the ring is preallocated
+//    when the harness constructs the Tracer, which it does only when it wants a trace.
 //  * Bounded memory. The ring overwrites the oldest events once full (`dropped()`
 //    counts the overwritten ones), so tracing a long run keeps the most recent window.
 //  * No behavioural impact. Recording reads simulation state but never mutates it and
-//    never touches the RNG; enabling tracing cannot change a run's results.
+//    never touches the RNG; attaching a tracer cannot change a run's results.
 //
 // Timestamps are simulated TimeNs. Because separate Machine instances each start at
 // t = 0, the tracer rebases timestamps to be globally non-decreasing across runs
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/observers.h"
 #include "src/base/time.h"
 
 // Compiled-in default when built outside CMake; the VSCALE_TRACE option controls it.
@@ -41,14 +43,13 @@
 
 namespace vscale {
 
-// One bit per simulation layer, so exports and recordings can be filtered.
+// One bit per simulation layer; exports name each event's layer.
 enum class TraceCategory : uint32_t {
   kSim = 1u << 0,         // event-engine dispatch
   kHypervisor = 1u << 1,  // vCPU state transitions, credits, steals, preemptions
   kGuest = 1u << 2,       // IPIs, futex wait/wake, spinlocks, ticks, hotplug
   kVscale = 1u << 3,      // extendability updates, freeze/unfreeze decisions
 };
-inline constexpr uint32_t kTraceCategoryAll = 0xFu;
 
 const char* ToString(TraceCategory c);
 
@@ -81,27 +82,17 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Starts recording events whose category bit is in `category_mask`.
-  void Enable(uint32_t category_mask = kTraceCategoryAll);
-  void Disable();
-  bool enabled() const { return enabled_; }
-  uint32_t category_mask() const { return mask_; }
-
-  // Drops all recorded events (capacity and enabled state are kept).
-  void Clear();
-  // Re-sizes the ring; implies Clear().
-  void SetCapacity(size_t capacity);
   size_t capacity() const { return ring_.size(); }
 
-  // Records one event. Cheap: a branch, a ring slot write, no allocation. Events with
-  // a filtered-out category are ignored. `ts` may restart from 0 (a fresh Machine);
-  // the tracer rebases it so buffer order is always chronological.
+  // Records one event. Cheap: a ring slot write, no allocation. `ts` may restart
+  // from 0 (a fresh Machine); the tracer rebases it so buffer order is always
+  // chronological.
   void Record(TimeNs ts, TraceCategory category, TracePhase phase, const char* name,
               int domain, int vcpu, int pcpu, const char* arg_name, int64_t arg);
 
   // Number of events currently retained (<= capacity).
   size_t size() const { return count_; }
-  // Total recorded since the last Clear(), including overwritten ones.
+  // Total recorded, including overwritten ones.
   uint64_t recorded() const { return recorded_; }
   // Events overwritten by ring wraparound.
   uint64_t dropped() const { return recorded_ - count_; }
@@ -110,7 +101,7 @@ class Tracer {
   std::vector<TraceEvent> Snapshot() const;
 
   // Human-readable display names for domain tracks in exports ("primary",
-  // "desktop0", ...). Recorded by Machine::CreateDomain when tracing is enabled.
+  // "desktop0", ...). Recorded by Machine::CreateDomain when a tracer is attached.
   void SetDomainName(int domain, const std::string& name);
   const std::map<int, std::string>& domain_names() const { return domain_names_; }
 
@@ -119,62 +110,50 @@ class Tracer {
   size_t head_ = 0;       // next slot to write
   size_t count_ = 0;      // retained events
   uint64_t recorded_ = 0;
-  bool enabled_ = false;
-  uint32_t mask_ = kTraceCategoryAll;
   TimeNs rebase_offset_ = 0;  // added to incoming ts so buffer time never regresses
   TimeNs last_ts_ = 0;
   std::map<int, std::string> domain_names_;
 };
 
-// The process-wide tracer every VSCALE_TRACE_* macro records into. The simulation is
-// single-threaded, so no synchronization is needed.
-Tracer& GlobalTracer();
-
-namespace trace_internal {
-// Fast gate read by the macros before touching GlobalTracer(). Kept in sync by
-// Tracer::Enable/Disable on the global instance only.
-extern bool g_global_enabled;
-}  // namespace trace_internal
-
 #if VSCALE_TRACE
 
-// True when the global tracer is currently recording. Use to guard argument
-// computations that only exist for tracing.
-#define VSCALE_TRACE_ACTIVE() (::vscale::trace_internal::g_global_enabled)
+// True when the run observed through `obs_` (an Observers) has a tracer attached.
+// Use to guard argument computations that only exist for tracing.
+#define VSCALE_TRACE_ACTIVE(obs_) ((obs_).tracer != nullptr)
 
-#define VSCALE_TRACE_EVENT(ts_, cat_, phase_, name_, dom_, vcpu_, pcpu_, argname_,  \
-                           argval_)                                                 \
+// Every hook names the run's Observers first and records into its tracer, if any.
+#define VSCALE_TRACE_EVENT(obs_, ts_, cat_, phase_, name_, dom_, vcpu_, pcpu_,      \
+                           argname_, argval_)                                      \
   do {                                                                              \
-    if (::vscale::trace_internal::g_global_enabled) {                               \
-      ::vscale::GlobalTracer().Record((ts_), (cat_), (phase_), (name_), (dom_),     \
-                                      (vcpu_), (pcpu_), (argname_),                 \
-                                      static_cast<int64_t>(argval_));               \
+    if (::vscale::Tracer* vs_tracer_ = (obs_).tracer) {                             \
+      vs_tracer_->Record((ts_), (cat_), (phase_), (name_), (dom_), (vcpu_),         \
+                         (pcpu_), (argname_), static_cast<int64_t>(argval_));       \
     }                                                                               \
   } while (0)
 
 #else  // !VSCALE_TRACE: hooks compile to nothing; arguments are never evaluated.
 
-#define VSCALE_TRACE_ACTIVE() (false)
+#define VSCALE_TRACE_ACTIVE(obs_) (false)
 #define VSCALE_TRACE_EVENT(...) ((void)0)
 
 #endif  // VSCALE_TRACE
 
-#define VSCALE_TRACE_INSTANT(ts_, cat_, name_, dom_, vcpu_, pcpu_)                 \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kInstant, name_, dom_, vcpu_, \
-                     pcpu_, nullptr, 0)
-#define VSCALE_TRACE_INSTANT_ARG(ts_, cat_, name_, dom_, vcpu_, pcpu_, argname_,   \
-                                 argval_)                                          \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kInstant, name_, dom_, vcpu_, \
-                     pcpu_, argname_, argval_)
-#define VSCALE_TRACE_BEGIN(ts_, cat_, name_, dom_, vcpu_, pcpu_)                   \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kBegin, name_, dom_, vcpu_,  \
-                     pcpu_, nullptr, 0)
-#define VSCALE_TRACE_END(ts_, cat_, name_, dom_, vcpu_, pcpu_)                     \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kEnd, name_, dom_, vcpu_,    \
-                     pcpu_, nullptr, 0)
-#define VSCALE_TRACE_COUNTER(ts_, cat_, name_, dom_, value_)                       \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kCounter, name_, dom_, -1,   \
-                     -1, "value", value_)
+#define VSCALE_TRACE_INSTANT(obs_, ts_, cat_, name_, dom_, vcpu_, pcpu_)           \
+  VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kInstant, name_, dom_,  \
+                     vcpu_, pcpu_, nullptr, 0)
+#define VSCALE_TRACE_INSTANT_ARG(obs_, ts_, cat_, name_, dom_, vcpu_, pcpu_,       \
+                                 argname_, argval_)                                \
+  VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kInstant, name_, dom_,  \
+                     vcpu_, pcpu_, argname_, argval_)
+#define VSCALE_TRACE_BEGIN(obs_, ts_, cat_, name_, dom_, vcpu_, pcpu_)             \
+  VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kBegin, name_, dom_,    \
+                     vcpu_, pcpu_, nullptr, 0)
+#define VSCALE_TRACE_END(obs_, ts_, cat_, name_, dom_, vcpu_, pcpu_)               \
+  VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kEnd, name_, dom_,      \
+                     vcpu_, pcpu_, nullptr, 0)
+#define VSCALE_TRACE_COUNTER(obs_, ts_, cat_, name_, dom_, value_)                 \
+  VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kCounter, name_, dom_,  \
+                     -1, -1, "value", value_)
 
 }  // namespace vscale
 

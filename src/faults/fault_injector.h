@@ -2,7 +2,7 @@
 // site-hook queries (`Active(kind)?`, `Magnitude(kind)?`) the instrumented seams ask
 // at their existing decision points. All begin/end transitions are ordinary
 // EventQueue events, so a faulted run replays bit-identically; the only randomness a
-// fault may consume comes from rng(), forked from the plan seed (det_lint holds
+// fault may consume comes from rng(), forked from the plan seed (vslint holds
 // src/faults/ to a stricter standard than the rest of the tree: no allow() escapes).
 
 #ifndef VSCALE_SRC_FAULTS_FAULT_INJECTOR_H_

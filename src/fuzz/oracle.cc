@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/base/check.h"
-#include "src/base/metrics_registry.h"
 #include "src/metrics/state_digest.h"
 #include "src/obs/coverage.h"
 #include "src/obs/stall_accounting.h"
@@ -68,16 +67,17 @@ class CaptureViolations {
 RunOutcome RunScenarioOnce(const Scenario& s, uint64_t testbed_seed) {
   s.Validate();
   RunOutcome out;
-  MetricsRegistry::Global().Clear();
-  StallAccountant::Global().Reset();
-  CoverageMap::Global().Reset();
+  // This run's own observers: the accountant arms the exhaustiveness oracle and
+  // the map is harvested after the bed tears down. No registry is attached.
+  StallAccountant stall;
+  CoverageMap coverage;
   CaptureViolations captured;
 
   {
     TestbedConfig cfg = s.config;
     cfg.seed = testbed_seed;
-    cfg.stall_accounting = true;  // arms the exhaustiveness oracle
-    cfg.coverage = true;  // pure observer; harvested after the bed tears down
+    cfg.observers.stall = &stall;
+    cfg.observers.coverage = &coverage;
     // The fairness canary (test-only): run the attack without its mitigations
     // while the oracle below still treats the scenario's hardening as armed,
     // so the violation MUST surface if the fairness oracle works.
@@ -247,17 +247,13 @@ RunOutcome RunScenarioOnce(const Scenario& s, uint64_t testbed_seed) {
     digest.Absorb(out.watchdog_trips);
     digest.Absorb(out.watchdog_recoveries);
     out.digest = digest.value();
-  }  // Testbed dtor: stall FinishRun + coverage FinishRun + gauge freeze
+  }  // Testbed dtor: stall FinishRun (and its stall_dominant.* points)
 
-  out.stall_samples = StallAccountant::Global().samples();
-  out.stall_failures = StallAccountant::Global().exhaustive_failures();
-  out.coverage = CoverageMap::Global().Vector();
+  out.stall_samples = stall.samples();
+  out.stall_failures = stall.exhaustive_failures();
+  out.coverage = coverage.Vector();
   out.violations = captured.count();
   out.first_violation = captured.first();
-
-  StallAccountant::Global().Reset();
-  CoverageMap::Global().Reset();
-  MetricsRegistry::Global().Clear();
   return out;
 }
 

@@ -85,9 +85,9 @@ struct OracleReport {
 
 // Runs `s` twice (the digest double-run) with all oracles armed and returns
 // the first failing verdict, or kPass. The scenario must be Validate()-legal.
-// Global state contract: the metrics registry and the stall accountant are
-// cleared before and after; the installed invariant handler is saved and
-// restored. Callers can interleave oracle runs with anything.
+// State contract: each run attaches its own stall accountant and coverage map
+// and touches no process-wide observer; the installed invariant handler is
+// saved and restored. Callers can interleave oracle runs with anything.
 OracleReport RunOracle(const Scenario& s);
 
 // Single-run coverage probe: runs `s` once with every observer armed and

@@ -60,7 +60,8 @@ struct Scenario {
   // so one uint64 names the entire run.
   uint64_t seed = 1;
   // Topology, policy, background VMs, daemon/watchdog configs and fault plan.
-  // stall_accounting is ignored here: the oracle battery always turns it on.
+  // The oracle attaches its own stall accountant and coverage map per run, in
+  // place of observers.stall/coverage and stall_accounting.
   TestbedConfig config;
   // The primary VM's workload mix; must not be empty.
   std::vector<WorkloadSpec> workloads;

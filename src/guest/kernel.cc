@@ -136,7 +136,7 @@ void GuestKernel::Advance(VcpuId vcpu, TimeNs elapsed) {
         // Reclassify kernel-spin time out of the "running" stall bucket: this
         // is the lock-holder-preemption tax. User spin stays "running" — it is
         // the application's own busy-wait choice, not a virtualization stall.
-        VSCALE_STALL_HOOK(OnSpinAdvance(domain_.id(), vcpu, rem));
+        VS_OBSERVE(sim_.observers(), stall, OnSpinAdvance(domain_.id(), vcpu, rem));
       }
       if (t->run_mode == RunMode::kKernelSpin && t->waiting_lock >= 0) {
         kernel_locks_[static_cast<size_t>(t->waiting_lock)].total_spin_wait += rem;
@@ -215,7 +215,7 @@ void GuestKernel::DeliverEvent(VcpuId vcpu, EvtchnPort port) {
       // back-to-back drain of a stacked pending queue, hit exactly this shape).
       if (c.last_ipi_at == sim_.Now() && c.last_ipi_port == port) {
         ++dup_ipis_ignored_;
-        VS_COVER(OnIpiDedup());
+        VS_OBSERVE(sim_.observers(), coverage, OnIpiDedup());
         return;
       }
       c.last_ipi_at = sim_.Now();
@@ -223,9 +223,9 @@ void GuestKernel::DeliverEvent(VcpuId vcpu, EvtchnPort port) {
     }
     ++c.stats.resched_ipis;
     c.pending_kernel_ns += cost_.ipi_deliver_cost;
-    VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_recv",
-                             domain_.id(), c.id, -1, "port", port);
-    VSCALE_STALL_HOOK(OnIpiDelivered(domain_.id(), c.id, sim_.Now()));
+    VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                             "ipi_recv", domain_.id(), c.id, -1, "port", port);
+    VS_OBSERVE(sim_.observers(), stall, OnIpiDelivered(domain_.id(), c.id, sim_.Now()));
     HandleReschedIpi(c);
   } else if (port == kPortPvlockKick) {
     // The kicked waiter already owns the lock (granted before the kick); just resume.
@@ -238,8 +238,8 @@ void GuestKernel::DeliverEvent(VcpuId vcpu, EvtchnPort port) {
              port - kPortIoBase < static_cast<int>(io_irqs_.size())) {
     ++c.stats.io_irqs;
     c.pending_kernel_ns += cost_.irq_handle_cost;
-    VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "io_irq",
-                             domain_.id(), c.id, -1, "port", port);
+    VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                             "io_irq", domain_.id(), c.id, -1, "port", port);
     IoIrq& irq = io_irqs_[static_cast<size_t>(port - kPortIoBase)];
     if (irq.handler) {
       irq.handler(c.id);
@@ -303,7 +303,7 @@ void GuestKernel::HandleTick(GuestCpu& c) {
         continue;
       }
       ++tick_rescues_;
-      VS_COVER(OnTickRescue());
+      VS_OBSERVE(sim_.observers(), coverage, OnTickRescue());
       SendReschedIpi(c.id, other.id);
     }
   }
@@ -352,7 +352,7 @@ void GuestKernel::MaybeGoIdle(GuestCpu& c) {
   }
   // Dynamic ticks: a truly idle vCPU receives no timer interrupts (paper Table 2).
   c.next_tick = kTimeNever;
-  if (obs_internal::g_stall_enabled) {
+  if (StallAccountant* stall = sim_.observers().stall) {
     // Tell the accountant why this vCPU is about to block: futex-blocked if a
     // thread of this CPU sleeps in a barrier/mutex/condvar slow path, idle
     // otherwise. Read-only scan; the hypervisor consumes it at the desched.
@@ -367,7 +367,7 @@ void GuestKernel::MaybeGoIdle(GuestCpu& c) {
         break;
       }
     }
-    StallAccountant::Global().SetBlockReason(domain_.id(), c.id, reason);
+    stall->SetBlockReason(domain_.id(), c.id, reason);
   }
   hv_.BlockVcpu(domain_.id(), c.id);
 }
@@ -432,9 +432,10 @@ TimeNs GuestKernel::FreezeCpu(int target) {
   GuestCpu& c = cpus_[static_cast<size_t>(target)];
   assert(!c.frozen);
   assert(target != 0 && "vCPU0 (the master) is never frozen");
-  VSCALE_TRACE_INSTANT(sim_.Now(), TraceCategory::kGuest, "freeze", domain_.id(),
-                       target, -1);
-  VSCALE_STALL_HOOK(OnFreezeRequested(domain_.id(), target, sim_.Now()));
+  VSCALE_TRACE_INSTANT(sim_.observers(), sim_.Now(), TraceCategory::kGuest, "freeze",
+                       domain_.id(), target, -1);
+  VS_OBSERVE(sim_.observers(), stall,
+             OnFreezeRequested(domain_.id(), target, sim_.Now()));
   // Master-side steps, in the order of Algorithm 2 / Table 3:
   // (1)-(2) set cpu_freeze_mask bit; other vCPUs stop pushing tasks here.
   c.frozen = true;
@@ -444,7 +445,7 @@ TimeNs GuestKernel::FreezeCpu(int target) {
   hv_.NotifyFreeze(domain_.id(), target, true);
   // (5) reschedule IPI tickles the target's scheduler to migrate its load.
   c.evacuate_pending = true;
-  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
+  VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
   NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
   if (config_.freeze_resend_ns > 0) {
     // Quiescence deadline: if the target has not evacuated by then, the freeze
@@ -461,8 +462,8 @@ TimeNs GuestKernel::FreezeCpu(int target) {
 TimeNs GuestKernel::UnfreezeCpu(int target) {
   GuestCpu& c = cpus_[static_cast<size_t>(target)];
   assert(c.frozen);
-  VSCALE_TRACE_INSTANT(sim_.Now(), TraceCategory::kGuest, "unfreeze", domain_.id(),
-                       target, -1);
+  VSCALE_TRACE_INSTANT(sim_.observers(), sim_.Now(), TraceCategory::kGuest, "unfreeze",
+                       domain_.id(), target, -1);
   c.frozen = false;
   c.evacuate_pending = false;
   UpdateGroupPower();
@@ -471,7 +472,7 @@ TimeNs GuestKernel::UnfreezeCpu(int target) {
     ++c.freeze_epoch;  // retire any resend chain of the superseded freeze
   }
   // wake_up_idle_cpu(): the target will idle-balance and pull threads over.
-  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
+  VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
   NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
   return cost_.freeze_syscall + cost_.freeze_lock + cost_.freeze_mask_update +
          cost_.freeze_group_power_update + cost_.freeze_hypercall +
@@ -525,8 +526,8 @@ void GuestKernel::EvacuateCpu(GuestCpu& c) {
   }
   // Remaining non-migratable (pinned) uthreads keep the vCPU alive; otherwise it will
   // drain pending work and idle-block, completing the freeze.
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "evacuate",
-                           domain_.id(), c.id, -1, "moved",
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                           "evacuate", domain_.id(), c.id, -1, "moved",
                            static_cast<int64_t>(to_move.size()));
 }
 
@@ -555,34 +556,35 @@ void GuestKernel::NotifyVcpu(int target, EvtchnPort port, bool urgent) {
       masked_pending_[static_cast<size_t>(target)] |= 1ULL << port;
       ++delivery_coalesced_;
       if (freeze_in_flight()) {
-        VS_COVER(OnDeliveryFaultDuringFreeze(static_cast<int>(
-            static_cast<int>(FaultKind::kPortMask) -
-            static_cast<int>(FaultKind::kIpiDrop))));
+        VS_OBSERVE(sim_.observers(), coverage,
+                   OnDeliveryFaultDuringFreeze(static_cast<int>(FaultKind::kPortMask) -
+                                               static_cast<int>(FaultKind::kIpiDrop)));
       }
-      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_masked",
-                               domain_.id(), target, -1, "port", port);
+      VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                               "ipi_masked", domain_.id(), target, -1, "port", port);
       return;
     }
     if (faults_->Active(FaultKind::kIpiDrop)) {
       ++delivery_drops_;
       if (freeze_in_flight()) {
-        VS_COVER(OnDeliveryFaultDuringFreeze(0));
+        VS_OBSERVE(sim_.observers(), coverage, OnDeliveryFaultDuringFreeze(0));
       }
-      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_dropped",
-                               domain_.id(), target, -1, "port", port);
+      VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                               "ipi_dropped", domain_.id(), target, -1, "port", port);
       return;
     }
     if (faults_->Active(FaultKind::kIpiDelay)) {
       ++delivery_delays_;
       if (freeze_in_flight()) {
-        VS_COVER(OnDeliveryFaultDuringFreeze(static_cast<int>(
-            static_cast<int>(FaultKind::kIpiDelay) -
-            static_cast<int>(FaultKind::kIpiDrop))));
+        VS_OBSERVE(sim_.observers(), coverage,
+                   OnDeliveryFaultDuringFreeze(static_cast<int>(FaultKind::kIpiDelay) -
+                                               static_cast<int>(FaultKind::kIpiDrop)));
       }
       const TimeNs delay =
           faults_->Magnitude(FaultKind::kIpiDelay) * cost_.ipi_deliver_cost;
-      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_delayed",
-                               domain_.id(), target, -1, "delay_ns", delay);
+      VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                               "ipi_delayed", domain_.id(), target, -1, "delay_ns",
+                               delay);
       const DomainId dom = domain_.id();
       sim_.ScheduleAfter(delay, [this, dom, target, port, urgent] {
         hv_.NotifyEvent(dom, target, port, urgent);
@@ -593,12 +595,12 @@ void GuestKernel::NotifyVcpu(int target, EvtchnPort port, bool urgent) {
       const int64_t extra = faults_->Magnitude(FaultKind::kIpiDup);
       delivery_dups_ += extra;
       if (freeze_in_flight()) {
-        VS_COVER(OnDeliveryFaultDuringFreeze(static_cast<int>(
-            static_cast<int>(FaultKind::kIpiDup) -
-            static_cast<int>(FaultKind::kIpiDrop))));
+        VS_OBSERVE(sim_.observers(), coverage,
+                   OnDeliveryFaultDuringFreeze(static_cast<int>(FaultKind::kIpiDup) -
+                                               static_cast<int>(FaultKind::kIpiDrop)));
       }
-      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_duped",
-                               domain_.id(), target, -1, "extra", extra);
+      VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                               "ipi_duped", domain_.id(), target, -1, "extra", extra);
       for (int64_t i = 0; i < extra; ++i) {
         hv_.NotifyEvent(domain_.id(), target, port, urgent);
       }
@@ -640,14 +642,14 @@ void GuestKernel::ScheduleFreezeResend(int target, TimeNs delay, int64_t epoch) 
     }
     --c.freeze_resends_left;
     ++freeze_resends_;
-    VS_COVER(OnFreezeResend());
+    VS_OBSERVE(sim_.observers(), coverage, OnFreezeResend());
     // The master (vCPU0, daemon context) pays for the repeated kick, exactly
     // like the original freeze_resched_ipi component.
     cpus_[0].pending_kernel_ns += cost_.freeze_resched_ipi;
-    VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "freeze_resend",
-                             domain_.id(), target, -1, "left",
+    VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                             "freeze_resend", domain_.id(), target, -1, "left",
                              static_cast<int64_t>(c.freeze_resends_left));
-    VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
+    VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
     NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
     ScheduleFreezeResend(target, delay * 2, epoch);
   });
@@ -794,8 +796,9 @@ void GuestKernel::CheckKernelInvariants() {
 // ---------------------------------------------------------------------------
 
 TimeNs GuestKernel::HotplugRemove(int target, TimeNs modeled_latency) {
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "hotplug_remove",
-                           domain_.id(), target, -1, "latency_ns", modeled_latency);
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                           "hotplug_remove", domain_.id(), target, -1, "latency_ns",
+                           modeled_latency);
   // stop_machine(): every online vCPU is halted with interrupts off for the whole
   // window — modeled as kernel backlog injected on each of them.
   for (auto& c : cpus_) {
@@ -808,18 +811,20 @@ TimeNs GuestKernel::HotplugRemove(int target, TimeNs modeled_latency) {
   }
   GuestCpu& c = cpus_[static_cast<size_t>(target)];
   c.frozen = true;
-  VSCALE_STALL_HOOK(OnFreezeRequested(domain_.id(), target, sim_.Now()));
+  VS_OBSERVE(sim_.observers(), stall,
+             OnFreezeRequested(domain_.id(), target, sim_.Now()));
   UpdateGroupPower();
   hv_.NotifyFreeze(domain_.id(), target, true);
   c.evacuate_pending = true;
-  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
+  VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
   NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
   return modeled_latency;
 }
 
 TimeNs GuestKernel::HotplugAdd(int target, TimeNs modeled_latency) {
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "hotplug_add",
-                           domain_.id(), target, -1, "latency_ns", modeled_latency);
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                           "hotplug_add", domain_.id(), target, -1, "latency_ns",
+                           modeled_latency);
   GuestCpu& master = cpus_[0];
   master.pending_kernel_ns += modeled_latency;
   if (master.hv_running) {
@@ -830,7 +835,7 @@ TimeNs GuestKernel::HotplugAdd(int target, TimeNs modeled_latency) {
   c.evacuate_pending = false;
   UpdateGroupPower();
   hv_.NotifyFreeze(domain_.id(), target, false);
-  VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), target, sim_.Now()));
+  VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
   NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
   return modeled_latency;
 }

@@ -127,6 +127,8 @@ class GuestKernel : public GuestOs {
   int online_cpus() const;
   TimeNs NowNs() const { return sim_.Now(); }
   Simulator& sim() { return sim_; }
+  // The observers of the run this kernel belongs to (its Simulator's).
+  const Observers& observers() const { return sim_.observers(); }
 
   // --- threads ---
   // Spawns a thread; placement follows fork balancing unless `pinned_cpu` >= 0.

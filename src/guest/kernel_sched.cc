@@ -148,12 +148,12 @@ int GuestKernel::SelectTaskRq(const GuestThread& t) {
 
 void GuestKernel::SendReschedIpi(int from_cpu, int to_cpu, EvtchnPort port) {
   (void)from_cpu;  // only the trace hook reads it
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "ipi_send",
-                           domain_.id(), from_cpu, -1, "to", to_cpu);
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                           "ipi_send", domain_.id(), from_cpu, -1, "to", to_cpu);
   if (port == kPortResched || port == kPortFreeze) {
     // Timer wakeups ride the same helper but are not IPIs; only scheduler
     // kicks feed the send->delivery latency histogram.
-    VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), to_cpu, sim_.Now()));
+    VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), to_cpu, sim_.Now()));
   }
   NotifyVcpu(to_cpu, port, /*urgent=*/false);
 }
@@ -168,8 +168,8 @@ void GuestKernel::WakeThread(GuestThread& t, EvtchnPort wake_port) {
     ++t.migrations;
   }
   EnqueueThread(c, t);
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "thread_wake",
-                           domain_.id(), dest, -1, "thread", t.id());
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                           "thread_wake", domain_.id(), dest, -1, "thread", t.id());
   // Remote enqueue notifies the destination CPU with a reschedule IPI; a wake onto the
   // CPU the waker itself runs on needs none (the local scheduler will see it).
   // We treat any wake that lands on a CPU that is not currently executing guest code

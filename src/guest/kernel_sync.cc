@@ -516,8 +516,8 @@ void GuestKernel::DoKernelLockAcquire(GuestCpu& c, GuestThread& t) {
   // Contended: ticket queue + busy wait (Figure 1(a) territory). With pv-spinlock the
   // spin is bounded; vanilla 3.14 ticket locks spin forever.
   ++kl.contentions;
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "lock_contend",
-                           domain_.id(), t.cpu, -1, "lock", lock_id);
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                           "lock_contend", domain_.id(), t.cpu, -1, "lock", lock_id);
   kl.queue.push_back(&t);
   t.waiting_lock = lock_id;
   t.run_mode = RunMode::kKernelSpin;
@@ -533,8 +533,8 @@ void GuestKernel::GrantKernelLock(KernelLock& kl, GuestThread& t) {
   const int lock_id = static_cast<int>(&kl - kernel_locks_.data());
   t.held_lock = lock_id;
   ++kl.acquisitions;
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "lock_grant",
-                           domain_.id(), t.cpu, -1, "lock", lock_id);
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                           "lock_grant", domain_.id(), t.cpu, -1, "lock", lock_id);
   StartKernelSection(t);
   if (config_.pv_spinlock) {
     // Kick the (possibly pv-yielded) waiter's vCPU. Harmless if it never yielded.
@@ -561,8 +561,8 @@ void GuestKernel::ReleaseKernelLock(int lock_id, GuestThread& releaser) {
 
 void GuestKernel::BlockCurrent(GuestCpu& c, GuestThread& t) {
   assert(c.current == &t);
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kGuest, "thread_block",
-                           domain_.id(), c.id, -1, "thread", t.id());
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
+                           "thread_block", domain_.id(), c.id, -1, "thread", t.id());
   DispatchNext(c);
 }
 

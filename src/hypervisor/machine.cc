@@ -12,7 +12,7 @@
 namespace vscale {
 
 Machine::Machine(MachineConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
+    : config_(std::move(config)), sim_(config_.observers), rng_(config_.seed) {
   pcpus_.resize(static_cast<size_t>(config_.n_pcpus));
   for (int i = 0; i < config_.n_pcpus; ++i) {
     pcpus_[static_cast<size_t>(i)].id = i;
@@ -29,8 +29,8 @@ Machine::~Machine() = default;
 
 Domain& Machine::CreateDomain(const std::string& name, int weight, int n_vcpus) {
   const DomainId id = static_cast<DomainId>(domains_.size());
-  if (VSCALE_TRACE_ACTIVE()) {
-    GlobalTracer().SetDomainName(id, name);
+  if (VSCALE_TRACE_ACTIVE(sim_.observers())) {
+    sim_.observers().tracer->SetDomainName(id, name);
   }
   domains_.push_back(std::make_unique<Domain>(id, name, weight, n_vcpus));
   int base = domain_vcpu_base_.empty()
@@ -46,7 +46,7 @@ Domain& Machine::CreateDomain(const std::string& name, int weight, int n_vcpus) 
     v.priority = CreditPriority::kUnder;
     v.wait_since = sim_.Now();
     v.advance_timer = sim_.AddTimer([this, &v] { OnAdvance(v); });
-    VSCALE_STALL_HOOK(OnVcpuCreated(id, i, sim_.Now()));
+    VS_OBSERVE(sim_.observers(), stall, OnVcpuCreated(id, i, sim_.Now()));
   }
   return d;
 }
@@ -218,8 +218,8 @@ void Machine::ScheduleDecision(Pcpu& p) {
       }
       if (remote != nullptr) {
         RemoveFromRunq(*remote);
-        VSCALE_TRACE_INSTANT(sim_.Now(), TraceCategory::kHypervisor, "steal",
-                             remote->domain()->id(), remote->id(), p.id);
+        VSCALE_TRACE_INSTANT(sim_.observers(), sim_.Now(), TraceCategory::kHypervisor,
+                             "steal", remote->domain()->id(), remote->id(), p.id);
         RunOn(p, *remote);
         return;
       }
@@ -229,8 +229,8 @@ void Machine::ScheduleDecision(Pcpu& p) {
   if (next == nullptr && config_.work_stealing) {
     next = StealWork(p);
     if (next != nullptr) {
-      VSCALE_TRACE_INSTANT(sim_.Now(), TraceCategory::kHypervisor, "steal",
-                           next->domain()->id(), next->id(), p.id);
+      VSCALE_TRACE_INSTANT(sim_.observers(), sim_.Now(), TraceCategory::kHypervisor,
+                           "steal", next->domain()->id(), next->id(), p.id);
     }
   }
   if (next == nullptr) {
@@ -264,9 +264,9 @@ void Machine::RunOn(Pcpu& p, Vcpu& v) {
   ++context_switches_;
   // Opens the "running" slice on both the pCPU and the vCPU export tracks; closed by
   // the matching VSCALE_TRACE_END in DescheduleCurrent.
-  VSCALE_TRACE_BEGIN(now, TraceCategory::kHypervisor, "run", v.domain()->id(),
-                     v.id(), p.id);
-  VSCALE_STALL_HOOK(OnDispatch(v.domain()->id(), v.id(), now));
+  VSCALE_TRACE_BEGIN(sim_.observers(), now, TraceCategory::kHypervisor, "run",
+                     v.domain()->id(), v.id(), p.id);
+  VS_OBSERVE(sim_.observers(), stall, OnDispatch(v.domain()->id(), v.id(), now));
   GuestOs* guest = v.domain()->guest();
   guest->OnScheduledIn(v.id(), now);
   DrainPendingPorts(v);
@@ -302,7 +302,7 @@ void Machine::SettleRunning(Vcpu& v) {
   d.consumed_in_acct_window += elapsed;
   // Attribute the running time before the guest advances: the guest's Advance
   // reclassifies any kernel-spin portion of `elapsed` via OnSpinAdvance.
-  VSCALE_STALL_HOOK(OnRunningAdvance(d.id(), v.id(), elapsed));
+  VS_OBSERVE(sim_.observers(), stall, OnRunningAdvance(d.id(), v.id(), elapsed));
   d.guest()->Advance(v.id(), elapsed);
 }
 
@@ -339,8 +339,8 @@ void Machine::OnAdvance(Vcpu& v) {
 void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail) {
   Vcpu& v = *p.current;
   const TimeNs now = sim_.Now();
-  VSCALE_TRACE_END(now, TraceCategory::kHypervisor, "run", v.domain()->id(), v.id(),
-                   p.id);
+  VSCALE_TRACE_END(sim_.observers(), now, TraceCategory::kHypervisor, "run",
+                   v.domain()->id(), v.id(), p.id);
   sim_.DisarmTimer(v.advance_timer);
   sim_.Cancel(p.ratelimit_check);
   p.ratelimit_check = Simulator::kInvalidEvent;
@@ -357,8 +357,8 @@ void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail)
   }
   v.state = new_state;
   v.wait_since = now;
-  VSCALE_STALL_HOOK(OnDesched(v.domain()->id(), v.id(), now,
-                              new_state == VcpuState::kRunnable));
+  VS_OBSERVE(sim_.observers(), stall,
+             OnDesched(v.domain()->id(), v.id(), now, new_state == VcpuState::kRunnable));
   if (new_state == VcpuState::kRunnable) {
     // Slice-end requeues stay local (no idler tickle): in Xen a descheduled vCPU
     // lingers on its pCPU's runq until an idler's load balance finds it.
@@ -378,7 +378,7 @@ void Machine::WakeVcpu(Vcpu& v, bool boost_eligible) {
       // Budget exhausted (anti boost-abuse): the wake still queues, at UNDER —
       // it just cannot queue-jump until the next accounting period.
       ++boost_denied_;
-      VS_COVER(Record(CoveragePoint::kBoostDenied));
+      VS_OBSERVE(sim_.observers(), coverage, Record(CoveragePoint::kBoostDenied));
     } else {
       v.priority = CreditPriority::kBoost;
       ++v.boost_used;
@@ -387,8 +387,8 @@ void Machine::WakeVcpu(Vcpu& v, bool boost_eligible) {
   }
   v.state = VcpuState::kRunnable;
   v.wait_since = now;
-  VSCALE_STALL_HOOK(OnWake(v.domain()->id(), v.id(), now));
-  VSCALE_TRACE_INSTANT_ARG(now, TraceCategory::kHypervisor, "vcpu_wake",
+  VS_OBSERVE(sim_.observers(), stall, OnWake(v.domain()->id(), v.id(), now));
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), now, TraceCategory::kHypervisor, "vcpu_wake",
                            v.domain()->id(), v.id(), v.pcpu, "boost",
                            v.priority == CreditPriority::kBoost ? 1 : 0);
   InsertRunnable(v);
@@ -436,7 +436,7 @@ void Machine::MaybePreempt(Pcpu& p) {
   }
   SettleRunning(*p.current);
   ++p.current->preemptions;
-  VSCALE_TRACE_INSTANT(now, TraceCategory::kHypervisor, "preempt",
+  VSCALE_TRACE_INSTANT(sim_.observers(), now, TraceCategory::kHypervisor, "preempt",
                        p.current->domain()->id(), p.current->id(), p.id);
   DescheduleCurrent(p, VcpuState::kRunnable);
   ScheduleDecision(p);
@@ -514,7 +514,7 @@ void Machine::HvTick() {
   // (never schedules its own), so enabling it cannot perturb the DES event
   // sequence. Every running vCPU was just settled to Now(), which is what
   // makes the bucket-exhaustiveness check exact here.
-  VSCALE_STALL_HOOK(Sample(sim_.Now()));
+  VS_OBSERVE(sim_.observers(), stall, Sample(sim_.Now()));
 }
 
 void Machine::Accounting() {
@@ -633,7 +633,7 @@ void Machine::Accounting() {
                static_cast<long long>(granted_total),
                static_cast<long long>(capacity));
 
-  if (VSCALE_TRACE_ACTIVE()) {
+  if (VSCALE_TRACE_ACTIVE(sim_.observers())) {
     // One credit-balance sample per domain per accounting pass: the entitlement side
     // of every scheduling decision, next to the run/preempt slices it explains.
     for (const auto& d : domains_) {
@@ -643,8 +643,8 @@ void Machine::Accounting() {
           credit_sum += d->vcpu(i).credit_ns;
         }
       }
-      VSCALE_TRACE_COUNTER(sim_.Now(), TraceCategory::kHypervisor, "credit_ns",
-                           d->id(), credit_sum);
+      VSCALE_TRACE_COUNTER(sim_.observers(), sim_.Now(), TraceCategory::kHypervisor,
+                           "credit_ns", d->id(), credit_sum);
     }
   }
 
@@ -765,14 +765,14 @@ void Machine::NotifyEvent(DomainId dom, VcpuId target, EvtchnPort port, bool urg
     case VcpuState::kBlocked: {
       pending_ports_[static_cast<size_t>(GlobalIndex(v))].push_back(port);
       WakeVcpu(v, /*boost_eligible=*/true);
-      VSCALE_STALL_HOOK(OnEventPosted(dom, target, sim_.Now()));
+      VS_OBSERVE(sim_.observers(), stall, OnEventPosted(dom, target, sim_.Now()));
       break;
     }
     case VcpuState::kRunnable: {
       pending_ports_[static_cast<size_t>(GlobalIndex(v))].push_back(port);
       // The delayed-virtual-interrupt pathology of paper Fig. 1(b)/(c): the event
       // sits pending until the preempted vCPU is scheduled again.
-      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kHypervisor,
+      VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kHypervisor,
                                "evtchn_delayed", dom, target, v.pcpu, "port", port);
       if (urgent) {
         // vScale: prioritize the reconfigured vCPU so freeze/unfreeze IPIs land fast.
@@ -782,7 +782,7 @@ void Machine::NotifyEvent(DomainId dom, VcpuId target, EvtchnPort port, bool urg
         }
         InsertRunnable(v, /*at_head_of_prio=*/true);
       }
-      VSCALE_STALL_HOOK(OnEventPosted(dom, target, sim_.Now()));
+      VS_OBSERVE(sim_.observers(), stall, OnEventPosted(dom, target, sim_.Now()));
       break;
     }
     case VcpuState::kRunning: {
@@ -815,7 +815,8 @@ void Machine::PollVcpu(DomainId dom, VcpuId vcpu, EvtchnPort port) {
   Pcpu& p = PcpuOf(v);
   SettleRunning(v);
   // A poll-block is the pv-spinlock halt path: lock-related, not idle.
-  VSCALE_STALL_HOOK(SetBlockReason(dom, vcpu, StallBlockReason::kFutex));
+  VS_OBSERVE(sim_.observers(), stall,
+             SetBlockReason(dom, vcpu, StallBlockReason::kFutex));
   DescheduleCurrent(p, VcpuState::kBlocked);
   v.polling = true;
   v.poll_port = port;
@@ -825,9 +826,9 @@ void Machine::PollVcpu(DomainId dom, VcpuId vcpu, EvtchnPort port) {
 void Machine::NotifyFreeze(DomainId dom, VcpuId vcpu, bool frozen) {
   Vcpu& v = GetVcpu(dom, vcpu);
   v.frozen = frozen;
-  VSCALE_STALL_HOOK(OnFrozenChanged(dom, vcpu, sim_.Now(), frozen));
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kHypervisor, "hv_freeze", dom,
-                           vcpu, v.pcpu, "frozen", frozen ? 1 : 0);
+  VS_OBSERVE(sim_.observers(), stall, OnFrozenChanged(dom, vcpu, sim_.Now(), frozen));
+  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kHypervisor,
+                           "hv_freeze", dom, vcpu, v.pcpu, "frozen", frozen ? 1 : 0);
   if (!frozen) {
     // Re-entering the active list: seed the vCPU with the domain's average active
     // balance so it does not sit OVER behind everyone until the next accounting pass.
@@ -933,13 +934,13 @@ void Machine::SetStolenPcpus(int n) {
         SettleRunning(*p.current);
         ++p.current->preemptions;
         Vcpu& evicted = *p.current;
-        VSCALE_TRACE_INSTANT(now, TraceCategory::kHypervisor, "steal_evict",
-                             evicted.domain()->id(), evicted.id(), p.id);
+        VSCALE_TRACE_INSTANT(sim_.observers(), now, TraceCategory::kHypervisor,
+                             "steal_evict", evicted.domain()->id(), evicted.id(), p.id);
         // InsertRunnable sees p already marked stolen, so the requeue re-places
         // the evicted vCPU on a surviving pCPU right away.
         DescheduleCurrent(p, VcpuState::kRunnable);
-        VSCALE_STALL_HOOK(
-            OnStealDisplaced(evicted.domain()->id(), evicted.id(), now));
+        VS_OBSERVE(sim_.observers(), stall,
+                   OnStealDisplaced(evicted.domain()->id(), evicted.id(), now));
       } else {
         // Close the idle window: the burst counts as stolen time, not idle time.
         p.total_idle += now - p.idle_since;
@@ -959,7 +960,8 @@ void Machine::SetStolenPcpus(int n) {
   // Pass 2: the hypervisor migrates the stolen pCPUs' queues to surviving ones.
   for (Vcpu* v : displaced) {
     v->pcpu = -1;
-    VSCALE_STALL_HOOK(OnStealDisplaced(v->domain()->id(), v->id(), now));
+    VS_OBSERVE(sim_.observers(), stall,
+               OnStealDisplaced(v->domain()->id(), v->id(), now));
     InsertRunnable(*v);
   }
   for (Pcpu* p : freed) {

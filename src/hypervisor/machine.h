@@ -64,6 +64,10 @@ struct MachineConfig {
   // Over-budget wakeups still queue, at UNDER instead of BOOST — starving the
   // boost-abuser's preemption storm.
   int boost_budget = 0;
+
+  // Where this run's observations go (src/base/observers.h); all null = none.
+  // The Machine's Simulator carries the value for every layer's hooks.
+  Observers observers;
 };
 
 class Machine : public HvServices {
@@ -76,6 +80,8 @@ class Machine : public HvServices {
 
   Simulator& sim() { return sim_; }
   const Simulator& sim() const { return sim_; }
+  // The run's observers (MachineConfig::observers, carried by the Simulator).
+  const Observers& observers() const { return sim_.observers(); }
   const MachineConfig& config() const { return config_; }
   const CostModel& cost() const { return config_.cost; }
 

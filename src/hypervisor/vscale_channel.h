@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "src/base/cost_model.h"
+#include "src/base/observers.h"
 #include "src/base/time.h"
 #include "src/faults/fault_injector.h"
 #include "src/hypervisor/hv_services.h"
@@ -26,8 +27,10 @@ namespace vscale {
 
 class VscaleChannel {
  public:
-  VscaleChannel(HvServices& hv, const CostModel& cost, DomainId dom)
-      : hv_(hv), cost_(cost), dom_(dom) {}
+  // `observers` are the reading run's (the coverage map sees torn reads).
+  VscaleChannel(HvServices& hv, const CostModel& cost, DomainId dom,
+                const Observers& observers = {})
+      : hv_(hv), cost_(cost), dom_(dom), observers_(observers) {}
 
   struct ReadResult {
     bool ok = false;             // false: read failed or payload rejected as torn
@@ -57,6 +60,7 @@ class VscaleChannel {
   HvServices& hv_;
   const CostModel& cost_;
   DomainId dom_;
+  const Observers observers_;
   FaultInjector* faults_ = nullptr;
   int64_t reads_ = 0;
   int64_t reads_failed_ = 0;

@@ -4,54 +4,39 @@
 
 namespace vscale {
 
-void RegisterMachineMetrics(MetricsRegistry& registry, Machine& machine,
-                            const std::string& prefix) {
-  Machine* m = &machine;
-  registry.RegisterGauge(prefix + "sim.events_processed", [m] {
-    return static_cast<int64_t>(m->sim().events_processed());
-  });
-  // Unprefixed on purpose: the tracer ring is global, so one machine's drop
-  // count is everyone's drop count. A nonzero value means trace-derived
-  // figures (and trace_lint verdicts) looked at a truncated window.
-  registry.RegisterGauge("trace.events_dropped", [] {
-    return static_cast<int64_t>(GlobalTracer().dropped());
-  });
-  registry.RegisterGauge(prefix + "hv.context_switches",
-                         [m] { return m->context_switches(); });
-  registry.RegisterGauge(prefix + "hv.idle_ns_total",
-                         [m] { return m->TotalIdleTime(); });
+void PublishMachineMetrics(MetricsRegistry& registry, const Machine& machine,
+                           const std::string& prefix) {
+  registry.Counter(prefix + "sim.events_processed") =
+      static_cast<int64_t>(machine.sim().events_processed());
+  // Unprefixed on purpose: the harness hands one tracer to every run it
+  // traces, so one run's drop count is everyone's. A nonzero value means
+  // trace-derived figures (and trace_lint verdicts) looked at a truncated window.
+  const Tracer* tracer = machine.observers().tracer;
+  registry.Counter("trace.events_dropped") =
+      tracer != nullptr ? static_cast<int64_t>(tracer->dropped()) : 0;
+  registry.Counter(prefix + "hv.context_switches") = machine.context_switches();
+  registry.Counter(prefix + "hv.idle_ns_total") = machine.TotalIdleTime();
   // BOOST wake telemetry: the grant/denial split shows whether the boost
   // budget (MachineConfig::boost_budget, docs/ADVERSARIAL.md) is biting.
-  registry.RegisterGauge(prefix + "sched.boost_grants",
-                         [m] { return m->boost_grants(); });
-  registry.RegisterGauge(prefix + "sched.boost_denied",
-                         [m] { return m->boost_denied(); });
-  for (const auto& dptr : machine.domains()) {
-    Domain* d = dptr.get();
+  registry.Counter(prefix + "sched.boost_grants") = machine.boost_grants();
+  registry.Counter(prefix + "sched.boost_denied") = machine.boost_denied();
+  for (const auto& d : machine.domains()) {
     const std::string base = prefix + "dom." + SanitizeMetricName(d->name()) + ".";
-    registry.RegisterGauge(base + "runtime_ns", [d] { return d->TotalRuntime(); });
-    registry.RegisterGauge(base + "wait_ns", [d] { return d->TotalWait(); });
-    registry.RegisterGauge(base + "extendability_nvcpus",
-                           [d] { return static_cast<int64_t>(d->extendability_nvcpus); });
+    registry.Counter(base + "runtime_ns") = d->TotalRuntime();
+    registry.Counter(base + "wait_ns") = d->TotalWait();
+    registry.Counter(base + "extendability_nvcpus") = d->extendability_nvcpus;
     auto* kernel = dynamic_cast<GuestKernel*>(d->guest());
     if (kernel == nullptr) {
       continue;
     }
-    registry.RegisterGauge(base + "active_vcpus", [kernel] {
-      return static_cast<int64_t>(kernel->online_cpus());
-    });
+    registry.Counter(base + "active_vcpus") = kernel->online_cpus();
     for (int i = 0; i < kernel->n_cpus(); ++i) {
+      const GuestCpuStats& s = kernel->cpu(i).stats;
       const std::string vbase = base + "vcpu" + std::to_string(i) + ".";
-      registry.RegisterGauge(vbase + "timer_ints",
-                             [kernel, i] { return kernel->cpu(i).stats.timer_ints; });
-      registry.RegisterGauge(vbase + "resched_ipis", [kernel, i] {
-        return kernel->cpu(i).stats.resched_ipis;
-      });
-      registry.RegisterGauge(vbase + "io_irqs",
-                             [kernel, i] { return kernel->cpu(i).stats.io_irqs; });
-      registry.RegisterGauge(vbase + "guest_switches", [kernel, i] {
-        return kernel->cpu(i).stats.guest_switches;
-      });
+      registry.Counter(vbase + "timer_ints") = s.timer_ints;
+      registry.Counter(vbase + "resched_ipis") = s.resched_ipis;
+      registry.Counter(vbase + "io_irqs") = s.io_irqs;
+      registry.Counter(vbase + "guest_switches") = s.guest_switches;
     }
   }
 }

@@ -51,17 +51,18 @@ struct NormalizedRow {
 std::vector<NormalizedRow> NormalizeToBaseline(const std::vector<AppRunResult>& runs,
                                                const std::string& baseline_policy);
 
-// Registers live gauges for a machine's canonical statistics under the naming
+// Publishes a machine's canonical statistics as counters, under the naming
 // convention of docs/OBSERVABILITY.md: "<prefix>sim.events_processed",
 // "<prefix>hv.context_switches", "<prefix>hv.idle_ns_total", and per domain
 // "<prefix>dom.<name>.runtime_ns|wait_ns|extendability_nvcpus" plus, for domains
 // running a GuestKernel, "...active_vcpus" and per-vCPU interrupt counters
-// "...vcpu<i>.timer_ints|resched_ipis|io_irqs|guest_switches".
+// "...vcpu<i>.timer_ints|resched_ipis|io_irqs|guest_switches". Also publishes the
+// unprefixed "trace.events_dropped" of the machine's attached tracer (0 without one).
 //
-// The gauges read `machine` by reference: call registry.FreezeGauges() before the
-// machine is destroyed (Testbed's destructor does) to keep the final values.
-void RegisterMachineMetrics(MetricsRegistry& registry, Machine& machine,
-                            const std::string& prefix = "");
+// The values are read now; Testbed's destructor calls this at teardown, so a
+// registry holds each run's final values and never refers back into the machine.
+void PublishMachineMetrics(MetricsRegistry& registry, const Machine& machine,
+                           const std::string& prefix = "");
 
 }  // namespace vscale
 

@@ -14,7 +14,7 @@
 //    preemption/wakeup counters;
 //  * GuestKernel: freeze mask, per-CPU interrupt/switch counters, per-thread
 //    cpu/spin/wait time, migrations and wakeups;
-//  * MetricsRegistry: every (name, value) pair, gauges evaluated now.
+//  * MetricsRegistry: every (name, value) counter pair.
 //
 // Used by tools/digest_run (the ctest double-run harness), quickstart
 // --digest, and the bench --digest flag (bench/bench_common.h). Documented in

@@ -211,14 +211,14 @@ bool WriteChromeTraceFile(const Tracer& tracer, const std::string& path,
                           std::string* error) {
   // Ring overflow silently truncates the trace's oldest window; surface it once
   // per process so nobody reads a partial timeline as a complete one. The same
-  // figure is queryable as the trace.events_dropped gauge.
+  // figure is published as the trace.events_dropped counter.
   static bool warned_dropped = false;
   if (!warned_dropped && tracer.dropped() > 0) {
     warned_dropped = true;
     std::fprintf(stderr,
                  "trace: WARNING: ring dropped %llu events; %s starts "
-                 "mid-timeline (raise Tracer::SetCapacity to keep the full "
-                 "run)\n",
+                 "mid-timeline (construct the Tracer with a larger capacity "
+                 "to keep the full run)\n",
                  static_cast<unsigned long long>(tracer.dropped()),
                  path.c_str());
   }

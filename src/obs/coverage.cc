@@ -8,10 +8,6 @@
 
 namespace vscale {
 
-namespace obs_internal {
-bool g_cover_enabled = false;
-}  // namespace obs_internal
-
 namespace {
 
 // The documented point catalogue, enum order (docs/FUZZING.md). The cov-docs
@@ -202,28 +198,7 @@ bool ParseCoverageText(std::istream& is, CoverageVector* out,
 
 CoverageMap::CoverageMap() = default;
 
-CoverageMap& CoverageMap::Global() {
-  static CoverageMap* instance = new CoverageMap();
-  return *instance;
-}
-
 void CoverageMap::BeginRun() {
-  for (int64_t& c : counts_) {
-    c = 0;
-  }
-  daemon_degraded_ = false;
-  daemon_crashed_ = false;
-  active_ = true;
-  obs_internal::g_cover_enabled = true;
-}
-
-void CoverageMap::FinishRun() {
-  active_ = false;
-  obs_internal::g_cover_enabled = false;
-}
-
-void CoverageMap::Reset() {
-  FinishRun();
   for (int64_t& c : counts_) {
     c = 0;
   }

@@ -27,11 +27,12 @@
 //   hardening.freeze_resend / tick_rescue / ipi_dedup
 //                     a delivery-hardening reaction actually fired
 //
-// Like the Tracer and the StallAccountant before it, the map is a pure
-// observer: off by default, it never mutates simulation state and never
-// touches an Rng, so an enabled run replays to a bit-identical StateDigest
-// (tools/digest_run --cov-check is the gate). Hook sites use the VS_COVER
-// macro — one predictable branch on a global bool when disabled.
+// Like the Tracer and the StallAccountant before it, the map is a pure per-run
+// observer (Observers::coverage, src/base/observers.h): it never mutates
+// simulation state and never touches an Rng, so an observed run replays to a
+// bit-identical StateDigest (tools/digest_run --observers-check is the gate).
+// Hook sites use VS_OBSERVE(obs, coverage, ...) — one predictable branch on
+// the run's pointer when no map is attached.
 //
 // Because every count is derived from the deterministic event sequence, a
 // run's coverage vector is itself deterministic: the same scenario yields the
@@ -202,16 +203,10 @@ class CoverageMap {
  public:
   CoverageMap();
 
-  // The process-wide map all VS_COVER hooks feed (mirrors StallAccountant).
-  static CoverageMap& Global();
-
-  // Starts a run: clears counts and pair-tracking state, enables the gate.
+  // Starts a run: clears counts and pair-tracking state. Counts stay readable
+  // after the run until the next BeginRun (the oracle harvests them after the
+  // testbed is torn down).
   void BeginRun();
-  // Disables the gate; counts stay readable until the next BeginRun/Reset.
-  void FinishRun();
-  // Clears everything and disables the gate (tests, oracle hygiene).
-  void Reset();
-  bool active() const { return active_; }
 
   // Generic feature counter; the stateful hooks below call it too.
   void Record(CoveragePoint p);
@@ -266,27 +261,11 @@ class CoverageMap {
                       const std::string& prefix) const;
 
  private:
-  bool active_ = false;
   // Daemon state shadowed for the pair features; reset by BeginRun.
   bool daemon_degraded_ = false;
   bool daemon_crashed_ = false;
   int64_t counts_[kNumCoveragePoints] = {};
 };
-
-namespace obs_internal {
-// Fast hook gate, mirrors CoverageMap::Global().active(). Mutated only by
-// BeginRun/FinishRun/Reset.
-extern bool g_cover_enabled;
-}  // namespace obs_internal
-
-// Hook sites use this macro so a disabled map costs one predictable branch and
-// never evaluates its arguments' side effects beyond the call site.
-#define VS_COVER(call_)                                \
-  do {                                                 \
-    if (::vscale::obs_internal::g_cover_enabled) {     \
-      ::vscale::CoverageMap::Global().call_;           \
-    }                                                  \
-  } while (0)
 
 }  // namespace vscale
 

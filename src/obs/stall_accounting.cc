@@ -11,10 +11,6 @@
 
 namespace vscale {
 
-namespace obs_internal {
-bool g_stall_enabled = false;
-}  // namespace obs_internal
-
 namespace {
 
 // Sends to a parked vCPU can pile up without a delivery; bound the FIFO so a
@@ -48,11 +44,13 @@ bool ParseStallBucket(const std::string& s, StallBucket* out) {
 StallAccountant::StallAccountant() = default;
 
 StallAccountant& StallAccountant::Global() {
+  // vslint: allow(observer-global, the perfbench-only sink declared in the header)
   static StallAccountant* instance = new StallAccountant();
   return *instance;
 }
 
-void StallAccountant::BeginRun(const std::string& label) {
+void StallAccountant::BeginRun(const std::string& label, const Observers& run) {
+  run_ = run;
   label_ = label;
   vcpus_.clear();
   wake_to_dispatch_ = LatencyHistogram();
@@ -62,7 +60,6 @@ void StallAccountant::BeginRun(const std::string& label) {
   emitted_doms_.clear();
   sample_seq_ = 0;
   active_ = true;
-  obs_internal::g_stall_enabled = true;
 }
 
 void StallAccountant::FinishRun(TimeNs now) {
@@ -104,11 +101,11 @@ void StallAccountant::FinishRun(TimeNs now) {
       }
     }
     if (totals[static_cast<size_t>(best)] > 0) {
-      VS_COVER(OnStallDominant(static_cast<StallBucket>(best)));
+      VS_OBSERVE(run_, coverage, OnStallDominant(static_cast<StallBucket>(best)));
     }
   }
   active_ = false;
-  obs_internal::g_stall_enabled = false;
+  run_ = {};
 }
 
 StallAccountant::VcpuAcct& StallAccountant::Get(int dom, int vcpu, TimeNs now) {
@@ -270,21 +267,21 @@ void StallAccountant::EmitCounterTracks(
     [[maybe_unused]] const std::array<int64_t, kStallBucketCount>& t,
     [[maybe_unused]] TimeNs now) {
   // Every statement below compiles away under -DVSCALE_TRACE=OFF.
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_running_ns",
+  VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_running_ns",
                        dom, t[0]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_runnable_ns",
+  VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_runnable_ns",
                        dom, t[1]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_lhp_ns",
+  VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_lhp_ns",
                        dom, t[2]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_futex_ns",
+  VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_futex_ns",
                        dom, t[3]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_ipi_ns",
+  VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_ipi_ns",
                        dom, t[4]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_frozen_ns",
+  VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_frozen_ns",
                        dom, t[5]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_stolen_ns",
+  VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_stolen_ns",
                        dom, t[6]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_idle_ns",
+  VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_idle_ns",
                        dom, t[7]);
 }
 
@@ -413,7 +410,7 @@ void StallAccountant::PublishMetrics(MetricsRegistry& registry,
 
 void StallAccountant::Reset() {
   active_ = false;
-  obs_internal::g_stall_enabled = false;
+  run_ = {};
   label_.clear();
   vcpus_.clear();
   wake_to_dispatch_ = LatencyHistogram();

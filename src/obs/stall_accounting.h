@@ -25,11 +25,12 @@
 // reports elapsed running time, and GuestKernel::Advance reclassifies the
 // kernel-spin portion — so the decomposition is exact, not sampled.
 //
-// Like the Tracer (src/base/trace.h) the accountant is off by default, never
-// mutates simulation state, and never touches the RNG: an enabled run produces
-// a bit-identical StateDigest to a disabled one (tools/digest_run --stall-check
-// is the gate). Hooks are guarded by the VSCALE_STALL_HOOK macro, a single
-// branch on a global bool when disabled.
+// Like the Tracer (src/base/trace.h) the accountant is a per-run observer
+// (Observers::stall, src/base/observers.h): it never mutates simulation state
+// and never touches the RNG, so an observed run produces a bit-identical
+// StateDigest to an unobserved one (tools/digest_run --observers-check is the
+// gate). Hook sites use VS_OBSERVE(obs, stall, ...), a single branch on the
+// run's pointer when no accountant is attached.
 //
 // Outputs: per-domain counter tracks in the Chrome trace, a CSV time series
 // (WriteCsv) consumed by tools/stall_report, MetricsRegistry counters
@@ -48,6 +49,7 @@
 #include <vector>
 
 #include "src/base/histogram.h"
+#include "src/base/observers.h"
 #include "src/base/time.h"
 
 namespace vscale {
@@ -86,16 +88,21 @@ class StallAccountant {
  public:
   StallAccountant();
 
-  // The process-wide accountant all hooks feed (mirrors GlobalTracer()).
+  // The process-wide accountant TestbedConfig::stall_accounting attaches, for
+  // the benchmark harness that reads it after teardown
+  // (perfbench/harness/bench.cc). Every other caller attaches its own.
+  // vslint: allow(observer-global, perfbench reads it after each testbed)
   static StallAccountant& Global();
 
   // Starts accounting a run. Resets per-vCPU state and histograms but keeps
   // previously emitted CSV rows, so several runs (baseline, vscale, ...)
-  // accumulate into one series distinguished by `label`.
-  void BeginRun(const std::string& label);
+  // accumulate into one series distinguished by `label`. The accountant's own
+  // emissions (counter tracks, stall_dominant.* points) go to `run`, the
+  // observers of the run it is attached to.
+  void BeginRun(const std::string& label, const Observers& run = {});
 
   // Final flush at `now`: emits per-vCPU totals rows into the CSV series,
-  // counts unmatched in-flight IPIs, and disables the hook gate.
+  // counts unmatched in-flight IPIs, and ends the run (hooks become no-ops).
   void FinishRun(TimeNs now);
 
   bool active() const { return active_; }
@@ -207,6 +214,7 @@ class StallAccountant {
   void Retarget(VcpuAcct& a, TimeNs now);
 
   bool active_ = false;
+  Observers run_;  // the attached run's observers, for the accountant's emissions
   std::string label_;
   std::map<Key, VcpuAcct> vcpus_;
   LatencyHistogram wake_to_dispatch_;
@@ -228,21 +236,6 @@ class StallAccountant {
   };
   std::vector<CsvRow> rows_;  // survives across runs; cleared by Reset()
 };
-
-namespace obs_internal {
-// Fast hook gate, mirrors StallAccountant::Global().active(). Mutated only by
-// BeginRun/FinishRun/Reset.
-extern bool g_stall_enabled;
-}  // namespace obs_internal
-
-// Hook sites use this macro so a disabled accountant costs one predictable
-// branch and never evaluates its arguments' side effects beyond the call site.
-#define VSCALE_STALL_HOOK(call_)                       \
-  do {                                                 \
-    if (::vscale::obs_internal::g_stall_enabled) {     \
-      ::vscale::StallAccountant::Global().call_;       \
-    }                                                  \
-  } while (0)
 
 }  // namespace vscale
 

@@ -8,7 +8,7 @@
 
 namespace vscale {
 
-Simulator::Simulator() {
+Simulator::Simulator(Observers observers) : observers_(observers) {
   // Typical steady-state populations are tens of events; reserving avoids the
   // first few growth reallocations without committing real memory.
   heap_.reserve(64);

@@ -52,7 +52,11 @@
 // Determinism: the firing order is a pure function of the (when, seq) keys — the
 // heaps are never iterated, only their roots consumed — and all bookkeeping is
 // index-based, so no container iteration order or allocator address can leak into
-// a run (tools/det_lint polices hashed containers and wall clocks tree-wide).
+// a run (tools/vslint polices hashed containers and wall clocks tree-wide).
+//
+// Observers: a Simulator carries its run's Observers value (src/base/observers.h),
+// the borrowed sinks every hook of the run checks; the engine itself records one
+// `event_fire` trace event per fire when a tracer is attached.
 
 #ifndef VSCALE_SRC_SIM_EVENT_QUEUE_H_
 #define VSCALE_SRC_SIM_EVENT_QUEUE_H_
@@ -64,6 +68,7 @@
 #include <vector>
 
 #include "src/base/check.h"
+#include "src/base/observers.h"
 #include "src/base/time.h"
 #include "src/base/trace.h"
 #include "src/sim/event_fn.h"
@@ -78,11 +83,13 @@ class Simulator {
   // tombstones off the root is cheaper than a rebuild.
   static constexpr size_t kCompactMinHeapSize = 64;
 
-  Simulator();
+  explicit Simulator(Observers observers = {});
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   TimeNs Now() const { return now_; }
+  // Where this run's observations go; fixed for the Simulator's lifetime.
+  const Observers& observers() const { return observers_; }
 
   // Schedules fn at absolute virtual time `when` (>= Now()). Returns a
   // cancellable id. Templated so the callable is constructed directly inside a
@@ -206,6 +213,7 @@ class Simulator {
   // returns false when nothing is.
   bool FireNext(TimeNs deadline);
 
+  const Observers observers_;
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;
   std::vector<HeapEntry> heap_;
@@ -347,8 +355,8 @@ inline void Simulator::NoteFire(TimeNs when, [[maybe_unused]] uint64_t seq) {
 #endif
   now_ = when;
   ++events_processed_;
-  VSCALE_TRACE_INSTANT_ARG(now_, TraceCategory::kSim, "event_fire", -1, -1, -1,
-                           "pending", pending_events());
+  VSCALE_TRACE_INSTANT_ARG(observers_, now_, TraceCategory::kSim, "event_fire", -1,
+                           -1, -1, "pending", pending_events());
 }
 
 inline void Simulator::FireTop() {

@@ -9,9 +9,10 @@ namespace vscale {
 
 VscaleBalancer::ApplyOutcome VscaleBalancer::ApplyTarget(int target) {
   target = std::clamp(target, 1, kernel_.n_cpus());
-  VSCALE_TRACE_INSTANT_ARG(kernel_.NowNs(), TraceCategory::kVscale, "apply_target",
-                           kernel_.domain().id(), -1, -1, "target", target);
-  VSCALE_STALL_HOOK(OnApplyTarget(kernel_.domain().id(), target));
+  VSCALE_TRACE_INSTANT_ARG(kernel_.observers(), kernel_.NowNs(), TraceCategory::kVscale,
+                           "apply_target", kernel_.domain().id(), -1, -1, "target",
+                           target);
+  VS_OBSERVE(kernel_.observers(), stall, OnApplyTarget(kernel_.domain().id(), target));
   ApplyOutcome out;
   int active = kernel_.online_cpus();
   // A freeze/unfreeze op that the fault plane fails burns its syscall entry before
@@ -22,8 +23,8 @@ VscaleBalancer::ApplyOutcome VscaleBalancer::ApplyTarget(int target) {
       out.cost += kernel_.cost().freeze_syscall;
       ++out.ops_failed;
       ++op_failures_;
-      VSCALE_TRACE_INSTANT(kernel_.NowNs(), TraceCategory::kVscale, "freeze_op_fail",
-                           kernel_.domain().id(), -1, -1);
+      VSCALE_TRACE_INSTANT(kernel_.observers(), kernel_.NowNs(), TraceCategory::kVscale,
+                           "freeze_op_fail", kernel_.domain().id(), -1, -1);
       return true;
     }
     return false;

@@ -49,7 +49,7 @@ void DaemonConfig::Validate() const {
 VscaleDaemon::VscaleDaemon(GuestKernel& kernel, HvServices& hv, DaemonConfig config)
     : kernel_(kernel),
       config_(config),
-      channel_(hv, kernel.cost(), kernel.domain().id()),
+      channel_(hv, kernel.cost(), kernel.domain().id(), kernel.observers()),
       balancer_(kernel) {
   config_.Validate();
 }
@@ -94,14 +94,14 @@ void VscaleDaemon::DoApply() {
 void VscaleDaemon::Degrade() {
   degraded_ = true;
   ++degradations_;
-  VS_COVER(OnDaemonDegrade());
+  VS_OBSERVE(kernel_.observers(), coverage, OnDaemonDegrade());
   if (first_degrade_ns_ == 0) {
     first_degrade_ns_ = kernel_.NowNs();
   }
   votes_ = 0;
   pending_target_ = -1;
   healthy_streak_ = 0;
-  VSCALE_TRACE_INSTANT_ARG(kernel_.NowNs(), TraceCategory::kVscale,
+  VSCALE_TRACE_INSTANT_ARG(kernel_.observers(), kernel_.NowNs(), TraceCategory::kVscale,
                            "daemon_degrade", kernel_.domain().id(), 0, -1, "floor",
                            SafeFloor());
   // Fail safe: with the channel dead the VM may be stuck shrunk while demand
@@ -114,18 +114,18 @@ void VscaleDaemon::Degrade() {
 void VscaleDaemon::Resume() {
   degraded_ = false;
   ++resumes_;
-  VS_COVER(OnDaemonResume());
+  VS_OBSERVE(kernel_.observers(), coverage, OnDaemonResume());
   last_resume_ns_ = kernel_.NowNs();
   votes_ = 0;
   pending_target_ = -1;
-  VSCALE_TRACE_INSTANT(kernel_.NowNs(), TraceCategory::kVscale, "daemon_resume",
-                       kernel_.domain().id(), 0, -1);
+  VSCALE_TRACE_INSTANT(kernel_.observers(), kernel_.NowNs(), TraceCategory::kVscale,
+                       "daemon_resume", kernel_.domain().id(), 0, -1);
 }
 
 void VscaleDaemon::OnWatchdogTrip() {
   // Watchdog-forced degradation enters the same semantic state as a
   // self-detected one; keep the coverage map's daemon-state shadow honest.
-  VS_COVER(OnDaemonDegrade());
+  VS_OBSERVE(kernel_.observers(), coverage, OnDaemonDegrade());
   degraded_ = true;
   votes_ = 0;
   pending_target_ = -1;
@@ -173,9 +173,9 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
     if (!crashed_) {
       crashed_ = true;
       ++crashes_;
-      VS_COVER(OnDaemonCrash());
-      VSCALE_TRACE_INSTANT(kernel.NowNs(), TraceCategory::kVscale, "daemon_crash",
-                           kernel.domain().id(), 0, -1);
+      VS_OBSERVE(kernel.observers(), coverage, OnDaemonCrash());
+      VSCALE_TRACE_INSTANT(kernel.observers(), kernel.NowNs(), TraceCategory::kVscale,
+                           "daemon_crash", kernel.domain().id(), 0, -1);
     }
     read_attempts_ = 0;
     return Op::Sleep(config_.poll_period);
@@ -183,10 +183,10 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
   if (crashed_) {
     crashed_ = false;
     ++restarts_;
-    VS_COVER(OnDaemonRestart());
+    VS_OBSERVE(kernel.observers(), coverage, OnDaemonRestart());
     ResetControlState();
-    VSCALE_TRACE_INSTANT(kernel.NowNs(), TraceCategory::kVscale, "daemon_restart",
-                         kernel.domain().id(), 0, -1);
+    VSCALE_TRACE_INSTANT(kernel.observers(), kernel.NowNs(), TraceCategory::kVscale,
+                         "daemon_restart", kernel.domain().id(), 0, -1);
   }
   if (faults_ != nullptr && faults_->Active(FaultKind::kDaemonStall)) {
     read_attempts_ = 0;
@@ -203,9 +203,9 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
       ++read_retries_;
       backoff_ = Backoff(read_attempts_);
       phase_ = Phase::kReadBackoff;
-      VSCALE_TRACE_INSTANT_ARG(kernel.NowNs(), TraceCategory::kVscale,
-                               "read_retry", kernel.domain().id(), 0, -1, "attempt",
-                               read_attempts_);
+      VSCALE_TRACE_INSTANT_ARG(kernel.observers(), kernel.NowNs(),
+                               TraceCategory::kVscale, "read_retry", kernel.domain().id(),
+                               0, -1, "attempt", read_attempts_);
       return Op::Compute(r.cost);
     }
     // Retries exhausted: the cycle failed. Enough of those in a row means the
@@ -232,10 +232,11 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
       if (stale_streak_ >= config_.stale_reads_threshold) {
         if (stale_streak_ == config_.stale_reads_threshold) {
           ++stale_detections_;
-          VS_COVER(OnDaemonStaleHold());
-          VSCALE_TRACE_INSTANT_ARG(kernel.NowNs(), TraceCategory::kVscale,
-                                   "stale_detected", kernel.domain().id(), 0, -1,
-                                   "seq", static_cast<int64_t>(r.seq));
+          VS_OBSERVE(kernel.observers(), coverage, OnDaemonStaleHold());
+          VSCALE_TRACE_INSTANT_ARG(kernel.observers(), kernel.NowNs(),
+                                   TraceCategory::kVscale, "stale_detected",
+                                   kernel.domain().id(), 0, -1, "seq",
+                                   static_cast<int64_t>(r.seq));
         }
         stale = true;
       }
@@ -311,10 +312,12 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
             ++implausible_streak_;
             if (implausible_streak_ >= config_.clamp_confirmations) {
               ++clamped_cycles_;
-              VS_COVER(Record(CoveragePoint::kClampFired));
-              VSCALE_TRACE_INSTANT_ARG(kernel.NowNs(), TraceCategory::kVscale,
-                                       "clamp", kernel.domain().id(), 0, -1,
-                                       "plausible", plausible);
+              VS_OBSERVE(kernel.observers(), coverage,
+                         Record(CoveragePoint::kClampFired));
+              VSCALE_TRACE_INSTANT_ARG(kernel.observers(), kernel.NowNs(),
+                                       TraceCategory::kVscale, "clamp",
+                                       kernel.domain().id(), 0, -1, "plausible",
+                                       plausible);
               target = std::max(kernel.online_cpus(), plausible);
             }
           } else {

@@ -33,7 +33,7 @@ void VscaleReconciler::OnWatchdogTrip() {
   // The trip already proves the control plane blew its deadline: audit now so a
   // freeze-state wedge behind the dead daemon is timestamped (and, past grace,
   // repaired) without waiting out the rest of the reconcile period.
-  VSCALE_TRACE_INSTANT(kernel_.NowNs(), TraceCategory::kVscale,
+  VSCALE_TRACE_INSTANT(kernel_.observers(), kernel_.NowNs(), TraceCategory::kVscale,
                        "reconcile_trip_audit", kernel_.domain().id(), 0, -1);
   Audit();
 }
@@ -43,7 +43,7 @@ TimeNs VscaleReconciler::RepairVcpu(int i, bool guest_frozen, bool hv_frozen,
   const TimeNs now = kernel_.NowNs();
   ++repairs_;
   last_repair_ns_ = now;
-  VS_COVER(OnReconcileRepair());
+  VS_OBSERVE(kernel_.observers(), coverage, OnReconcileRepair());
   TimeNs cost = 0;
   const DomainId dom = kernel_.domain().id();
   if (lost_wake) {
@@ -55,8 +55,8 @@ TimeNs VscaleReconciler::RepairVcpu(int i, bool guest_frozen, bool hv_frozen,
     // hypercall channel as the re-kick below — not the faultable guest seam.
     hv_.NotifyEvent(dom, i, kPortResched, /*urgent=*/false);
     cost += kernel_.cost().freeze_resched_ipi;
-    VSCALE_TRACE_INSTANT(now, TraceCategory::kVscale, "reconcile_rewake", dom, i,
-                         -1);
+    VSCALE_TRACE_INSTANT(kernel_.observers(), now, TraceCategory::kVscale,
+                         "reconcile_rewake", dom, i, -1);
   }
   if (guest_frozen != hv_frozen) {
     // The guest mask is authoritative — it is what balancing and irq routing
@@ -64,8 +64,9 @@ TimeNs VscaleReconciler::RepairVcpu(int i, bool guest_frozen, bool hv_frozen,
     // credit accounting back into agreement with it.
     hv_.NotifyFreeze(dom, i, guest_frozen);
     cost += kernel_.cost().freeze_hypercall;
-    VSCALE_TRACE_INSTANT_ARG(now, TraceCategory::kVscale, "reconcile_refreeze",
-                             dom, i, -1, "frozen", guest_frozen ? 1 : 0);
+    VSCALE_TRACE_INSTANT_ARG(kernel_.observers(), now, TraceCategory::kVscale,
+                             "reconcile_refreeze", dom, i, -1, "frozen",
+                             guest_frozen ? 1 : 0);
   }
   if (guest_frozen && kernel_.cpu(i).evacuate_pending) {
     // Wedged handshake: frozen past grace but never evacuated — the freeze IPI
@@ -73,8 +74,8 @@ TimeNs VscaleReconciler::RepairVcpu(int i, bool guest_frozen, bool hv_frozen,
     // faultable guest-interior seam: the daemon-side poke is its own channel).
     hv_.NotifyEvent(dom, i, kPortFreeze, /*urgent=*/true);
     cost += kernel_.cost().freeze_resched_ipi;
-    VSCALE_TRACE_INSTANT(now, TraceCategory::kVscale, "reconcile_rekick", dom, i,
-                         -1);
+    VSCALE_TRACE_INSTANT(kernel_.observers(), now, TraceCategory::kVscale,
+                         "reconcile_rekick", dom, i, -1);
   }
   return cost;
 }
@@ -117,10 +118,10 @@ void VscaleReconciler::Audit() {
       if (first_divergence_ns_ == 0) {
         first_divergence_ns_ = now;
       }
-      VS_COVER(OnReconcileDivergence());
-      VSCALE_TRACE_INSTANT_ARG(now, TraceCategory::kVscale, "reconcile_diverge",
-                               kernel_.domain().id(), i, -1, "wedged",
-                               wedged ? 1 : 0);
+      VS_OBSERVE(kernel_.observers(), coverage, OnReconcileDivergence());
+      VSCALE_TRACE_INSTANT_ARG(kernel_.observers(), now, TraceCategory::kVscale,
+                               "reconcile_diverge", kernel_.domain().id(), i, -1,
+                               "wedged", wedged ? 1 : 0);
     } else if (now - diverged_since_[idx] >= config_.grace) {
       repair_cost += RepairVcpu(i, guest_frozen, hv_frozen, lost_wake);
       // Restart the clock: the repair gets a full grace window to take effect
@@ -144,14 +145,14 @@ void VscaleReconciler::Audit() {
         if (first_divergence_ns_ == 0) {
           first_divergence_ns_ = now;
         }
-        VS_COVER(OnReconcileDivergence());
-        VSCALE_TRACE_INSTANT_ARG(now, TraceCategory::kVscale,
-                                 "reconcile_diverge", kernel_.domain().id(), -1,
-                                 -1, "believed_minus_online", believed - online);
+        VS_OBSERVE(kernel_.observers(), coverage, OnReconcileDivergence());
+        VSCALE_TRACE_INSTANT_ARG(kernel_.observers(), now, TraceCategory::kVscale,
+                                 "reconcile_diverge", kernel_.domain().id(), -1, -1,
+                                 "believed_minus_online", believed - online);
       } else if (now - daemon_diverged_since_ >= config_.grace) {
         ++repairs_;
         last_repair_ns_ = now;
-        VS_COVER(OnReconcileRepair());
+        VS_OBSERVE(kernel_.observers(), coverage, OnReconcileRepair());
         int n_online = online;
         for (int i = 1; i < kernel_.n_cpus() && n_online < believed; ++i) {
           if (kernel_.IsFrozen(i)) {
@@ -159,9 +160,9 @@ void VscaleReconciler::Audit() {
             ++n_online;
           }
         }
-        VSCALE_TRACE_INSTANT_ARG(now, TraceCategory::kVscale,
-                                 "reconcile_unfreeze", kernel_.domain().id(), -1,
-                                 -1, "restored", n_online - online);
+        VSCALE_TRACE_INSTANT_ARG(kernel_.observers(), now, TraceCategory::kVscale,
+                                 "reconcile_unfreeze", kernel_.domain().id(), -1, -1,
+                                 "restored", n_online - online);
         daemon_diverged_since_ = now;
       }
     } else {
@@ -176,9 +177,9 @@ void VscaleReconciler::Audit() {
   }
   if (prev_divergent_ && !any_divergence) {
     ++converged_;
-    VS_COVER(OnReconcileConverged());
-    VSCALE_TRACE_INSTANT(now, TraceCategory::kVscale, "reconcile_converged",
-                         kernel_.domain().id(), 0, -1);
+    VS_OBSERVE(kernel_.observers(), coverage, OnReconcileConverged());
+    VSCALE_TRACE_INSTANT(kernel_.observers(), now, TraceCategory::kVscale,
+                         "reconcile_converged", kernel_.domain().id(), 0, -1);
   }
   prev_divergent_ = any_divergence;
 }

@@ -39,9 +39,8 @@ void ExtendabilityTicker::Recompute() {
       continue;  // UP-VMs are omitted: no room for scaling (paper section 4.2)
     }
     machine_.WriteExtendability(d->id(), results[i].optimal_vcpus, results[i].ext_ns);
-    VSCALE_TRACE_COUNTER(machine_.Now(), TraceCategory::kVscale,
-                         "extendability_nvcpus", d->id(),
-                         results[i].optimal_vcpus);
+    VSCALE_TRACE_COUNTER(machine_.observers(), machine_.Now(), TraceCategory::kVscale,
+                         "extendability_nvcpus", d->id(), results[i].optimal_vcpus);
   }
   machine_.ResetConsumptionWindow();
   if (on_pass) {

@@ -46,10 +46,10 @@ void VscaleWatchdog::Check() {
       // The daemon is heartbeating again (stall window closed or restart done).
       tripped_ = false;
       ++recoveries_;
-      VS_COVER(OnWatchdogRecovery());
+      VS_OBSERVE(kernel_.observers(), coverage, OnWatchdogRecovery());
       last_recovery_ns_ = now;
-      VSCALE_TRACE_INSTANT(now, TraceCategory::kVscale, "watchdog_recover",
-                           kernel_.domain().id(), 0, -1);
+      VSCALE_TRACE_INSTANT(kernel_.observers(), now, TraceCategory::kVscale,
+                           "watchdog_recover", kernel_.domain().id(), 0, -1);
     }
     return;
   }
@@ -60,12 +60,13 @@ void VscaleWatchdog::Check() {
   ++trips_;
   // Before daemon_.OnWatchdogTrip() below: the pair feature wants the daemon
   // state the trip landed on, not the state the trip forces it into.
-  VS_COVER(OnWatchdogTrip());
+  VS_OBSERVE(kernel_.observers(), coverage, OnWatchdogTrip());
   if (first_trip_ns_ == 0) {
     first_trip_ns_ = now;
   }
-  VSCALE_TRACE_INSTANT_ARG(now, TraceCategory::kVscale, "watchdog_trip",
-                           kernel_.domain().id(), 0, -1, "heartbeat_age_ns", age);
+  VSCALE_TRACE_INSTANT_ARG(kernel_.observers(), now, TraceCategory::kVscale,
+                           "watchdog_trip", kernel_.domain().id(), 0, -1,
+                           "heartbeat_age_ns", age);
   // Emergency unfreeze to the safe floor. This runs in kernel context (the softdog
   // model), not the dead daemon's: the unfreeze work lands on vCPU0's kernel
   // backlog, to be consumed before thread work like any irq bottom half.

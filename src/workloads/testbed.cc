@@ -8,19 +8,6 @@
 
 namespace vscale {
 
-namespace {
-// Harness-wide default (Testbed::SetStallAccountingDefault); OR-ed with each
-// TestbedConfig's stall_accounting flag at construction.
-bool g_stall_accounting_default = false;
-bool g_coverage_default = false;
-}  // namespace
-
-void Testbed::SetStallAccountingDefault(bool enabled) {
-  g_stall_accounting_default = enabled;
-}
-
-void Testbed::SetCoverageDefault(bool enabled) { g_coverage_default = enabled; }
-
 const char* ToString(Policy p) {
   switch (p) {
     case Policy::kBaseline:
@@ -116,18 +103,19 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
 
   // Arm the stall accountant before the machine exists so the per-vCPU birth
   // hooks in CreateDomain land in this run's timeline.
-  stall_enabled_ = config_.stall_accounting || g_stall_accounting_default;
-  if (stall_enabled_) {
-    StallAccountant::Global().BeginRun(
-        SanitizeMetricName(ToString(config_.policy)));
+  Observers& obs = config_.observers;
+  if (config_.stall_accounting && obs.stall == nullptr) {
+    obs.stall = &StallAccountant::Global();
+  }
+  if (obs.stall != nullptr) {
+    obs.stall->BeginRun(SanitizeMetricName(ToString(config_.policy)), obs);
   }
 
   // Arm the coverage map alongside, and bin the resolved scenario shape while
   // the config is in hand (the domain count includes desktops + antagonists).
-  cover_enabled_ = config_.coverage || g_coverage_default;
-  if (cover_enabled_) {
-    CoverageMap::Global().BeginRun();
-    CoverageMap::Global().RecordShape(
+  if (obs.coverage != nullptr) {
+    obs.coverage->BeginRun();
+    obs.coverage->RecordShape(
         static_cast<int>(config_.policy), topology.domains, config_.primary_vcpus,
         /*dedicated=*/config_.background_vms == 0,
         /*antagonist=*/!config_.antagonists.empty(),
@@ -140,6 +128,7 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   mc.per_domain_weight = true;  // the vScale Xen patch; also fair for the baseline
   mc.acct_time_based = config_.hardening.acct_time_based;
   mc.boost_budget = config_.hardening.boost_budget;
+  mc.observers = obs;
   machine_ = std::make_unique<Machine>(mc);
 
   GuestConfig gc;
@@ -271,88 +260,62 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
       background_daemons_.push_back(std::move(d));
     }
   }
-
-  // Expose the canonical statistics by name. The prefix separates policies when one
-  // process runs several testbeds; same-policy reruns overwrite (last run wins).
-  const std::string prefix = SanitizeMetricName(ToString(config_.policy)) + ".";
-  RegisterMachineMetrics(MetricsRegistry::Global(), *machine_, prefix);
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  if (injector_ != nullptr) {
-    FaultInjector* inj = injector_.get();
-    reg.RegisterGauge(prefix + "faults.events_started",
-                      [inj] { return inj->events_started(); });
-    reg.RegisterGauge(prefix + "faults.events_ended",
-                      [inj] { return inj->events_ended(); });
-    Machine* m = machine_.get();
-    reg.RegisterGauge(prefix + "hv.stolen_ns_total",
-                      [m] { return m->total_stolen_ns(); });
-  }
-  if (daemon_ != nullptr) {
-    VscaleDaemon* d = daemon_.get();
-    reg.RegisterGauge(prefix + "vscale.cycles", [d] { return d->cycles(); });
-    reg.RegisterGauge(prefix + "vscale.read_retries",
-                      [d] { return d->read_retries(); });
-    reg.RegisterGauge(prefix + "vscale.apply_retries",
-                      [d] { return d->apply_retries(); });
-    reg.RegisterGauge(prefix + "vscale.stale_detections",
-                      [d] { return d->stale_detections(); });
-    reg.RegisterGauge(prefix + "vscale.stale_held_cycles",
-                      [d] { return d->stale_held_cycles(); });
-    reg.RegisterGauge(prefix + "vscale.degradations",
-                      [d] { return d->degradations(); });
-    reg.RegisterGauge(prefix + "vscale.resumes", [d] { return d->resumes(); });
-    reg.RegisterGauge(prefix + "vscale.crashes", [d] { return d->crashes(); });
-    reg.RegisterGauge(prefix + "vscale.restarts", [d] { return d->restarts(); });
-    reg.RegisterGauge(prefix + "vscale.clamped_cycles",
-                      [d] { return d->clamped_cycles(); });
-    reg.RegisterGauge(prefix + "vscale.reads_failed",
-                      [d] { return d->channel().reads_failed(); });
-    reg.RegisterGauge(prefix + "vscale.torn_rejected",
-                      [d] { return d->channel().torn_rejected(); });
-    reg.RegisterGauge(prefix + "vscale.freeze_op_failures",
-                      [d] { return d->balancer().op_failures(); });
-    reg.RegisterGauge(prefix + "vscale.freeze_op_hangs",
-                      [d] { return d->balancer().op_hangs(); });
-  }
-  if (watchdog_ != nullptr) {
-    VscaleWatchdog* w = watchdog_.get();
-    reg.RegisterGauge(prefix + "vscale.watchdog_trips", [w] { return w->trips(); });
-    reg.RegisterGauge(prefix + "vscale.watchdog_recoveries",
-                      [w] { return w->recoveries(); });
-  }
-  if (reconciler_ != nullptr) {
-    VscaleReconciler* r = reconciler_.get();
-    reg.RegisterGauge(prefix + "vscale.reconcile.cycles",
-                      [r] { return r->cycles(); });
-    reg.RegisterGauge(prefix + "vscale.reconcile.divergence_detected",
-                      [r] { return r->divergence_detected(); });
-    reg.RegisterGauge(prefix + "vscale.reconcile.repairs",
-                      [r] { return r->repairs(); });
-  }
 }
 
 Testbed::~Testbed() {
-  if (stall_enabled_) {
-    // Close the stall timeline at the machine's final time and publish the
-    // totals before gauge freezing, so one metrics CSV carries both.
-    StallAccountant& acct = StallAccountant::Global();
-    acct.FinishRun(sim().Now());
-    acct.PublishMetrics(MetricsRegistry::Global(),
-                        SanitizeMetricName(ToString(config_.policy)) + ".");
+  const Observers& obs = config_.observers;
+  if (obs.stall != nullptr) {
+    // Close the stall timeline at the machine's final time; its stall_dominant.*
+    // coverage points land in this run's map before the map is published.
+    obs.stall->FinishRun(sim().Now());
   }
-  if (cover_enabled_) {
-    // After the stall FinishRun above, so the dominant-bucket points it emits
-    // land in this run's vector; publish the per-run coverage vector as cov.*
-    // counters, then drop the gate. Counts stay readable (CoverageMap::Vector)
-    // until the next BeginRun — the oracle harvests them post-destruction.
-    CoverageMap& cov = CoverageMap::Global();
-    cov.PublishMetrics(MetricsRegistry::Global(),
-                       SanitizeMetricName(ToString(config_.policy)) + ".");
-    cov.FinishRun();
+  if (obs.metrics != nullptr) {
+    PublishMetrics(*obs.metrics);
   }
-  // Gauges registered above hold references into this machine: materialize their
-  // final values before teardown so later WriteCsv() calls stay valid.
-  MetricsRegistry::Global().FreezeGauges();
+}
+
+void Testbed::PublishMetrics(MetricsRegistry& reg) const {
+  // The prefix separates policies when one registry collects several testbeds;
+  // same-policy reruns overwrite (last run wins).
+  const std::string prefix = SanitizeMetricName(ToString(config_.policy)) + ".";
+  PublishMachineMetrics(reg, *machine_, prefix);
+  if (injector_ != nullptr) {
+    reg.Counter(prefix + "faults.events_started") = injector_->events_started();
+    reg.Counter(prefix + "faults.events_ended") = injector_->events_ended();
+    reg.Counter(prefix + "hv.stolen_ns_total") = machine_->total_stolen_ns();
+  }
+  if (const VscaleDaemon* d = daemon_.get()) {
+    reg.Counter(prefix + "vscale.cycles") = d->cycles();
+    reg.Counter(prefix + "vscale.read_retries") = d->read_retries();
+    reg.Counter(prefix + "vscale.apply_retries") = d->apply_retries();
+    reg.Counter(prefix + "vscale.stale_detections") = d->stale_detections();
+    reg.Counter(prefix + "vscale.stale_held_cycles") = d->stale_held_cycles();
+    reg.Counter(prefix + "vscale.degradations") = d->degradations();
+    reg.Counter(prefix + "vscale.resumes") = d->resumes();
+    reg.Counter(prefix + "vscale.crashes") = d->crashes();
+    reg.Counter(prefix + "vscale.restarts") = d->restarts();
+    reg.Counter(prefix + "vscale.clamped_cycles") = d->clamped_cycles();
+    reg.Counter(prefix + "vscale.reads_failed") = d->channel().reads_failed();
+    reg.Counter(prefix + "vscale.torn_rejected") = d->channel().torn_rejected();
+    reg.Counter(prefix + "vscale.freeze_op_failures") = d->balancer().op_failures();
+    reg.Counter(prefix + "vscale.freeze_op_hangs") = d->balancer().op_hangs();
+  }
+  if (watchdog_ != nullptr) {
+    reg.Counter(prefix + "vscale.watchdog_trips") = watchdog_->trips();
+    reg.Counter(prefix + "vscale.watchdog_recoveries") = watchdog_->recoveries();
+  }
+  if (reconciler_ != nullptr) {
+    reg.Counter(prefix + "vscale.reconcile.cycles") = reconciler_->cycles();
+    reg.Counter(prefix + "vscale.reconcile.divergence_detected") =
+        reconciler_->divergence_detected();
+    reg.Counter(prefix + "vscale.reconcile.repairs") = reconciler_->repairs();
+  }
+  if (config_.observers.stall != nullptr) {
+    config_.observers.stall->PublishMetrics(reg, prefix);
+  }
+  if (config_.observers.coverage != nullptr) {
+    config_.observers.coverage->PublishMetrics(reg, prefix);
+  }
 }
 
 bool Testbed::RunUntil(const std::function<bool()>& stop, TimeNs deadline) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/observers.h"
 #include "src/base/time.h"
 #include "src/faults/fault_injector.h"
 #include "src/guest/kernel.h"
@@ -129,14 +130,15 @@ struct TestbedConfig {
   // Tri-state reconciler tuning; constructed only when hardening.reconciler is
   // set (and the policy runs vScale), so stock runs schedule nothing extra.
   ReconcilerConfig reconciler;
-  // Stall-attribution accounting (docs/OBSERVABILITY.md). Off by default; like
-  // tracing it never mutates simulation state, so an enabled run digests
-  // bit-identically to a disabled one (tools/digest_run --stall-check).
+  // Where this run's observations go (src/base/observers.h): sinks the caller
+  // owns, null = that observer off. Attaching one never changes the simulation
+  // (tools/digest_run --observers-check). At teardown the Testbed writes its
+  // statistics as counters into observers.metrics (docs/OBSERVABILITY.md).
+  Observers observers;
+  // Attaches the process-wide StallAccountant::Global() when observers.stall is
+  // null, for the benchmark harness that reads it after teardown (perfbench/).
+  // Every other caller attaches its own accountant through observers.stall.
   bool stall_accounting = false;
-  // Semantic coverage map (docs/FUZZING.md). Off by default; a pure observer
-  // like stall accounting, so an enabled run digests bit-identically to a
-  // disabled one (tools/digest_run --cov-check).
-  bool coverage = false;
   // Antagonist VMs joining the pool beside the desktops, one domain each, in
   // order (docs/ADVERSARIAL.md). Empty = the stock benign testbed.
   std::vector<AntagonistConfig> antagonists;
@@ -196,15 +198,6 @@ class Testbed {
     return antagonist_domain_ids_;
   }
 
-  bool stall_enabled() const { return stall_enabled_; }
-  bool coverage_enabled() const { return cover_enabled_; }
-  // Process-wide default for stall accounting, so harness flag parsing
-  // (bench/bench_common.h) can enable it without threading a field through
-  // every benchmark's config construction. OR-ed with config.stall_accounting.
-  static void SetStallAccountingDefault(bool enabled);
-  // Same mechanism for the coverage map; OR-ed with config.coverage.
-  static void SetCoverageDefault(bool enabled);
-
   // --- metric helpers over the primary VM ---
   TimeNs PrimaryWaitTime() const { return machine_->domain(0).TotalWait(); }
   TimeNs PrimaryRunTime() const { return machine_->domain(0).TotalRuntime(); }
@@ -212,9 +205,11 @@ class Testbed {
   int64_t PrimaryTimerInts() const;
 
  private:
+  // Writes the run's machine, guest and control-plane statistics, then the
+  // attached accountant's and coverage map's, as counters under the policy prefix.
+  void PublishMetrics(MetricsRegistry& registry) const;
+
   TestbedConfig config_;
-  bool stall_enabled_ = false;
-  bool cover_enabled_ = false;
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<GuestKernel> primary_kernel_;
   std::vector<std::unique_ptr<GuestKernel>> background_kernels_;

@@ -1,5 +1,5 @@
-// CoverageMap unit tests (docs/FUZZING.md): catalogue naming, the VS_COVER
-// gate, the daemon-state shadows behind the pair.* features, scenario-shape
+// CoverageMap unit tests (docs/FUZZING.md): catalogue naming, the per-run
+// hook routing, the daemon-state shadows behind the pair.* features, scenario-shape
 // binning, metric export — plus the generator-side contracts the guided
 // fuzzer rests on: PredictedCoverage's static points, MutateScenario's
 // determinism, and biased generation degenerating to blind against a
@@ -44,36 +44,27 @@ TEST(CoverageCatalogue, NamesRoundTripAndUnique) {
   EXPECT_FALSE(ParseCoveragePoint("fault.not_a_kind", &p));
 }
 
-TEST(CoverageMapTest, HookGateFollowsLifecycle) {
-  CoverageMap& map = CoverageMap::Global();
-  map.Reset();
-  EXPECT_FALSE(map.active());
-  // An inactive map's hook macro must not record: this is the whole
-  // disabled-run cost model.
-  VS_COVER(Record(CoveragePoint::kBoostDenied));
-  EXPECT_EQ(map.count(CoveragePoint::kBoostDenied), 0);
+TEST(CoverageMapTest, HooksRecordIntoTheirOwnRunsMap) {
+  CoverageMap mine;
+  CoverageMap other;
+  Observers run;
+  run.coverage = &mine;
+  // An unobserved run's hook records nowhere: this is the whole cost model of
+  // a run with no map attached.
+  VS_OBSERVE(Observers{}, coverage, Record(CoveragePoint::kBoostDenied));
+  VS_OBSERVE(run, coverage, Record(CoveragePoint::kBoostDenied));
+  VS_OBSERVE(run, coverage, Record(CoveragePoint::kBoostDenied));
+  EXPECT_EQ(mine.count(CoveragePoint::kBoostDenied), 2);
+  EXPECT_EQ(mine.covered_points(), 1);
+  EXPECT_EQ(other.covered_points(), 0);
 
-  map.BeginRun();
-  EXPECT_TRUE(map.active());
-  VS_COVER(Record(CoveragePoint::kBoostDenied));
-  VS_COVER(Record(CoveragePoint::kBoostDenied));
-  EXPECT_EQ(map.count(CoveragePoint::kBoostDenied), 2);
-
-  // FinishRun closes the gate but keeps counts readable for harvest.
-  map.FinishRun();
-  EXPECT_FALSE(map.active());
-  VS_COVER(Record(CoveragePoint::kBoostDenied));
-  EXPECT_EQ(map.count(CoveragePoint::kBoostDenied), 2);
-  EXPECT_EQ(map.covered_points(), 1);
-
-  map.Reset();
-  EXPECT_EQ(map.count(CoveragePoint::kBoostDenied), 0);
+  // BeginRun starts the next run from zero.
+  mine.BeginRun();
+  EXPECT_EQ(mine.count(CoveragePoint::kBoostDenied), 0);
 }
 
 TEST(CoverageMapTest, PairFeaturesTrackDaemonState) {
-  CoverageMap& map = CoverageMap::Global();
-  map.Reset();
-  map.BeginRun();
+  CoverageMap map;
   const int stall = static_cast<int>(CoveragePoint::kFaultDaemonStall);
 
   map.OnFaultBegin(stall);  // healthy daemon: base point only
@@ -102,13 +93,10 @@ TEST(CoverageMapTest, PairFeaturesTrackDaemonState) {
   map.OnDaemonResume();
   map.OnFaultBegin(stall);
   EXPECT_EQ(map.count(CoveragePoint::kPairDaemonStallDegraded), 2);
-  map.Reset();
 }
 
 TEST(CoverageMapTest, WatchdogTripDegradedCompound) {
-  CoverageMap& map = CoverageMap::Global();
-  map.Reset();
-  map.BeginRun();
+  CoverageMap map;
   map.OnWatchdogTrip();
   EXPECT_EQ(map.count(CoveragePoint::kWatchdogTrip), 1);
   EXPECT_EQ(map.count(CoveragePoint::kWatchdogTripDegraded), 0);
@@ -117,13 +105,10 @@ TEST(CoverageMapTest, WatchdogTripDegradedCompound) {
   EXPECT_EQ(map.count(CoveragePoint::kWatchdogTripDegraded), 1);
   map.OnWatchdogRecovery();
   EXPECT_EQ(map.count(CoveragePoint::kWatchdogRecovery), 1);
-  map.Reset();
 }
 
 TEST(CoverageMapTest, ShapeBins) {
-  CoverageMap& map = CoverageMap::Global();
-  map.Reset();
-  map.BeginRun();
+  CoverageMap map;
   map.RecordShape(/*policy=*/static_cast<int>(Policy::kVscalePvlock),
                   /*domains=*/5, /*primary_vcpus=*/8, /*dedicated=*/false,
                   /*antagonist=*/true, /*hardened=*/true);
@@ -144,49 +129,42 @@ TEST(CoverageMapTest, ShapeBins) {
   EXPECT_TRUE(map.covered(CoveragePoint::kShapeDedicated));
   EXPECT_TRUE(map.covered(CoveragePoint::kShapePolicyBaseline));
   EXPECT_EQ(map.covered_points(), 4);
-  map.Reset();
 }
 
 TEST(CoverageMapTest, PublishMetricsExportsCovCounters) {
-  CoverageMap& map = CoverageMap::Global();
-  map.Reset();
-  map.BeginRun();
+  CoverageMap map;
   map.Record(CoveragePoint::kTornReadRejected);
   MetricsRegistry reg;
   map.PublishMetrics(reg, "vscale.");
   EXPECT_EQ(reg.Counter("vscale.cov.channel.torn_read_rejected"), 1);
   EXPECT_EQ(reg.Counter("vscale.cov.fault.channel_stale"), 0);
-  map.Reset();
 }
 
-// The testbed arms the map from its config and bins the resolved shape — the
-// RunMetrics path every oracle run and every --cov-check cell goes through.
+// The testbed arms the attached map and bins the resolved shape — the
+// RunMetrics path every oracle run and every --observers-check cell goes
+// through.
 TEST(CoverageTestbedTest, ArmsAndBinsResolvedShape) {
-  MetricsRegistry::Global().Clear();
-  CoverageMap::Global().Reset();
+  CoverageMap map;
+  MetricsRegistry metrics;
   {
     TestbedConfig cfg;
     cfg.policy = Policy::kVscale;
     cfg.primary_vcpus = 2;
     cfg.pool_pcpus = 2;
     cfg.background_vms = -1;  // dedicated
-    cfg.coverage = true;
+    cfg.observers.coverage = &map;
+    cfg.observers.metrics = &metrics;
     Testbed bed(cfg);
-    EXPECT_TRUE(bed.coverage_enabled());
-    EXPECT_TRUE(CoverageMap::Global().active());
+    EXPECT_EQ(bed.sim().observers().coverage, &map);
     bed.sim().RunUntil(Milliseconds(50));
   }
-  // Post-dtor: gate closed, vector harvested, cov.* metrics published.
-  EXPECT_FALSE(CoverageMap::Global().active());
-  const CoverageVector v = CoverageMap::Global().Vector();
+  // Post-dtor: vector harvestable, cov.* metrics published.
+  const CoverageVector v = map.Vector();
   EXPECT_EQ(At(v, CoveragePoint::kShapeDomains1), 1);
   EXPECT_EQ(At(v, CoveragePoint::kShapeDedicated), 1);
   EXPECT_EQ(At(v, CoveragePoint::kShapeVcpusSmall), 1);
   EXPECT_EQ(At(v, CoveragePoint::kShapePolicyVscale), 1);
-  EXPECT_EQ(
-      MetricsRegistry::Global().Counter("vscale.cov.shape.policy_vscale"), 1);
-  CoverageMap::Global().Reset();
-  MetricsRegistry::Global().Clear();
+  EXPECT_EQ(metrics.Value("vscale.cov.shape.policy_vscale"), 1);
 }
 
 TEST(CoverageGenTest, PredictedCoverageStaticPoints) {

@@ -1,15 +1,20 @@
 // Tests for the stall-attribution profiler (src/obs/): synthetic-timeline unit
 // checks of the bucket state machine, exhaustiveness under a chaotic faulted
-// run, the CSV round trip through the stall_report loader, and the
+// run, the CSV round trip through the stall_report loader, the
 // paper-acceptance claim itself — under vScale the primary domain's
-// scheduler-attributable stall share (runnable wait + LHP spin) drops.
+// scheduler-attributable stall share (runnable wait + LHP spin) drops — and
+// observer isolation: each run reports only into the sinks attached to it.
 
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/base/metrics_registry.h"
+#include "src/base/observers.h"
 #include "src/base/time.h"
 #include "src/faults/fault_plan.h"
 #include "src/obs/stall_accounting.h"
@@ -20,22 +25,15 @@
 namespace vscale {
 namespace {
 
-// Every test drives the process-global accountant; start and end clean so
-// ordering between tests cannot leak state.
-class StallTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    StallAccountant::Global().Reset();
-    MetricsRegistry::Global().Clear();
-  }
-  void TearDown() override {
-    StallAccountant::Global().Reset();
-    MetricsRegistry::Global().Clear();
-  }
-};
+Observers Attach(StallAccountant* stall, MetricsRegistry* metrics = nullptr) {
+  Observers obs;
+  obs.stall = stall;
+  obs.metrics = metrics;
+  return obs;
+}
 
-TEST_F(StallTest, SyntheticTimelineIsExhaustive) {
-  StallAccountant& a = StallAccountant::Global();
+TEST(StallTest, SyntheticTimelineIsExhaustive) {
+  StallAccountant a;
   a.BeginRun("unit");
   a.OnVcpuCreated(0, 0, 0);           // born blocked+idle at t=0
   a.OnWake(0, 0, 100);                // idle 100ns, now waiting for a pCPU
@@ -64,8 +62,8 @@ TEST_F(StallTest, SyntheticTimelineIsExhaustive) {
   EXPECT_EQ(total, 1000);
 }
 
-TEST_F(StallTest, FlagBucketsDeriveWithFrozenPrecedence) {
-  StallAccountant& a = StallAccountant::Global();
+TEST(StallTest, FlagBucketsDeriveWithFrozenPrecedence) {
+  StallAccountant a;
   a.BeginRun("unit");
   a.OnVcpuCreated(1, 0, 0);
   // An event posted to a woken-but-undispatched vCPU opens the delayed-IPI
@@ -84,8 +82,8 @@ TEST_F(StallTest, FlagBucketsDeriveWithFrozenPrecedence) {
   EXPECT_EQ(a.BucketNs(1, 0, StallBucket::kRunning), 0);
 }
 
-TEST_F(StallTest, IpiLatencyMatchingAndLeftovers) {
-  StallAccountant& a = StallAccountant::Global();
+TEST(StallTest, IpiLatencyMatchingAndLeftovers) {
+  StallAccountant a;
   a.BeginRun("unit");
   a.OnVcpuCreated(0, 2, 0);
   a.OnIpiSent(0, 2, 1000);
@@ -98,36 +96,47 @@ TEST_F(StallTest, IpiLatencyMatchingAndLeftovers) {
   EXPECT_EQ(a.ipi_unmatched_sends(), 1);
 }
 
-// Runs one quickstart-shaped testbed cell (full consolidated pool, full-length
-// app — small cells finish before the desktops' crunch phases ever force the
-// balancer to act) with stall accounting on; the Testbed destructor finishes
-// the run and publishes metrics under "<policy>." like the harnesses.
-void RunStallCell(Policy policy, const char* fault_spec = nullptr) {
+// Builds one quickstart-shaped testbed cell (full consolidated pool) observed
+// through `obs`. The Testbed destructor finishes the stall run and publishes
+// metrics under "<policy>." like the harnesses.
+TestbedConfig StallCell(Policy policy, const Observers& obs) {
   TestbedConfig cfg;
   cfg.policy = policy;
   cfg.primary_vcpus = 4;
   cfg.seed = 42;
-  cfg.stall_accounting = true;
-  if (fault_spec != nullptr) {
-    std::string error;
-    ASSERT_TRUE(ParseFaultPlan(fault_spec, &cfg.faults, &error)) << error;
-  }
-  Testbed bed(cfg);
-  ASSERT_TRUE(bed.stall_enabled());
-  OmpAppConfig app_cfg = NpbProfile("lu", cfg.primary_vcpus, kSpinCountActive);
+  cfg.observers = obs;
+  return cfg;
+}
+
+// Runs a full-length lu on `bed` (small cells finish before the desktops'
+// crunch phases ever force the balancer to act).
+void RunLu(Testbed& bed) {
+  OmpAppConfig app_cfg = NpbProfile("lu", 4, kSpinCountActive);
   OmpApp app(bed.primary(), app_cfg, 23);
   bed.sim().RunUntil(Milliseconds(200));
   app.Start();
   ASSERT_TRUE(bed.RunUntil([&] { return app.done(); }, Seconds(600)));
 }
 
-TEST_F(StallTest, ChaoticFaultedRunStaysExhaustive) {
+void RunStallCell(Policy policy, const Observers& obs,
+                  const char* fault_spec = nullptr) {
+  TestbedConfig cfg = StallCell(policy, obs);
+  if (fault_spec != nullptr) {
+    std::string error;
+    ASSERT_TRUE(ParseFaultPlan(fault_spec, &cfg.faults, &error)) << error;
+  }
+  Testbed bed(cfg);
+  ASSERT_EQ(bed.sim().observers().stall, obs.stall);
+  RunLu(bed);
+}
+
+TEST(StallTest, ChaoticFaultedRunStaysExhaustive) {
   // The satellite-3 gate: freezes, daemon crashes, steal bursts and injected
   // latency must not open a hole in the bucket decomposition.
-  RunStallCell(Policy::kVscale,
+  StallAccountant a;
+  RunStallCell(Policy::kVscale, Attach(&a),
                "chan-stale@400ms+600ms;stall@1500ms+800ms;"
                "freeze-fail@3s+400ms;latency@4s+300ms*12;steal@5s+500ms*1");
-  StallAccountant& a = StallAccountant::Global();
   EXPECT_GT(a.samples(), 0);
   EXPECT_EQ(a.exhaustive_failures(), 0);
   EXPECT_GT(a.wake_to_dispatch().count(), 0);
@@ -140,12 +149,14 @@ TEST_F(StallTest, ChaoticFaultedRunStaysExhaustive) {
   EXPECT_GT(stolen, 0);
 }
 
-TEST_F(StallTest, BaselineVsVscaleShareShiftSurvivesCsvRoundTrip) {
-  RunStallCell(Policy::kBaseline);
-  RunStallCell(Policy::kVscale);
+TEST(StallTest, BaselineVsVscaleShareShiftSurvivesCsvRoundTrip) {
+  StallAccountant a;
+  MetricsRegistry reg;
+  RunStallCell(Policy::kBaseline, Attach(&a, &reg));
+  RunStallCell(Policy::kVscale, Attach(&a, &reg));
 
   std::stringstream csv;
-  StallAccountant::Global().WriteCsv(csv);
+  a.WriteCsv(csv);
   StallSeries series;
   std::string error;
   ASSERT_TRUE(LoadStallCsv(csv, &series, &error)) << error;
@@ -170,7 +181,6 @@ TEST_F(StallTest, BaselineVsVscaleShareShiftSurvivesCsvRoundTrip) {
   EXPECT_LT(vscale_share, base_share);
 
   // Round trip: the loader's per-vCPU totals equal the accountant's.
-  StallAccountant& a = StallAccountant::Global();
   for (const auto& v : BuildVcpuBlame(series)) {
     if (v.run != "vscale" || v.vcpu < 0) {
       continue;
@@ -182,7 +192,6 @@ TEST_F(StallTest, BaselineVsVscaleShareShiftSurvivesCsvRoundTrip) {
   }
 
   // The Testbed destructor published each run's totals under stable names.
-  MetricsRegistry& reg = MetricsRegistry::Global();
   EXPECT_TRUE(reg.Has("xen_linux.stall.dom0.runnable_waiting_pcpu_ns"));
   EXPECT_TRUE(reg.Has("vscale.stall.dom0.frozen_ns"));
   EXPECT_TRUE(reg.Has("vscale.stall.lat.wake_to_dispatch.p95_ns"));
@@ -194,13 +203,92 @@ TEST_F(StallTest, BaselineVsVscaleShareShiftSurvivesCsvRoundTrip) {
   EXPECT_GT(reg.Value("vscale.stall.dom0.frozen_ns"), 0);
 }
 
-TEST_F(StallTest, DisabledAccountantIgnoresHooks) {
-  // The macro gate is the only caller discipline; a direct call against an
-  // inactive accountant must also be harmless and record nothing.
-  VSCALE_STALL_HOOK(OnVcpuCreated(0, 0, 0));
-  VSCALE_STALL_HOOK(OnWake(0, 0, 50));
-  EXPECT_EQ(StallAccountant::Global().BucketNs(0, 0, StallBucket::kIdle), 0);
-  EXPECT_FALSE(StallAccountant::Global().active());
+TEST(StallTest, HooksReachOnlyTheAttachedActiveAccountant) {
+  // An unobserved run's hook never evaluates its arguments.
+  int evaluations = 0;
+  const auto now = [&] {
+    ++evaluations;
+    return TimeNs{0};
+  };
+  VS_OBSERVE(Observers{}, stall, OnVcpuCreated(0, 0, now()));
+  EXPECT_EQ(evaluations, 0);
+
+  // An attached accountant outside BeginRun/FinishRun records nothing.
+  StallAccountant a;
+  const Observers obs = Attach(&a);
+  VS_OBSERVE(obs, stall, OnVcpuCreated(0, 0, now()));
+  VS_OBSERVE(obs, stall, OnWake(0, 0, 50));
+  EXPECT_EQ(evaluations, 1);
+  EXPECT_EQ(a.BucketNs(0, 0, StallBucket::kIdle), 0);
+  EXPECT_FALSE(a.active());
+}
+
+// The observed run of a cell, as its harness sees it after teardown.
+struct ObservedRun {
+  std::string stall_csv;
+  int64_t exhaustive_failures = 0;
+  std::vector<std::pair<std::string, int64_t>> metrics;
+};
+
+ObservedRun Harvest(const StallAccountant& stall, const MetricsRegistry& metrics) {
+  std::ostringstream csv;
+  stall.WriteCsv(csv);
+  return {csv.str(), stall.exhaustive_failures(), metrics.Collect()};
+}
+
+TEST(ObserverIsolationTest, UnobservedNeighbourLeavesObservedRunUntouched) {
+  StallAccountant solo_stall;
+  MetricsRegistry solo_metrics;
+  {
+    Testbed bed(StallCell(Policy::kVscale, Attach(&solo_stall, &solo_metrics)));
+    RunLu(bed);
+  }
+  const ObservedRun solo = Harvest(solo_stall, solo_metrics);
+
+  // The same observed cell, alive beside an unobserved baseline neighbour that
+  // runs and is torn down first: neither its hooks nor its teardown may reach
+  // the observed run's sinks.
+  StallAccountant stall;
+  MetricsRegistry metrics;
+  {
+    Testbed observed(StallCell(Policy::kVscale, Attach(&stall, &metrics)));
+    auto neighbour = std::make_unique<Testbed>(StallCell(Policy::kBaseline, {}));
+    RunLu(*neighbour);
+    neighbour.reset();
+    RunLu(observed);
+  }
+  const ObservedRun shared = Harvest(stall, metrics);
+
+  EXPECT_EQ(shared.exhaustive_failures, 0);
+  EXPECT_EQ(shared.exhaustive_failures, solo.exhaustive_failures);
+  EXPECT_EQ(shared.stall_csv.size(), solo.stall_csv.size());
+  EXPECT_TRUE(shared.stall_csv == solo.stall_csv);
+  EXPECT_EQ(shared.metrics, solo.metrics);
+  EXPECT_GT(metrics.Value("vscale.dom.primary.wait_ns"), 0);
+  EXPECT_FALSE(metrics.Has("xen_linux.dom.primary.wait_ns"));
+}
+
+// The benchmark harness's path (perfbench/harness/bench.cc): stall_accounting
+// with no accountant attached reports into StallAccountant::Global(), which
+// the harness reads after teardown and then resets.
+TEST(PerfbenchStallPath, StallAccountingAttachesTheProcessWideAccountant) {
+  StallAccountant& global = StallAccountant::Global();
+  global.Reset();
+  {
+    TestbedConfig cfg = StallCell(Policy::kVscale, {});
+    cfg.stall_accounting = true;
+    cfg.pool_pcpus = 4;
+    Testbed bed(cfg);
+    EXPECT_EQ(bed.sim().observers().stall, &global);
+    OmpAppConfig app_cfg = NpbProfile("lu", 4, kSpinCountActive);
+    app_cfg.intervals = 20;
+    OmpApp app(bed.primary(), app_cfg, 23);
+    app.Start();
+    ASSERT_TRUE(bed.RunUntil([&] { return app.done(); }, Seconds(60)));
+  }
+  EXPECT_GT(global.DomainBucketNs(0, StallBucket::kRunning), 0);
+  global.Reset();
+  EXPECT_EQ(global.DomainBucketNs(0, StallBucket::kRunning), 0);
 }
 
 }  // namespace

@@ -32,7 +32,6 @@ TEST(TraceExportTest, EmptyTracerIsValid) {
 
 TEST(TraceExportTest, InstantAndCounterLayout) {
   Tracer t(16);
-  t.Enable();
   t.SetDomainName(0, "primary");
   t.Record(1000, TraceCategory::kGuest, TracePhase::kInstant, "ipi_send", 0, 1,
            -1, "to", 3);
@@ -59,7 +58,6 @@ TEST(TraceExportTest, InstantAndCounterLayout) {
 
 TEST(TraceExportTest, RunSlicesMirroredAndBalanced) {
   Tracer t(16);
-  t.Enable();
   t.Record(100, TraceCategory::kHypervisor, TracePhase::kBegin, "run", 0, 1, 2,
            nullptr, 0);
   t.Record(400, TraceCategory::kHypervisor, TracePhase::kEnd, "run", 0, 1, 2,
@@ -77,7 +75,6 @@ TEST(TraceExportTest, RunSlicesMirroredAndBalanced) {
 
 TEST(TraceExportTest, OrphanEndDroppedDanglingBeginClosed) {
   Tracer t(16);
-  t.Enable();
   // E with no B (its begin fell off the ring), then a B never closed.
   t.Record(50, TraceCategory::kHypervisor, TracePhase::kEnd, "run", 0, 0, 0,
            nullptr, 0);
@@ -91,7 +88,6 @@ TEST(TraceExportTest, OrphanEndDroppedDanglingBeginClosed) {
 
 TEST(TraceExportTest, EscapesDomainNames) {
   Tracer t(8);
-  t.Enable();
   t.SetDomainName(0, "we\"ird\\name");
   t.Record(10, TraceCategory::kGuest, TracePhase::kInstant, "x", 0, 0, -1,
            nullptr, 0);
@@ -123,14 +119,14 @@ TEST(TraceValidateTest, RejectsMalformedInput) {
 }
 
 TEST(TraceExportTest, InstrumentedRunExportsAllLayers) {
-  GlobalTracer().Clear();
-  GlobalTracer().Enable();
+  Tracer tracer;
   {
     TestbedConfig cfg;
     cfg.policy = Policy::kVscale;
     cfg.primary_vcpus = 4;
     cfg.pool_pcpus = 4;
     cfg.seed = 3;
+    cfg.observers.tracer = &tracer;
     Testbed bed(cfg);
     OmpAppConfig ac = NpbProfile("cg", cfg.primary_vcpus, kSpinCountActive);
     ac.intervals = 30;
@@ -139,9 +135,7 @@ TEST(TraceExportTest, InstrumentedRunExportsAllLayers) {
     app.Start();
     bed.RunUntil([&] { return app.done(); }, Seconds(60));
   }
-  GlobalTracer().Disable();
-  const std::string json = Export(GlobalTracer());
-  GlobalTracer().Clear();
+  const std::string json = Export(tracer);
 
 #if VSCALE_TRACE
   TraceStats stats;
@@ -164,18 +158,13 @@ TEST(TraceExportTest, InstrumentedRunExportsAllLayers) {
 }
 
 TEST(TraceExportTest, TracingDoesNotPerturbSimulation) {
-  auto run = [](bool traced) {
-    if (traced) {
-      GlobalTracer().Clear();
-      GlobalTracer().Enable();
-    } else {
-      GlobalTracer().Disable();
-    }
+  auto run = [](Tracer* tracer) {
     TestbedConfig cfg;
     cfg.policy = Policy::kVscale;
     cfg.primary_vcpus = 4;
     cfg.pool_pcpus = 4;
     cfg.seed = 5;
+    cfg.observers.tracer = tracer;
     Testbed bed(cfg);
     OmpAppConfig ac = NpbProfile("mg", cfg.primary_vcpus, kSpinCountActive);
     ac.intervals = 20;
@@ -183,12 +172,11 @@ TEST(TraceExportTest, TracingDoesNotPerturbSimulation) {
     bed.sim().RunUntil(Milliseconds(200));
     app.Start();
     bed.RunUntil([&] { return app.done(); }, Seconds(60));
-    GlobalTracer().Disable();
     return app.duration();
   };
-  const TimeNs untraced = run(false);
-  const TimeNs traced = run(true);
-  GlobalTracer().Clear();
+  const TimeNs untraced = run(nullptr);
+  Tracer tracer;
+  const TimeNs traced = run(&tracer);
   EXPECT_EQ(untraced, traced);  // recording must be invisible to the simulation
 }
 

@@ -1,11 +1,11 @@
 // Unit tests for the flight recorder core (src/base/trace.h) and the metrics
-// registry (src/base/metrics_registry.h): ring wraparound, category filtering,
-// timestamp rebasing, the disabled no-op guarantee, and gauge freezing.
+// registry (src/base/metrics_registry.h): ring wraparound, timestamp rebasing,
+// hooks recording into their own run's tracer only, the unattached no-op
+// guarantee, and the counter registry's sorted CSV.
 
 #include "src/base/metrics_registry.h"
 #include "src/base/trace.h"
 
-#include <memory>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@ namespace {
 
 TEST(TracerTest, RecordsInOrder) {
   Tracer t(16);
-  t.Enable();
   t.Record(10, TraceCategory::kSim, TracePhase::kInstant, "a", -1, -1, -1, nullptr, 0);
   t.Record(20, TraceCategory::kGuest, TracePhase::kInstant, "b", 0, 1, 2, "x", 7);
   ASSERT_EQ(t.size(), 2u);
@@ -33,7 +32,6 @@ TEST(TracerTest, RecordsInOrder) {
 
 TEST(TracerTest, RingWraparoundKeepsNewestEvents) {
   Tracer t(8);
-  t.Enable();
   for (int i = 0; i < 20; ++i) {
     t.Record(i, TraceCategory::kSim, TracePhase::kInstant, "e", -1, -1, -1,
              "i", i);
@@ -49,56 +47,60 @@ TEST(TracerTest, RingWraparoundKeepsNewestEvents) {
   }
 }
 
-TEST(TracerTest, CategoryFiltering) {
+TEST(TracerTest, RecordsEveryCategory) {
   Tracer t(16);
-  t.Enable(static_cast<uint32_t>(TraceCategory::kGuest));
   t.Record(1, TraceCategory::kSim, TracePhase::kInstant, "sim", -1, -1, -1,
            nullptr, 0);
   t.Record(2, TraceCategory::kGuest, TracePhase::kInstant, "guest", 0, 0, -1,
            nullptr, 0);
   t.Record(3, TraceCategory::kHypervisor, TracePhase::kInstant, "hv", 0, 0, 0,
            nullptr, 0);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_STREQ(t.Snapshot()[0].name, "guest");
+  const auto events = t.Snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[1].category, TraceCategory::kGuest);
+  EXPECT_EQ(events[2].category, TraceCategory::kHypervisor);
 }
 
-TEST(TracerTest, DisabledRecordsNothing) {
-  Tracer t(16);
-  t.Record(1, TraceCategory::kSim, TracePhase::kInstant, "a", -1, -1, -1,
-           nullptr, 0);
-  EXPECT_EQ(t.size(), 0u);
-  t.Enable();
-  t.Record(2, TraceCategory::kSim, TracePhase::kInstant, "b", -1, -1, -1,
-           nullptr, 0);
-  t.Disable();
-  t.Record(3, TraceCategory::kSim, TracePhase::kInstant, "c", -1, -1, -1,
-           nullptr, 0);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_STREQ(t.Snapshot()[0].name, "b");
-}
-
-TEST(TracerTest, MacrosAreNoOpsWhenGlobalTracerDisabled) {
-  GlobalTracer().Clear();
-  GlobalTracer().Disable();
-  EXPECT_FALSE(VSCALE_TRACE_ACTIVE());
+TEST(TracerTest, MacrosAreNoOpsWithoutATracer) {
+  const Observers unobserved;
+  EXPECT_FALSE(VSCALE_TRACE_ACTIVE(unobserved));
   int evaluations = 0;
   auto expensive = [&] {
     ++evaluations;
     return 1;
   };
-  VSCALE_TRACE_INSTANT_ARG(0, TraceCategory::kSim, "x", -1, -1, -1, "v",
+  VSCALE_TRACE_INSTANT_ARG(unobserved, 0, TraceCategory::kSim, "x", -1, -1, -1, "v",
                            expensive());
   (void)expensive;  // unreferenced when hooks compile out
-  EXPECT_EQ(GlobalTracer().size(), 0u);
 #if VSCALE_TRACE
-  // Hooks compiled in: the gate must short-circuit before argument evaluation.
+  // Hooks compiled in: the pointer check must short-circuit before argument
+  // evaluation.
   EXPECT_EQ(evaluations, 0);
+#endif
+}
+
+TEST(TracerTest, MacrosRecordIntoTheirOwnRunsTracer) {
+  Tracer mine(16);
+  Tracer other(16);
+  Observers run;
+  run.tracer = &mine;
+  ASSERT_EQ(run.tracer, &mine);
+  VSCALE_TRACE_INSTANT(run, 5, TraceCategory::kGuest, "mine", 0, 1, -1);
+  VSCALE_TRACE_COUNTER(run, 6, TraceCategory::kVscale, "level", 0, 3);
+  EXPECT_EQ(other.size(), 0u);
+#if VSCALE_TRACE
+  EXPECT_TRUE(VSCALE_TRACE_ACTIVE(run));
+  ASSERT_EQ(mine.size(), 2u);
+  EXPECT_STREQ(mine.Snapshot()[0].name, "mine");
+  EXPECT_EQ(mine.Snapshot()[1].phase, TracePhase::kCounter);
+  EXPECT_EQ(mine.Snapshot()[1].arg, 3);
+#else
+  EXPECT_EQ(mine.size(), 0u);
 #endif
 }
 
 TEST(TracerTest, RebasesTimestampsAcrossRuns) {
   Tracer t(16);
-  t.Enable();
   // Run 1 reaches t=100; run 2 restarts at t=5 (a fresh Machine).
   t.Record(50, TraceCategory::kSim, TracePhase::kInstant, "r1a", -1, -1, -1,
            nullptr, 0);
@@ -117,16 +119,6 @@ TEST(TracerTest, RebasesTimestampsAcrossRuns) {
   EXPECT_EQ(events[3].ts - events[2].ts, 25);
 }
 
-TEST(TracerTest, SetCapacityClears) {
-  Tracer t(8);
-  t.Enable();
-  t.Record(1, TraceCategory::kSim, TracePhase::kInstant, "a", -1, -1, -1,
-           nullptr, 0);
-  t.SetCapacity(32);
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.capacity(), 32u);
-}
-
 TEST(TracerTest, DomainNames) {
   Tracer t(8);
   t.SetDomainName(0, "primary");
@@ -142,47 +134,26 @@ TEST(TraceCategoryTest, Names) {
   EXPECT_STREQ(ToString(TraceCategory::kVscale), "vscale");
 }
 
-TEST(MetricsRegistryTest, CountersAndGauges) {
+TEST(MetricsRegistryTest, Counters) {
   MetricsRegistry reg;
   int64_t& c = reg.Counter("hv.context_switches");
   c += 5;
   EXPECT_EQ(reg.Value("hv.context_switches"), 5);
-  int live = 3;
-  reg.RegisterGauge("dom.primary.active_vcpus",
-                    [&live] { return static_cast<int64_t>(live); });
+  reg.Counter("dom.primary.active_vcpus") = 3;
   EXPECT_EQ(reg.Value("dom.primary.active_vcpus"), 3);
-  live = 2;
-  EXPECT_EQ(reg.Value("dom.primary.active_vcpus"), 2);
   EXPECT_TRUE(reg.Has("hv.context_switches"));
   EXPECT_FALSE(reg.Has("nope"));
+  EXPECT_EQ(reg.Value("nope"), 0);
   EXPECT_EQ(reg.size(), 2u);
-}
-
-TEST(MetricsRegistryTest, GaugeShadowsCounter) {
-  MetricsRegistry reg;
-  reg.Counter("x") = 1;
-  reg.RegisterGauge("x", [] { return int64_t{42}; });
-  EXPECT_EQ(reg.Value("x"), 42);
-  EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(MetricsRegistryTest, FreezeGaugesSurvivesSourceDestruction) {
-  MetricsRegistry reg;
-  {
-    auto live = std::make_unique<int>(9);
-    int* p = live.get();
-    reg.RegisterGauge("g", [p] { return static_cast<int64_t>(*p); });
-    EXPECT_EQ(reg.Value("g"), 9);
-    reg.FreezeGauges();
-  }  // the gauge's referent is gone; the frozen counter must not read it
-  EXPECT_EQ(reg.Value("g"), 9);
+  reg.Clear();
+  EXPECT_EQ(reg.size(), 0u);
 }
 
 TEST(MetricsRegistryTest, CollectSortedAndCsv) {
   MetricsRegistry reg;
   reg.Counter("b.second") = 2;
   reg.Counter("a.first") = 1;
-  reg.RegisterGauge("c.third", [] { return int64_t{3}; });
+  reg.Counter("c.third") = 3;
   const auto all = reg.Collect();
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].first, "a.first");
@@ -190,14 +161,6 @@ TEST(MetricsRegistryTest, CollectSortedAndCsv) {
   std::ostringstream os;
   reg.WriteCsv(os);
   EXPECT_EQ(os.str(), "metric,value\na.first,1\nb.second,2\nc.third,3\n");
-}
-
-TEST(MetricsRegistryTest, MergeFromPrefixes) {
-  MetricsRegistry a;
-  a.Counter("wait_ns") = 100;
-  MetricsRegistry b;
-  b.MergeFrom(a, "vscale.");
-  EXPECT_EQ(b.Value("vscale.wait_ns"), 100);
 }
 
 TEST(SanitizeMetricNameTest, MapsToLowercaseUnderscore) {

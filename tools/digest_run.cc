@@ -14,15 +14,17 @@
 //                                    equals the one FILE pins for this seed
 //                                    (ctest runs it on tests/digests.golden:
 //                                    a commit that changes a digest fails)
-//   digest_run --stall-check         run the quickstart cell with stall
-//                                    attribution off then on; the machine/guest
-//                                    digests must match bit-for-bit (the
-//                                    profiler must be a pure observer)
-//   digest_run --cov-check           run every scenario with the coverage map
-//                                    off then on; the machine/guest digests
-//                                    must match bit-for-bit and each on-run
-//                                    must cover at least one point (the map
-//                                    must be a pure, non-vacuous observer)
+//   digest_run --observers-check     run every scenario with nothing attached,
+//                                    then with all four observers attached
+//                                    (tracer, stall accountant, coverage map,
+//                                    metrics registry); the machine/guest
+//                                    digests must match bit-for-bit and every
+//                                    observer must have observed something (the
+//                                    observers must be pure and non-vacuous)
+//   digest_run --stall-check         the same gate with only the stall
+//                                    accountant attached
+//   digest_run --cov-check           the same gate with only the coverage map
+//                                    attached
 //   digest_run <scenario> [--seed N] run once, print "scenario seed digest"
 //   digest_run --list                list scenario names
 //
@@ -47,8 +49,10 @@
 #include <vector>
 
 #include "src/base/metrics_registry.h"
+#include "src/base/observers.h"
 #include "src/base/parse.h"
 #include "src/base/time.h"
+#include "src/base/trace.h"
 #include "src/faults/fault_plan.h"
 #include "src/metrics/state_digest.h"
 #include "src/obs/coverage.h"
@@ -60,12 +64,12 @@ namespace {
 
 using namespace vscale;
 
-// One policy/app run: builds a consolidated testbed, drives the app to
-// completion, absorbs live machine/guest state, then lets the Testbed
-// destructor freeze its gauges into the global registry.
-void RunCell(Policy policy, const char* app_name, int64_t spin_count,
-             int64_t intervals, uint64_t seed, StateDigest* digest,
-             const char* fault_spec = nullptr, bool stall = false,
+// One policy/app run observed through `obs`: builds a consolidated testbed,
+// drives the app to completion, absorbs live machine/guest state, then lets
+// the Testbed destructor publish its counters into obs.metrics.
+void RunCell(const Observers& obs, Policy policy, const char* app_name,
+             int64_t spin_count, int64_t intervals, uint64_t seed,
+             StateDigest* digest, const char* fault_spec = nullptr,
              bool hardened_delivery = false) {
   TestbedConfig cfg;
   cfg.policy = policy;
@@ -81,7 +85,7 @@ void RunCell(Policy policy, const char* app_name, int64_t spin_count,
     cfg.hardening.tick_rescue = true;
     cfg.hardening.reconciler = true;
   }
-  cfg.stall_accounting = stall;
+  cfg.observers = obs;
   if (fault_spec != nullptr) {
     std::string error;
     if (!ParseFaultPlan(fault_spec, &cfg.faults, &error)) {
@@ -113,48 +117,49 @@ void RunCell(Policy policy, const char* app_name, int64_t spin_count,
 struct Scenario {
   const char* name;
   const char* what;
-  void (*run)(uint64_t seed, StateDigest* digest);
+  void (*run)(uint64_t seed, const Observers& obs, StateDigest* digest);
 };
 
 const Scenario kScenarios[] = {
     {"quickstart", "README example: lu under baseline then vScale",
-     [](uint64_t seed, StateDigest* d) {
-       RunCell(Policy::kBaseline, "lu", kSpinCountDefault, 40, seed, d);
-       RunCell(Policy::kVscale, "lu", kSpinCountDefault, 40, seed, d);
+     [](uint64_t seed, const Observers& o, StateDigest* d) {
+       RunCell(o, Policy::kBaseline, "lu", kSpinCountDefault, 40, seed, d);
+       RunCell(o, Policy::kVscale, "lu", kSpinCountDefault, 40, seed, d);
      }},
     {"fig8", "spin-heavy bt with OMP_WAIT_POLICY=ACTIVE under vScale",
-     [](uint64_t seed, StateDigest* d) {
-       RunCell(Policy::kVscale, "bt", kSpinCountActive, 30, seed, d);
+     [](uint64_t seed, const Observers& o, StateDigest* d) {
+       RunCell(o, Policy::kVscale, "bt", kSpinCountActive, 30, seed, d);
      }},
     {"fig9", "cg wait time, baseline+pvlock vs vScale+pvlock",
-     [](uint64_t seed, StateDigest* d) {
-       RunCell(Policy::kBaselinePvlock, "cg", kSpinCountDefault, 30, seed, d);
-       RunCell(Policy::kVscalePvlock, "cg", kSpinCountDefault, 30, seed, d);
+     [](uint64_t seed, const Observers& o, StateDigest* d) {
+       RunCell(o, Policy::kBaselinePvlock, "cg", kSpinCountDefault, 30, seed, d);
+       RunCell(o, Policy::kVscalePvlock, "cg", kSpinCountDefault, 30, seed, d);
      }},
     {"chaos", "lu under vScale with the compound fault plan of docs/FAULTS.md",
-     [](uint64_t seed, StateDigest* d) {
-       RunCell(Policy::kVscale, "lu", kSpinCountDefault, 40, seed, d,
+     [](uint64_t seed, const Observers& o, StateDigest* d) {
+       RunCell(o, Policy::kVscale, "lu", kSpinCountDefault, 40, seed, d,
                "chan-stale@400ms+600ms;stall@1500ms+800ms;"
                "freeze-fail@3s+400ms;latency@4s+300ms*12;steal@5s+500ms*1");
      }},
     {"chaos-delivery",
      "lu under hardened vScale with the delivery fault domain of docs/FAULTS.md",
-     [](uint64_t seed, StateDigest* d) {
-       RunCell(Policy::kVscale, "lu", kSpinCountDefault, 40, seed, d,
+     [](uint64_t seed, const Observers& o, StateDigest* d) {
+       RunCell(o, Policy::kVscale, "lu", kSpinCountDefault, 40, seed, d,
                "ipi-drop@400ms+300ms;ipi-dup@900ms+300ms*2;"
                "ipi-delay@1400ms+300ms*10;port-mask@1900ms+400ms*2",
-               /*stall=*/false, /*hardened_delivery=*/true);
+               /*hardened_delivery=*/true);
      }},
 };
 
-// Full scenario digest: fresh global registry, the scenario's runs, then the
-// frozen end-of-run registry contents.
+// Full scenario digest: the scenario's runs publish into a fresh registry,
+// whose end-of-run contents fold in after the machine/guest state.
 uint64_t DigestScenario(const Scenario& s, uint64_t seed) {
-  MetricsRegistry::Global().Clear();
+  MetricsRegistry metrics;
+  Observers obs;
+  obs.metrics = &metrics;
   StateDigest digest;
-  s.run(seed, &digest);
-  digest.AbsorbRegistry(MetricsRegistry::Global());
-  MetricsRegistry::Global().Clear();
+  s.run(seed, obs, &digest);
+  digest.AbsorbRegistry(metrics);
   return digest.value();
 }
 
@@ -164,123 +169,110 @@ std::string Hex(uint64_t v) {
   return std::string(buf);
 }
 
-// Stall attribution must be a pure observer: a run with the StallAccountant on
-// has to replay to the same machine/guest digest as a run with it off. The
-// registry is deliberately NOT absorbed here — the stall-on run legitimately
-// publishes extra stall.* metrics; what must not move is the simulation itself.
-uint64_t DigestQuickstartSim(uint64_t seed, bool stall) {
-  MetricsRegistry::Global().Clear();
-  StateDigest digest;
-  RunCell(Policy::kBaseline, "lu", kSpinCountDefault, 40, seed, &digest,
-          nullptr, stall);
-  RunCell(Policy::kVscale, "lu", kSpinCountDefault, 40, seed, &digest, nullptr,
-          stall);
-  MetricsRegistry::Global().Clear();
-  return digest.value();
-}
+// Which sinks a purity check attaches to the observed run. --observers-check
+// attaches all four; --stall-check and --cov-check attach one each, so a run
+// whose other observer pointers are null is gated too (the accountant emits
+// into its run's tracer and coverage map only when those are attached).
+struct CheckSinks {
+  const char* name;
+  bool tracer, stall, coverage, metrics;
+};
+constexpr CheckSinks kObserversCheck{"observers-check", true, true, true, true};
+constexpr CheckSinks kStallCheck{"stall-check", false, true, false, false};
+constexpr CheckSinks kCovCheck{"cov-check", false, false, true, false};
 
-int StallCheck(uint64_t seed) {
-  StallAccountant::Global().Reset();
-  const uint64_t off = DigestQuickstartSim(seed, false);
-  const uint64_t on = DigestQuickstartSim(seed, true);
-  const int64_t samples = StallAccountant::Global().samples();
-  const int64_t failures = StallAccountant::Global().exhaustive_failures();
-  StallAccountant::Global().Reset();
-  if (samples <= 0) {
-    std::fprintf(stderr,
-                 "digest_run: --stall-check vacuous: accountant took no "
-                 "samples in the stall-on run\n");
-    return 1;
-  }
-  if (failures != 0) {
-    std::fprintf(stderr,
-                 "digest_run: --stall-check: %lld exhaustiveness failure(s) — "
-                 "some simulated time escaped the bucket decomposition\n",
-                 static_cast<long long>(failures));
-    return 1;
-  }
-  if (off != on) {
-    std::fprintf(stderr,
-                 "digest_run: stall accounting perturbed the simulation: "
-                 "off=%s on=%s\n",
-                 Hex(off).c_str(), Hex(on).c_str());
-    return 1;
-  }
-  std::printf("digest_run: stall-check OK: digest %s identical with stall "
-              "attribution off and on (%lld samples)\n",
-              Hex(on).c_str(), static_cast<long long>(samples));
-  return 0;
-}
-
-// The coverage map must be a pure observer too: every scenario — including
-// chaos, whose fault plan exercises most of the catalogue — has to replay to
-// the same machine/guest digest with the map off and on. Like --stall-check,
-// the registry is NOT absorbed (an on-run legitimately publishes cov.*
-// counters); what must not move is the simulation. The check is also
-// non-vacuous: each on-run must cover at least one point, and the chaos
-// on-run must cover at least one fault.* point.
-int CovCheck(uint64_t seed) {
-  CoverageMap::Global().Reset();
+// Every attached observer must be pure and non-vacuous. Each scenario replays
+// twice: with nothing attached, then with the check's sinks attached. The
+// machine/guest digests must match bit-for-bit. The registry is deliberately
+// NOT absorbed: the observed run legitimately publishes extra stall.* and
+// cov.* counters; what must not move is the simulation. Non-vacuous: the
+// accountant sampled with zero exhaustiveness failures, the map covered at
+// least one point (the chaos run a fault.* point), and the tracer recorded
+// events when tracing is compiled in.
+int ObserversCheck(uint64_t seed, const CheckSinks& sinks) {
   int failures = 0;
+  const auto fail = [&](const char* scenario, const std::string& why) {
+    std::fprintf(stderr, "digest_run: %s: --%s: %s\n", scenario, sinks.name,
+                 why.c_str());
+    ++failures;
+  };
   for (const Scenario& s : kScenarios) {
-    MetricsRegistry::Global().Clear();
-    Testbed::SetCoverageDefault(false);
     StateDigest off_digest;
-    s.run(seed, &off_digest);
-    MetricsRegistry::Global().Clear();
+    s.run(seed, Observers{}, &off_digest);
 
-    Testbed::SetCoverageDefault(true);
+    Tracer tracer;
+    StallAccountant stall;
+    CoverageMap coverage;
+    MetricsRegistry metrics;
+    const Observers obs{sinks.tracer ? &tracer : nullptr,
+                        sinks.stall ? &stall : nullptr,
+                        sinks.coverage ? &coverage : nullptr,
+                        sinks.metrics ? &metrics : nullptr};
     StateDigest on_digest;
-    s.run(seed, &on_digest);
-    Testbed::SetCoverageDefault(false);
-    MetricsRegistry::Global().Clear();
-
-    // The last testbed's vector survives its FinishRun; enough for vacuity.
-    const CoverageVector v = CoverageMap::Global().Vector();
-    const int covered = CoveredPoints(v);
-    CoverageMap::Global().Reset();
+    s.run(seed, obs, &on_digest);
 
     if (off_digest.value() != on_digest.value()) {
-      std::fprintf(stderr,
-                   "digest_run: %s: coverage map perturbed the simulation: "
-                   "off=%s on=%s\n",
-                   s.name, Hex(off_digest.value()).c_str(),
-                   Hex(on_digest.value()).c_str());
-      ++failures;
+      fail(s.name, "the observers perturbed the simulation: unobserved=" +
+                       Hex(off_digest.value()) + " observed=" +
+                       Hex(on_digest.value()));
       continue;
     }
-    if (covered <= 0) {
-      std::fprintf(stderr,
-                   "digest_run: %s: --cov-check vacuous: the on-run covered "
-                   "no points\n",
-                   s.name);
-      ++failures;
-      continue;
-    }
-    if (std::strcmp(s.name, "chaos") == 0) {
-      bool fault_point = false;
-      for (int i = static_cast<int>(CoveragePoint::kFaultChannelStale);
-           i <= static_cast<int>(CoveragePoint::kFaultStealBurst); ++i) {
-        if (v[static_cast<size_t>(i)] > 0) fault_point = true;
-      }
-      if (!fault_point) {
-        std::fprintf(stderr,
-                     "digest_run: chaos: --cov-check vacuous: fault plan ran "
-                     "but no fault.* point covered\n");
-        ++failures;
+    std::string observed;
+    if (sinks.stall) {
+      if (stall.samples() <= 0) {
+        fail(s.name, "vacuous: the stall accountant took no samples");
         continue;
       }
+      if (stall.exhaustive_failures() != 0) {
+        fail(s.name, std::to_string(stall.exhaustive_failures()) +
+                         " exhaustiveness failure(s): some simulated time "
+                         "escaped the bucket decomposition");
+        continue;
+      }
+      observed += std::to_string(stall.samples()) + " stall samples";
     }
-    std::printf("digest_run: %s cov-check OK: digest %s identical off/on, "
-                "%d point(s) covered\n",
-                s.name, Hex(on_digest.value()).c_str(), covered);
+    if (sinks.coverage) {
+      // The last testbed's vector survives its teardown; enough for vacuity.
+      const CoverageVector v = coverage.Vector();
+      const int covered = CoveredPoints(v);
+      if (covered <= 0) {
+        fail(s.name, "vacuous: the coverage map covered no points");
+        continue;
+      }
+      if (std::strcmp(s.name, "chaos") == 0) {
+        bool fault_point = false;
+        for (int i = static_cast<int>(CoveragePoint::kFaultChannelStale);
+             i <= static_cast<int>(CoveragePoint::kFaultStealBurst); ++i) {
+          if (v[static_cast<size_t>(i)] > 0) fault_point = true;
+        }
+        if (!fault_point) {
+          fail(s.name,
+               "vacuous: the fault plan ran but no fault.* point was covered");
+          continue;
+        }
+      }
+      observed += (observed.empty() ? "" : ", ") + std::to_string(covered) +
+                  " point(s) covered";
+    }
+    if (sinks.tracer) {
+      if (VSCALE_TRACE && tracer.recorded() == 0) {
+        fail(s.name, "vacuous: the tracer recorded no events");
+        continue;
+      }
+      observed += (observed.empty() ? "" : ", ") +
+                  std::to_string(tracer.recorded()) + " events traced";
+    }
+    std::printf("digest_run: %s %s OK: digest %s identical "
+                "unobserved/observed (%s)\n",
+                s.name, sinks.name, Hex(on_digest.value()).c_str(),
+                observed.c_str());
   }
   if (failures != 0) {
-    std::fprintf(stderr, "digest_run: cov-check FAILED (%d scenario(s))\n",
-                 failures);
+    std::fprintf(stderr, "digest_run: %s FAILED (%d scenario(s))\n",
+                 sinks.name, failures);
     return 1;
   }
-  std::printf("digest_run: cov-check OK (%zu scenarios)\n",
+  std::printf("digest_run: %s OK (%zu scenarios)\n", sinks.name,
               sizeof(kScenarios) / sizeof(kScenarios[0]));
   return 0;
 }
@@ -378,8 +370,8 @@ int SelfTest(uint64_t seed, const char* golden_path) {
 int Usage() {
   std::fprintf(stderr,
                "usage: digest_run --selftest [--golden FILE] [--seed N] | "
-               "digest_run --stall-check [--seed N] | "
-               "digest_run --cov-check [--seed N] | "
+               "digest_run --observers-check|--stall-check|--cov-check "
+               "[--seed N] | "
                "digest_run <scenario> [--seed N] | digest_run --list\n");
   return 2;
 }
@@ -391,15 +383,16 @@ int main(int argc, char** argv) {
   const char* scenario = nullptr;
   const char* golden = nullptr;
   bool selftest = false;
-  bool stall_check = false;
-  bool cov_check = false;
+  const CheckSinks* check = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--selftest") == 0) {
       selftest = true;
+    } else if (std::strcmp(argv[i], "--observers-check") == 0) {
+      check = &kObserversCheck;
     } else if (std::strcmp(argv[i], "--stall-check") == 0) {
-      stall_check = true;
+      check = &kStallCheck;
     } else if (std::strcmp(argv[i], "--cov-check") == 0) {
-      cov_check = true;
+      check = &kCovCheck;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       if (!ParseU64(argv[++i], &seed)) return Usage();
     } else if (std::strcmp(argv[i], "--golden") == 0 && i + 1 < argc) {
@@ -418,11 +411,8 @@ int main(int argc, char** argv) {
   if (golden != nullptr && !selftest) {
     return Usage();  // a golden file pins the selftest's digests
   }
-  if (stall_check) {
-    return StallCheck(seed);
-  }
-  if (cov_check) {
-    return CovCheck(seed);
+  if (check != nullptr) {
+    return ObserversCheck(seed, *check);
   }
   if (selftest) {
     return SelfTest(seed, golden);

@@ -1,5 +1,5 @@
-// lintlib driver: filesystem loading and output formatting shared by the
-// vslint and det_lint CLIs.
+// lintlib driver: filesystem loading and output formatting for the vslint
+// CLI.
 
 #ifndef VSCALE_TOOLS_LINTLIB_DRIVER_H_
 #define VSCALE_TOOLS_LINTLIB_DRIVER_H_
@@ -29,10 +29,9 @@ void PrintFindings(const std::vector<Finding>& findings, FILE* out);
 // Machine output: a JSON array of finding objects.
 std::string FindingsJson(const std::vector<Finding>& findings);
 
-// Built-in snippet selftest for the rule engine. `full` runs every family;
-// false restricts to the determinism rules (the det_lint alias). Returns the
+// Built-in snippet selftest for the rule engine, every family. Returns the
 // number of failing cases.
-int RunSelfTest(bool full);
+int RunSelfTest();
 
 }  // namespace vslint
 

@@ -20,7 +20,7 @@ bool InNoAllowZone(const std::string& rel) {
 
 const std::vector<RuleDef>& AllRules() {
   static const std::vector<RuleDef> kRules = {
-      // determinism (line-pattern rules, migrated from det_lint)
+      // determinism (line-pattern rules)
       {"unordered-container", "determinism",
        "no hashed containers: iteration order is implementation-defined and "
        "perturbs replays",
@@ -57,7 +57,7 @@ const std::vector<RuleDef>& AllRules() {
       // stall-attribution
       {"stall-hook", "stall-attribution",
        "every run-state mutation in machine.cc / kernel_sched.cc sits in a "
-       "function carrying a VSCALE_STALL_HOOK attribution",
+       "function carrying a VS_OBSERVE(..., stall, ...) attribution",
        rules::StallHook},
       // observability
       {"metric-docs", "observability",
@@ -73,6 +73,11 @@ const std::vector<RuleDef>& AllRules() {
        "every coverage-point name in the kCoverPointNames catalogue table "
        "appears in the docs",
        rules::CovDocs},
+      {"observer-global", "observability",
+       "no process-wide observer in src/: no static Tracer, StallAccountant, "
+       "CoverageMap or MetricsRegistry (or pointer to one, or static function "
+       "returning one)",
+       rules::ObserverGlobal},
       // validate
       {"validate-before-use", "validate",
        "a constructor or Run* function taking a Validate()-bearing config "

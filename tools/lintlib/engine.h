@@ -8,15 +8,14 @@
 //   2. reports `allow-needs-reason` for vslint markers without a reason;
 //   3. reports `stale-suppression` for markers that suppressed nothing
 //      (only for rules that were active in this run, so a determinism-only
-//      det_lint pass cannot mis-flag semantic-rule markers);
+//      `--family` pass cannot mis-flag semantic-rule markers);
 //   4. reports `faults-allow-escape` for any marker inside src/faults/ or
 //      src/fuzz/ (those layers must stay escape-free; this finding is itself
 //      unsuppressable).
 //
-// Rule families (selectable, so tools/det_lint stays a thin determinism-only
-// alias): determinism, event-lifecycle, stall-attribution, observability,
-// validate, meta. docs/CHECKING.md#vslint-the-protocol-lint carries the
-// catalogue.
+// Rule families (selectable with `vslint --family`): determinism,
+// event-lifecycle, stall-attribution, observability, validate, meta.
+// docs/CHECKING.md#vslint-the-protocol-lint carries the catalogue.
 
 #ifndef VSCALE_TOOLS_LINTLIB_ENGINE_H_
 #define VSCALE_TOOLS_LINTLIB_ENGINE_H_

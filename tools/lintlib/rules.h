@@ -12,7 +12,7 @@
 namespace vslint {
 namespace rules {
 
-// determinism family (migrated from the original tools/det_lint.cc)
+// determinism family
 void UnorderedContainer(const Project&, std::vector<Finding>*);
 void RawRand(const Project&, std::vector<Finding>*);
 void WallClock(const Project&, std::vector<Finding>*);
@@ -32,6 +32,7 @@ void MetricDocs(const Project&, std::vector<Finding>*);
 void TraceDocs(const Project&, std::vector<Finding>*);
 void TracePairing(const Project&, std::vector<Finding>*);
 void CovDocs(const Project&, std::vector<Finding>*);
+void ObserverGlobal(const Project&, std::vector<Finding>*);
 
 // validate family
 void ValidateBeforeUse(const Project&, std::vector<Finding>*);

@@ -1,6 +1,5 @@
-// The determinism rule family: line-pattern rules over the stripped source,
-// migrated verbatim from the original tools/det_lint.cc scanner (which is now
-// a thin alias over this engine). Rationale catalogue: docs/CHECKING.md.
+// The determinism rule family: line-pattern rules over the stripped source.
+// Rationale catalogue: docs/CHECKING.md.
 
 #include <cstring>
 

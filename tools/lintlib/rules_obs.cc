@@ -2,8 +2,8 @@
 // trace event names are *documented interface*, not ad-hoc strings — harness
 // scripts and the trace tooling key on them (docs/OBSERVABILITY.md).
 //
-//   metric-docs    — every metric-name string literal passed to Counter() /
-//                    RegisterGauge() in src/ must appear in the docs.
+//   metric-docs    — every metric-name string literal passed to Counter() in
+//                    src/ must appear in the docs.
 //   trace-docs     — every event-name literal given to a VSCALE_TRACE_* macro
 //                    in src/ must appear in the docs.
 //   trace-pairing  — kBegin/kEnd slice names must balance per file: the
@@ -14,6 +14,12 @@
 //                    table in src/ must appear in the docs: frontier files,
 //                    cov_report output, and the baseline gate all speak these
 //                    names (docs/FUZZING.md keeps the catalogue).
+//   observer-global — no process-wide observer in src/: a `static` variable of
+//                    a sink type (Tracer, StallAccountant, CoverageMap,
+//                    MetricsRegistry), a pointer or smart pointer to one, or a
+//                    static function returning one. Such a sink is shared by
+//                    every run in the process; runs attach their own through
+//                    Observers (src/base/observers.h).
 
 #include <array>
 #include <map>
@@ -64,16 +70,14 @@ void MetricDocs(const Project& project, std::vector<Finding>* out) {
     if (!InSrc(pf.src.rel)) continue;
     const std::vector<Token>& toks = pf.src.tokens;
     for (size_t t = 0; t + 1 < toks.size(); ++t) {
-      if (toks[t].kind != Token::kIdent ||
-          (toks[t].text != "Counter" && toks[t].text != "RegisterGauge")) {
+      if (toks[t].kind != Token::kIdent || toks[t].text != "Counter") {
         continue;
       }
       if (toks[t + 1].kind != Token::kPunct || toks[t + 1].text != "(") {
         continue;
       }
       const size_t close = MatchParen(toks, t + 1);
-      // First argument only: stop at a depth-1 comma (RegisterGauge's gauge
-      // callback may itself contain name-like literals).
+      // First argument only: stop at a depth-1 comma.
       int depth = 1;
       for (size_t j = t + 2; j < close; ++j) {
         if (toks[j].kind == Token::kPunct) {
@@ -177,6 +181,37 @@ void CovDocs(const Project& project, std::vector<Finding>* out) {
                             "docs/FUZZING.md"});
       }
       t = j;
+    }
+  }
+}
+
+void ObserverGlobal(const Project& project, std::vector<Finding>* out) {
+  static const char* kSinks[] = {"Tracer", "StallAccountant", "CoverageMap",
+                                 "MetricsRegistry"};
+  // Tokens that may sit between `static` and the type name.
+  const auto is_prefix = [](const Token& k) {
+    return k.text == "::" || k.text == "const" || k.text == "constexpr" ||
+           k.text == "inline" || k.text == "thread_local" ||
+           k.text == "vscale" || k.text == "std" || k.text == "unique_ptr" ||
+           k.text == "shared_ptr" || k.text == "<";
+  };
+  for (const ParsedFile& pf : project.files) {
+    if (!InSrc(pf.src.rel)) continue;
+    const std::vector<Token>& toks = pf.src.tokens;
+    for (size_t t = 0; t + 1 < toks.size(); ++t) {
+      if (toks[t].kind != Token::kIdent || toks[t].text != "static") continue;
+      size_t j = t + 1;
+      while (j < toks.size() && is_prefix(toks[j])) ++j;
+      if (j >= toks.size() || toks[j].kind != Token::kIdent) continue;
+      for (const char* sink : kSinks) {
+        if (toks[j].text != sink) continue;
+        out->push_back({pf.src.rel, toks[t].line, "observer-global",
+                        "process-wide " + toks[j].text +
+                            ": a static sink, or a static function returning "
+                            "one, is shared by every run in the process; "
+                            "attach a per-run sink through Observers "
+                            "(src/base/observers.h)"});
+      }
     }
   }
 }

@@ -61,7 +61,7 @@ LintOptions All() { return LintOptions{}; }
 
 }  // namespace
 
-int RunSelfTest(bool full) {
+int RunSelfTest() {
   int failures = 0;
   const auto Case1 = [&](const char* label, const std::string& content,
                          std::vector<std::string> want,
@@ -70,7 +70,7 @@ int RunSelfTest(bool full) {
                        std::move(want));
   };
 
-  // --- determinism family (the det_lint alias runs exactly these) ----------
+  // --- determinism family --------------------------------------------------
   Case1("unordered-map", "std::unordered_map<int, int> m;\n",
         {"unordered-container"}, Det());
   Case1("unordered-set", "std::unordered_set<uint64_t> s;\n",
@@ -118,8 +118,6 @@ int RunSelfTest(bool full) {
       {{"src/sim/clock.cc",
         "int x = rand();  // det_lint: allow(raw-rand)\n"}},
       "", Det(), {});
-
-  if (!full) return failures;
 
   // --- suppression semantics (vslint form, reasons, staleness) -------------
   Case1("vslint-allow-with-reason",
@@ -213,9 +211,17 @@ int RunSelfTest(bool full) {
       {{"src/hypervisor/machine.cc",
         "void Machine::Halt(Vcpu& v) {\n"
         "  v.state = VcpuState::kHalted;\n"
-        "  VSCALE_STALL_HOOK(v, StallBucket::kHalt);\n"
+        "  VS_OBSERVE(sim_.observers(), stall, OnHalt(v.id()));\n"
         "}\n"}},
       "", All(), {});
+  failures += Expect(
+      "stall-hook-coverage-hook-does-not-count",
+      {{"src/hypervisor/machine.cc",
+        "void Machine::Halt(Vcpu& v) {\n"
+        "  v.state = VcpuState::kHalted;\n"
+        "  VS_OBSERVE(sim_.observers(), coverage, Record(kHalted));\n"
+        "}\n"}},
+      "", All(), {"stall-hook"});
   failures += Expect(
       "stall-hook-other-file-exempt",
       {{"src/workloads/driver.cc",
@@ -273,6 +279,36 @@ int RunSelfTest(bool full) {
                      All(), {});
   failures += Expect("cov-outside-src-exempt",
                      {{"tools/cov_mirror.cc", kCovTable}}, "", All(), {});
+  failures += Expect(
+      "observer-global-static-sink",
+      {{"src/obs/sink.cc",
+        "CoverageMap& Shared() {\n"
+        "  static CoverageMap* map = new CoverageMap();\n"
+        "  return *map;\n"
+        "}\n"}},
+      "", All(), {"observer-global"});
+  failures += Expect(
+      "observer-global-static-accessor",
+      {{"src/obs/sink.h",
+        "class Hub {\n"
+        " public:\n"
+        "  static vscale::MetricsRegistry& Registry();\n"
+        "};\n"}},
+      "", All(), {"observer-global"});
+  failures += Expect(
+      "observer-global-per-run-ok",
+      {{"src/obs/sink.cc",
+        "static void Publish(MetricsRegistry& reg, const Tracer* t);\n"
+        "void Run() {\n"
+        "  Tracer tracer;\n"
+        "  static int runs = 0;\n"
+        "  Observers obs{&tracer, nullptr, nullptr, nullptr};\n"
+        "}\n"}},
+      "", All(), {});
+  failures += Expect(
+      "observer-global-outside-src-exempt",
+      {{"bench/scope.h", "static Tracer* g_tracer = nullptr;\n"}}, "", All(),
+      {});
 
   // --- validate -------------------------------------------------------------
   const char* kConfig =

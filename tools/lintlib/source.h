@@ -1,6 +1,5 @@
-// lintlib: shared infrastructure for the repo's static protocol lints
-// (tools/vslint, tools/det_lint). This layer turns one source file into the
-// three views every rule consumes:
+// lintlib: infrastructure for the repo's static lint (tools/vslint). This
+// layer turns one source file into the three views every rule consumes:
 //
 //   * raw lines        — exactly as on disk, used for suppression markers;
 //   * stripped lines   — comments and string/char-literal bodies blanked with

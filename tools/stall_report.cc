@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -302,8 +301,11 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--fairness") == 0) {
       fairness = true;
     } else if (std::strcmp(argv[i], "--eps") == 0 && i + 1 < argc) {
-      eps = std::atof(argv[i + 1]);
-      ++i;
+      if (!ParseF64(argv[++i], &eps) || eps < 0) {
+        std::fprintf(stderr, "stall_report: --eps wants a number >= 0, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--weights") == 0 && i + 1 < argc) {
       if (!ParseWeights(argv[i + 1], &weights)) {
         std::fprintf(stderr, "stall_report: bad --weights spec '%s' "

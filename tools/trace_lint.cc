@@ -70,8 +70,8 @@ int SelfTest(bool stall) {
 #else
   using namespace vscale;
   const char* label = stall ? "stall-selftest" : "selftest";
-  GlobalTracer().Clear();
-  GlobalTracer().Enable();
+  Tracer tracer;
+  StallAccountant accountant;
 
   {
     TestbedConfig cfg;
@@ -79,7 +79,8 @@ int SelfTest(bool stall) {
     cfg.primary_vcpus = 4;
     cfg.pool_pcpus = 4;   // small but contended: 2 desktops keep it consolidated
     cfg.seed = 7;
-    cfg.stall_accounting = stall;
+    cfg.observers.tracer = &tracer;
+    cfg.observers.stall = stall ? &accountant : nullptr;
     Testbed bed(cfg);
     OmpAppConfig app_cfg = NpbProfile("lu", cfg.primary_vcpus, kSpinCountActive);
     app_cfg.intervals = 40;  // a short run: enough for ticks + freezes to fire
@@ -89,9 +90,8 @@ int SelfTest(bool stall) {
     bed.RunUntil([&] { return app.done(); }, Seconds(60));
   }
 
-  GlobalTracer().Disable();
   std::ostringstream os;
-  WriteChromeTrace(GlobalTracer(), os);
+  WriteChromeTrace(tracer, os);
   const int rc = Lint(os.str(), /*min_categories=*/4, /*min_domains=*/2, label);
   if (rc != 0 || !stall) {
     return rc;
@@ -121,7 +121,7 @@ int SelfTest(bool stall) {
   if (missing != 0) {
     return 1;
   }
-  if (StallAccountant::Global().exhaustive_failures() != 0) {
+  if (accountant.exhaustive_failures() != 0) {
     std::fprintf(stderr, "trace_lint: %s: stall bucket decomposition was not "
                          "exhaustive\n", label);
     return 1;

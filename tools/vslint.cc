@@ -1,11 +1,11 @@
-// vslint — the repo's semantic protocol lint (docs/CHECKING.md).
+// vslint — the repo's tree lint (docs/CHECKING.md).
 //
-// Where det_lint polices line-level determinism hygiene, vslint enforces the
-// cross-layer *protocols* the design docs promise: event lifecycle ownership,
-// stall-hook exhaustiveness, metric/trace documentation and pairing, and
-// validate-before-use. Rules run over a comment/string-aware token stream
-// with scope and function extents (tools/lintlib/), so they survive
-// formatting churn that would defeat grep.
+// Beside line-level determinism hygiene, vslint enforces the cross-layer
+// *protocols* the design docs promise: event lifecycle ownership, stall-hook
+// exhaustiveness, metric/trace documentation and pairing, no process-wide
+// observers, and validate-before-use. Rules run over a comment/string-aware
+// token stream with scope and function extents (tools/lintlib/), so they
+// survive formatting churn that would defeat grep.
 //
 // Usage:
 //   vslint <root> [subdir...]        lint the tree (default src bench tests
@@ -167,7 +167,7 @@ int Main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--selftest") return RunSelfTest(/*full=*/true) == 0 ? 0 : 1;
+    if (arg == "--selftest") return RunSelfTest() == 0 ? 0 : 1;
     if (arg == "--list-rules") return ListRules();
     if (arg == "--corpus") return RunCorpus(next());
     if (arg == "--json") {
