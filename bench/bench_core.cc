@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "src/base/parse.h"
+#include "src/base/rng.h"
 #include "src/fuzz/oracle.h"
 #include "src/fuzz/scenario_gen.h"
 #include "src/sim/event_queue.h"
@@ -85,7 +86,7 @@ double MeasureScheduleFireNs(int iters, int repeats) {
   return best;
 }
 
-// ns per schedule+cancel pair (tombstone path), mirroring BM_EventCancel.
+// ns per schedule+cancel pair (tombstone path): a cancel that never fires.
 double MeasureCancelNs(int iters, int repeats) {
   double best = 1e18;
   for (int r = 0; r < repeats; ++r) {
@@ -101,6 +102,48 @@ double MeasureCancelNs(int iters, int repeats) {
   return best;
 }
 
+// ns per timer-lane fire plus the fired timer's self re-arm, with `timers` - 1
+// other timers armed. Every timer re-arms itself a seeded delay ahead, so each
+// re-arm lands at a random rank of a full lane: the insertion shifts about half
+// of it. 12 timers is the largest pCPU pool in the tree, 64 five times that.
+double MeasureTimerRearmFireNs(int timers, int iters, int repeats) {
+  struct Lane {
+    Simulator sim;
+    std::vector<Simulator::TimerId> ids;
+    std::vector<TimeNs> delays;  // seeded, so every repeat replays one schedule
+    size_t next = 0;
+    int64_t fires = 0;
+  };
+  double best = 1e18;
+  for (int r = 0; r < repeats; ++r) {
+    Lane lane;
+    Rng rng(static_cast<uint64_t>(timers));
+    lane.delays.resize(4096);
+    for (TimeNs& d : lane.delays) {
+      d = 1 + static_cast<TimeNs>(rng.NextBelow(1000));
+    }
+    for (int t = 0; t < timers; ++t) {
+      lane.ids.push_back(lane.sim.AddTimer([&lane, t] {
+        ++lane.fires;
+        const TimeNs d = lane.delays[lane.next++ & (lane.delays.size() - 1)];
+        lane.sim.ArmTimer(lane.ids[static_cast<size_t>(t)], lane.sim.Now() + d);
+      }));
+    }
+    for (const Simulator::TimerId id : lane.ids) {
+      lane.sim.ArmTimer(id, lane.delays[lane.next++]);
+    }
+    const double t0 = NowSec();
+    for (int i = 0; i < iters; ++i) {
+      lane.sim.Step();
+      if (g_slowdown_spins > 0) InjectedSlowdown();
+    }
+    const double dt = NowSec() - t0;
+    if (lane.fires != iters) std::abort();  // defeated optimizer or broken lane
+    best = std::min(best, dt * 1e9 / iters);
+  }
+  return best;
+}
+
 struct TestbedResult {
   double wall_ms_per_sim_sec = 0;
   double events_per_sec = 0;  // fired per wall second
@@ -108,7 +151,7 @@ struct TestbedResult {
 };
 
 // Wall cost of one simulated second of the consolidated testbed (vScale policy,
-// 4-vCPU NPB cg) — mirrors BM_TestbedSimulatedSecond.
+// 4-vCPU NPB cg).
 TestbedResult MeasureTestbed(int sim_seconds, int repeats) {
   TestbedResult result;
   double best = 1e18;
@@ -167,12 +210,14 @@ struct Metrics {
   // Wall-clock measurement results, not simulation state: double is correct here.
   double schedule_fire_ns = 0;  // vslint: allow(float-accum, wall-clock measurement result, not simulation state)
   double cancel_ns = 0;  // vslint: allow(float-accum, wall-clock measurement result, not simulation state)
+  double rearm_fire_ns_12 = 0;
+  double rearm_fire_ns_64 = 0;
   TestbedResult testbed;
   double soak_per_min = 0;
 };
 
 std::string FormatJson(const Metrics& m, bool quick, int repeats) {
-  char buf[1536];
+  char buf[2048];
   std::snprintf(buf, sizeof(buf),
                 "{\n"
                 "  \"schema\": \"vscale-bench-core-v1\",\n"
@@ -181,6 +226,8 @@ std::string FormatJson(const Metrics& m, bool quick, int repeats) {
                 "  \"metrics\": {\n"
                 "    \"event_schedule_fire_ns\": %.2f,\n"
                 "    \"event_cancel_ns\": %.2f,\n"
+                "    \"timer_rearm_fire_ns_12\": %.2f,\n"
+                "    \"timer_rearm_fire_ns_64\": %.2f,\n"
                 "    \"events_per_sec\": %.0f,\n"
                 "    \"testbed_wall_ms_per_sim_sec\": %.3f,\n"
                 "    \"testbed_sim_sec_per_wall_sec\": %.2f,\n"
@@ -190,6 +237,7 @@ std::string FormatJson(const Metrics& m, bool quick, int repeats) {
                 "  }\n"
                 "}\n",
                 quick ? "true" : "false", repeats, m.schedule_fire_ns, m.cancel_ns,
+                m.rearm_fire_ns_12, m.rearm_fire_ns_64,
                 1e9 / m.schedule_fire_ns, m.testbed.wall_ms_per_sim_sec,
                 1e3 / m.testbed.wall_ms_per_sim_sec, m.testbed.events_per_sec,
                 m.testbed.ns_per_event, m.soak_per_min);
@@ -198,7 +246,8 @@ std::string FormatJson(const Metrics& m, bool quick, int repeats) {
 
 // The gated subset: one lower-is-better number per benchmark family, so a
 // derived rate can never double-count a miss. soak throughput is gated as
-// higher-is-better.
+// higher-is-better. The timer-lane micros are reported but not gated: no
+// CI-class baseline exists for them yet.
 struct GateRule {
   const char* key;
   bool lower_is_better;
@@ -325,6 +374,11 @@ int main(int argc, char** argv) {
   std::printf("bench_core: cancel micro...\n");
   m.cancel_ns = MeasureCancelNs(micro_iters, repeats);
   std::printf("  event_cancel_ns             %10.2f\n", m.cancel_ns);
+  std::printf("bench_core: timer-lane re-arm/fire micro (12 and 64 timers)...\n");
+  m.rearm_fire_ns_12 = MeasureTimerRearmFireNs(12, micro_iters, repeats);
+  m.rearm_fire_ns_64 = MeasureTimerRearmFireNs(64, micro_iters, repeats);
+  std::printf("  timer_rearm_fire_ns_12      %10.2f\n", m.rearm_fire_ns_12);
+  std::printf("  timer_rearm_fire_ns_64      %10.2f\n", m.rearm_fire_ns_64);
   std::printf("bench_core: consolidated testbed (%d sim-sec x %d)...\n",
               sim_seconds, repeats);
   m.testbed = MeasureTestbed(sim_seconds, repeats);

@@ -29,9 +29,10 @@
 //    bloat it.
 //  * Timer lane. A callback that is re-armed over and over (each running vCPU's
 //    advance event moves on every settle) is registered once as a timer. Armed
-//    timers sit in a small indexed min-heap beside the slab heap: re-arming
-//    re-keys the entry in place and disarming removes it, so the re-arm traffic
-//    leaves no tombstones and never touches the slab or the one-shot heap.
+//    timers sit in one small array beside the slab heap, sorted latest-first by
+//    (when, seq): firing is a pop from the back and arming one insertion-sort
+//    step, so the re-arm traffic leaves no tombstones and never touches the
+//    slab or the one-shot heap.
 //
 // Cancel semantics, pinned by SimulatorTest.CancelSlotReuseIsSafe and
 // SimulatorTest.CancelAfterFireAndUnknownIdsAreNoOps: Cancel(kInvalidEvent),
@@ -50,9 +51,10 @@
 // counts armed timers, so both read as if every arm were a one-shot event.
 //
 // Determinism: the firing order is a pure function of the (when, seq) keys — the
-// heaps are never iterated, only their roots consumed — and all bookkeeping is
-// index-based, so no container iteration order or allocator address can leak into
-// a run (tools/vslint polices hashed containers and wall clocks tree-wide).
+// heap is never iterated, only its root consumed, and the lane is searched only
+// by timer id — and all bookkeeping is index-based, so no container iteration
+// order or allocator address can leak into a run (tools/vslint polices hashed
+// containers and wall clocks tree-wide).
 //
 // Observers: a Simulator carries its run's Observers value (src/base/observers.h),
 // the borrowed sinks every hook of the run checks; the engine itself records one
@@ -119,7 +121,7 @@ class Simulator {
   void ArmTimer(TimerId t, TimeNs when);
   // Removes a pending fire; a no-op on a disarmed timer. Draws no `seq`.
   void DisarmTimer(TimerId t);
-  bool TimerArmed(TimerId t) const { return lane_pos_[t] != kDisarmed; }
+  bool TimerArmed(TimerId t) const { return timer_armed_[t] != 0; }
 
   // Runs a single event; returns false if the queue is empty.
   bool Step();
@@ -174,16 +176,15 @@ class Simulator {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  // An armed timer in the lane's min-heap; lane_pos_[timer] indexes it back.
-  // `timer` is the lane's own index, not an owned handle (vslint timer-owner).
+  // An armed timer in the lane. `timer` is the lane's own index, not an owned
+  // handle (vslint timer-owner).
   struct LaneEntry {
     TimeNs when;
     uint64_t seq;
     uint32_t timer;
   };
-  static constexpr uint32_t kDisarmed = UINT32_MAX;
 
-  // Min-heap order, within and across the two heaps: earliest (when, seq) first.
+  // Firing order, within and across the two queues: earliest (when, seq) first.
   template <typename A, typename B>
   static bool Earlier(const A& a, const B& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
@@ -201,11 +202,9 @@ class Simulator {
   void SkimStale();    // pops tombstones off the root until it is live or empty
   void FireTop();      // fires heap_[0] (must be live): advance clock, run callback
   void CompactHeap();  // one O(n) filter-and-heapify pass dropping all tombstones
-  void LanePlace(size_t i, const LaneEntry& e);  // stores e at i, records its index
-  void LaneSiftUp(size_t i);
-  void LaneSiftDown(size_t i);
-  void LaneRemove(size_t i);  // disarms lane_[i]'s timer, restores heap order
-  void FireLaneTop();         // fires lane_[0]: disarm, advance clock, run callback
+  size_t LaneIndex(TimerId t) const;  // where armed timer t sits in lane_
+  void CheckLane() const;  // checked builds: lane_ sorted, armed bytes match
+  void FireLaneBack();     // fires lane_.back(): disarm, advance clock, run callback
   // Bookkeeping shared by both fire paths, run once the occurrence has left
   // its queue: order checks, clock, counter, trace.
   void NoteFire(TimeNs when, uint64_t seq);
@@ -221,8 +220,8 @@ class Simulator {
   uint32_t n_nodes_ = 0;        // slots handed out so far (all chunks, all states)
   std::vector<uint32_t> free_;  // LIFO free list: the hottest slot is reused first
   size_t live_ = 0;             // scheduled and neither fired nor cancelled
-  std::vector<LaneEntry> lane_;       // armed timers, (when, seq) min-heap
-  std::vector<uint32_t> lane_pos_;    // [timer] -> index in lane_, or kDisarmed
+  std::vector<LaneEntry> lane_;       // armed timers, latest (when, seq) first
+  std::vector<uint8_t> timer_armed_;  // [timer] -> 1 while it has an entry in lane_
   std::vector<EventFn> timer_fns_;    // [timer] -> callback, invoked in place
   bool in_timer_callback_ = false;    // guards timer_fns_ against growth mid-call
   uint64_t events_processed_ = 0;
@@ -384,43 +383,37 @@ inline Simulator::TimerId Simulator::AddTimer(F&& fn) {
              "callback's storage");
   const TimerId t = static_cast<TimerId>(timer_fns_.size());
   timer_fns_.emplace_back(std::forward<F>(fn));
-  lane_pos_.push_back(kDisarmed);
+  timer_armed_.push_back(0);
   return t;
 }
 
-inline void Simulator::LanePlace(size_t i, const LaneEntry& e) {
-  lane_[i] = e;
-  lane_pos_[e.timer] = static_cast<uint32_t>(i);
+inline size_t Simulator::LaneIndex(TimerId t) const {
+  size_t i = lane_.size() - 1;
+  while (lane_[i].timer != t) {
+    --i;
+  }
+  return i;
 }
 
-inline void Simulator::LaneSiftUp(size_t i) {
-  const LaneEntry e = lane_[i];
-  while (i > 0 && Earlier(e, lane_[(i - 1) / 2])) {
-    const size_t parent = (i - 1) / 2;
-    LanePlace(i, lane_[parent]);
-    i = parent;
+inline void Simulator::CheckLane() const {
+#if VSCALE_CHECKED
+  for (size_t i = 1; i < lane_.size(); ++i) {
+    VS_INVARIANT(Earlier(lane_[i], lane_[i - 1]),
+                 "timer lane out of order: timer %u (%lld ns, seq %llu) sits behind "
+                 "timer %u (%lld ns, seq %llu)",
+                 lane_[i].timer, static_cast<long long>(lane_[i].when),
+                 static_cast<unsigned long long>(lane_[i].seq), lane_[i - 1].timer,
+                 static_cast<long long>(lane_[i - 1].when),
+                 static_cast<unsigned long long>(lane_[i - 1].seq));
   }
-  LanePlace(i, e);
-}
-
-inline void Simulator::LaneSiftDown(size_t i) {
-  const size_t n = lane_.size();
-  const LaneEntry e = lane_[i];
-  while (true) {
-    size_t child = 2 * i + 1;
-    if (child >= n) {
-      break;
-    }
-    if (child + 1 < n && Earlier(lane_[child + 1], lane_[child])) {
-      ++child;
-    }
-    if (!Earlier(lane_[child], e)) {
-      break;
-    }
-    LanePlace(i, lane_[child]);
-    i = child;
+  size_t armed = 0;
+  for (const uint8_t a : timer_armed_) {
+    armed += a;
   }
-  LanePlace(i, e);
+  VS_INVARIANT(armed == lane_.size(),
+               "%zu timers are marked armed but the lane holds %zu", armed,
+               lane_.size());
+#endif
 }
 
 inline void Simulator::ArmTimer(TimerId t, TimeNs when) {
@@ -428,47 +421,50 @@ inline void Simulator::ArmTimer(TimerId t, TimeNs when) {
   if (when < now_) {
     when = now_;
   }
-  // The fresh seq outranks every pending one, so a re-arm to a later-or-equal
-  // deadline can only sink and a re-arm to an earlier one can only rise.
+  // The fresh seq outranks every pending one, so `when` alone places the entry:
+  // behind every later deadline, ahead of every equal or earlier one.
   const LaneEntry e{when, next_seq_++, t};
-  const uint32_t pos = lane_pos_[t];
-  if (pos == kDisarmed) {
+  size_t i;
+  if (timer_armed_[t] == 0) {
+    timer_armed_[t] = 1;
+    i = lane_.size();
     lane_.push_back(e);
-    LaneSiftUp(lane_.size() - 1);
-  } else if (when < lane_[pos].when) {
-    lane_[pos] = e;
-    LaneSiftUp(pos);
   } else {
-    lane_[pos] = e;
-    LaneSiftDown(pos);
+    // Move the old entry in place. An earlier deadline walks it toward the back;
+    // a later-or-equal one toward the front, in the loop below.
+    i = LaneIndex(t);
+    while (i + 1 < lane_.size() && lane_[i + 1].when > when) {
+      lane_[i] = lane_[i + 1];
+      ++i;
+    }
   }
-}
-
-inline void Simulator::LaneRemove(size_t i) {
-  lane_pos_[lane_[i].timer] = kDisarmed;
-  const LaneEntry last = lane_.back();
-  lane_.pop_back();
-  if (i == lane_.size()) {
-    return;  // removed the tail entry; nothing to refill
+  // A hand-written shift: with std::vector::insert the lane kept only part of
+  // its gain over a heap (docs/PERFORMANCE.md).
+  while (i > 0 && lane_[i - 1].when <= when) {
+    lane_[i] = lane_[i - 1];
+    --i;
   }
-  lane_[i] = last;
-  if (i > 0 && Earlier(last, lane_[(i - 1) / 2])) {
-    LaneSiftUp(i);
-  } else {
-    LaneSiftDown(i);
-  }
+  lane_[i] = e;
+  CheckLane();
 }
 
 inline void Simulator::DisarmTimer(TimerId t) {
-  const uint32_t pos = lane_pos_[t];
-  if (pos != kDisarmed) {
-    LaneRemove(pos);
+  if (timer_armed_[t] == 0) {
+    return;
   }
+  timer_armed_[t] = 0;
+  for (size_t i = LaneIndex(t); i + 1 < lane_.size(); ++i) {
+    lane_[i] = lane_[i + 1];
+  }
+  lane_.pop_back();
+  CheckLane();
 }
 
-inline void Simulator::FireLaneTop() {
-  const LaneEntry e = lane_[0];
-  LaneRemove(0);  // disarmed before the callback: it may re-arm itself
+inline void Simulator::FireLaneBack() {
+  const LaneEntry e = lane_.back();
+  lane_.pop_back();
+  timer_armed_[e.timer] = 0;  // disarmed before the callback: it may re-arm itself
+  CheckLane();
   NoteFire(e.when, e.seq);
   in_timer_callback_ = true;
   timer_fns_[e.timer]();
@@ -477,11 +473,11 @@ inline void Simulator::FireLaneTop() {
 
 inline bool Simulator::FireNext(TimeNs deadline) {
   SkimStale();
-  if (!lane_.empty() && (heap_.empty() || Earlier(lane_[0], heap_[0]))) {
-    if (lane_[0].when > deadline) {
+  if (!lane_.empty() && (heap_.empty() || Earlier(lane_.back(), heap_[0]))) {
+    if (lane_.back().when > deadline) {
       return false;
     }
-    FireLaneTop();
+    FireLaneBack();
     return true;
   }
   if (heap_.empty() || heap_[0].when > deadline) {

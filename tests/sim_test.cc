@@ -418,22 +418,23 @@ class SimQueue {
 // One fire as seen from inside its callback: (Now, tag, own timer armed?,
 // pending, processed).
 using FireRecord = std::tuple<TimeNs, int, bool, size_t, uint64_t>;
-constexpr int kScriptTimers = 5;  // tags below this name timers, the rest events
 
 // Drives a queue with a seeded mix of ScheduleAt, Cancel, ArmTimer (fresh,
-// moved and unchanged deadlines) and DisarmTimer, from the top level and from
-// inside callbacks — timers re-arm or disarm themselves from their own
-// callback. Deadlines fall in 1 us buckets, so lane timers and heap events tie
-// on `when` constantly. The Rng is consumed in firing order, so any divergence
-// from the reference order also diverges the rest of the script.
+// moved and unchanged deadlines) and DisarmTimer over `timers` timers, from the
+// top level and from inside callbacks — timers re-arm or disarm themselves from
+// their own callback. Tags below `timers` name timers, the rest events.
+// The script starts from a full lane, every timer armed, as when every pCPU
+// runs a vCPU. Deadlines fall in 1 us buckets, so lane timers and heap events
+// tie on `when` constantly. The Rng is consumed in firing order, so any
+// divergence from the reference order also diverges the rest of the script.
 template <typename Q>
-std::vector<FireRecord> DriveLaneScript(uint64_t seed) {
+std::vector<FireRecord> DriveLaneScript(uint64_t seed, int timers) {
   Q q;
   Rng rng(seed);
   std::vector<FireRecord> log;
   std::vector<uint64_t> ids;
-  std::vector<TimeNs> armed_at(kScriptTimers, 0);
-  int next_tag = kScriptTimers;
+  std::vector<TimeNs> armed_at(static_cast<size_t>(timers), 0);
+  int next_tag = timers;
   auto near = [&] {
     return q.Now() + Microseconds(static_cast<TimeNs>(rng.NextBelow(4)));
   };
@@ -442,7 +443,7 @@ std::vector<FireRecord> DriveLaneScript(uint64_t seed) {
     armed_at[static_cast<size_t>(t)] = when;
   };
   auto random_op = [&] {
-    const int t = static_cast<int>(rng.NextBelow(kScriptTimers));
+    const int t = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(timers)));
     switch (rng.NextBelow(5)) {
       case 0:
         ids.push_back(q.Schedule(near(), next_tag++));
@@ -462,9 +463,9 @@ std::vector<FireRecord> DriveLaneScript(uint64_t seed) {
     }
   };
   q.on_fire = [&](int tag) {
-    const bool own_armed = tag < kScriptTimers && q.Armed(tag);
+    const bool own_armed = tag < timers && q.Armed(tag);
     log.emplace_back(q.Now(), tag, own_armed, q.Pending(), q.Processed());
-    if (tag < kScriptTimers) {
+    if (tag < timers) {
       switch (rng.NextBelow(4)) {
         case 0:
           arm(tag, near());  // re-arm from inside its own callback
@@ -479,8 +480,11 @@ std::vector<FireRecord> DriveLaneScript(uint64_t seed) {
     }
     if (rng.Chance(0.3)) random_op();
   };
-  for (int t = 0; t < kScriptTimers; ++t) {
+  for (int t = 0; t < timers; ++t) {
     q.AddTimer(t);
+  }
+  for (int t = 0; t < timers; ++t) {
+    arm(t, near());
   }
   for (int i = 0; i < 400; ++i) {
     random_op();
@@ -494,25 +498,30 @@ std::vector<FireRecord> DriveLaneScript(uint64_t seed) {
 }
 
 // Property: with the timer lane beside the heap, firing order, events_processed()
-// and pending_events() match the reference model over random interleavings.
+// and pending_events() match the reference model over random interleavings, at
+// 5 timers, at 12 (the largest pCPU pool in the tree, so the most vCPUs that
+// can run at once) and at 64.
 TEST(SimulatorPropertyTest, TimerLaneMatchesReferenceModel) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    const std::vector<FireRecord> got = DriveLaneScript<SimQueue>(seed);
-    const std::vector<FireRecord> want = DriveLaneScript<RefQueue>(seed);
-    ASSERT_EQ(got, want) << "seed " << seed;
-    // Non-vacuous: both kinds fired, and a timer and an event shared a tick.
-    bool timer_fired = false;
-    bool event_fired = false;
-    bool mixed_tie = false;
-    for (size_t i = 0; i < got.size(); ++i) {
-      const bool is_timer = std::get<1>(got[i]) < kScriptTimers;
-      (is_timer ? timer_fired : event_fired) = true;
-      if (i > 0 && std::get<0>(got[i]) == std::get<0>(got[i - 1]) &&
-          is_timer != (std::get<1>(got[i - 1]) < kScriptTimers)) {
-        mixed_tie = true;
+  for (const int timers : {5, 12, 64}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      const std::vector<FireRecord> got = DriveLaneScript<SimQueue>(seed, timers);
+      const std::vector<FireRecord> want = DriveLaneScript<RefQueue>(seed, timers);
+      ASSERT_EQ(got, want) << timers << " timers, seed " << seed;
+      // Non-vacuous: both kinds fired, and a timer and an event shared a tick.
+      bool timer_fired = false;
+      bool event_fired = false;
+      bool mixed_tie = false;
+      for (size_t i = 0; i < got.size(); ++i) {
+        const bool is_timer = std::get<1>(got[i]) < timers;
+        (is_timer ? timer_fired : event_fired) = true;
+        if (i > 0 && std::get<0>(got[i]) == std::get<0>(got[i - 1]) &&
+            is_timer != (std::get<1>(got[i - 1]) < timers)) {
+          mixed_tie = true;
+        }
       }
+      EXPECT_TRUE(timer_fired && event_fired && mixed_tie)
+          << timers << " timers, seed " << seed;
     }
-    EXPECT_TRUE(timer_fired && event_fired && mixed_tie) << "seed " << seed;
   }
 }
 
@@ -578,6 +587,29 @@ TEST(SimulatorTimerTest, RearmWithUnchangedDeadlineDrawsFreshSeq) {
   sim.ArmTimer(t, Microseconds(5));
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<char>{'e', 't'}));
+}
+
+// Pinned: timers armed at one `when` fire in `seq` order, whatever their ids,
+// and a re-arm to the same `when` — here from another timer's callback — draws
+// the newest seq, so it fires last among them. An insertion that stops at
+// equal deadlines (`<` in place of `<=`) would fire these ties newest-first.
+TEST(SimulatorTimerTest, EqualDeadlinesFireInSeqOrder) {
+  Simulator sim;
+  std::vector<char> order;
+  const TimeNs when = Microseconds(5);
+  const Simulator::TimerId a = sim.AddTimer([&] { order.push_back('a'); });
+  const Simulator::TimerId b = sim.AddTimer([&] { order.push_back('b'); });
+  const Simulator::TimerId c = sim.AddTimer([&] { order.push_back('c'); });
+  const Simulator::TimerId d = sim.AddTimer([&] {
+    order.push_back('d');
+    sim.ArmTimer(b, when);
+  });
+  sim.ArmTimer(c, when);
+  sim.ArmTimer(b, when);
+  sim.ArmTimer(a, when);
+  sim.ArmTimer(d, Microseconds(1));
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<char>{'d', 'c', 'a', 'b'}));
 }
 
 TEST(PeriodicTaskTest, FiresAtFixedPeriod) {
