@@ -32,43 +32,40 @@ namespace vscale {
 //
 //   bench_fig9_waiting_time --trace fig9.trace.json --metrics fig9.csv
 //
-// Also honored via environment (so wrapper scripts need no flag plumbing):
-// VSCALE_TRACE_OUT=<path> and VSCALE_METRICS_OUT=<path>. Only the sinks the flags
-// ask for are built — a tracer for --trace, a registry for --metrics or --digest,
-// an accountant for --stall — so with none given the runs observe nothing and are
-// bit-identical to an unobserved binary. See docs/OBSERVABILITY.md.
+// Only the sinks the flags ask for are built — a tracer for --trace, a registry
+// for --metrics or --digest, an accountant for --stall — so with none given the
+// runs observe nothing and are bit-identical to an unobserved binary. See
+// docs/OBSERVABILITY.md.
 //
-// --digest (or VSCALE_DIGEST=1) prints the 64-bit FNV-1a digest of the run's
-// end state — every published metric, plus the recorded event count when
-// tracing — on exit. Re-running the same bench command must reprint the same
-// digest; docs/CHECKING.md describes the double-run determinism check built on
-// this.
+// --digest prints the 64-bit FNV-1a digest of the run's end state — every
+// published metric, plus the recorded event count when tracing — on exit.
+// Re-running the same bench command must reprint the same digest;
+// docs/CHECKING.md describes the double-run determinism check built on this.
 //
-// --stall (or VSCALE_STALL=1) attaches stall attribution to every observed
-// Testbed; --stall-csv <path> (or VSCALE_STALL_CSV=<path>) also dumps the
-// bucket time series for tools/stall_report on destruction.
+// --stall attaches stall attribution to every observed Testbed; --stall-csv
+// <path> also dumps the bucket time series for tools/stall_report on
+// destruction. A path flag given without its path is a usage error (exit 2).
 class BenchTraceScope {
  public:
   BenchTraceScope(int argc, char** argv) {
-    if (const char* env = std::getenv("VSCALE_TRACE_OUT")) {
-      trace_path_ = env;
-    }
-    if (const char* env = std::getenv("VSCALE_METRICS_OUT")) {
-      metrics_path_ = env;
-    }
-    bool want_stall = std::getenv("VSCALE_STALL") != nullptr;
-    if (std::getenv("VSCALE_DIGEST") != nullptr) {
-      want_digest_ = true;
-    }
-    if (const char* env = std::getenv("VSCALE_STALL_CSV")) {
-      stall_csv_path_ = env;
-    }
+    bool want_stall = false;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+      const bool path_flag = std::strcmp(argv[i], "--trace") == 0 ||
+                             std::strcmp(argv[i], "--metrics") == 0 ||
+                             std::strcmp(argv[i], "--stall-csv") == 0;
+      if (path_flag && i + 1 >= argc) {
+        std::fprintf(stderr,
+                     "usage: %s [--trace out.json] [--metrics out.csv] "
+                     "[--digest] [--stall] [--stall-csv out.csv]\n"
+                     "%s requires a path\n",
+                     argv[0], argv[i]);
+        std::exit(2);
+      }
+      if (std::strcmp(argv[i], "--trace") == 0) {
         trace_path_ = argv[++i];
-      } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
+      } else if (std::strcmp(argv[i], "--metrics") == 0) {
         metrics_path_ = argv[++i];
-      } else if (std::strcmp(argv[i], "--stall-csv") == 0 && i + 1 < argc) {
+      } else if (std::strcmp(argv[i], "--stall-csv") == 0) {
         stall_csv_path_ = argv[++i];
       } else if (std::strcmp(argv[i], "--digest") == 0) {
         want_digest_ = true;

@@ -35,7 +35,7 @@ Row RunOne(const char* mode, const char* app_name, uint64_t seed) {
 
   std::unique_ptr<VcpuBalController> vcpubal;
   if (std::string(mode) == "vcpubal") {
-    vcpubal = std::make_unique<VcpuBalController>(bed.machine(), VcpuBalConfig{});
+    vcpubal = std::make_unique<VcpuBalController>(bed.machine());
     vcpubal->Manage(bed.primary());
     vcpubal->Start();
   }

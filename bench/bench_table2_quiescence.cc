@@ -66,9 +66,7 @@ int main() {
   Domain& dom = machine.CreateDomain("builder", 1024, 4);
   GuestKernel kernel(machine, machine.sim(), dom, GuestConfig{});
 
-  KernelBuildConfig kb;
-  kb.jobs = 8;
-  KernelBuild build(kernel, kb, 1331);
+  KernelBuild build(kernel, 1331);
   build.Start();
 
   machine.sim().RunUntil(Seconds(1));  // warm up

@@ -30,7 +30,6 @@
 // OmpApp (workload), and the metric snapshot helpers.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -38,6 +37,7 @@
 #include <vector>
 
 #include "src/base/metrics_registry.h"
+#include "src/base/parse.h"
 #include "src/base/table.h"
 #include "src/base/trace.h"
 #include "src/faults/fault_plan.h"
@@ -121,6 +121,10 @@ RunOutcome RunOnce(vscale::Policy policy, const std::string& app_name, int vcpus
   return out;
 }
 
+constexpr const char* kUsage =
+    "usage: quickstart [app] [vcpus] [--trace out.json] [--metrics out.csv] "
+    "[--digest] [--faults <plan>] [--stall] [--stall-csv out.csv]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -135,11 +139,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--trace") == 0 || std::strcmp(argv[i], "--metrics") == 0 ||
         std::strcmp(argv[i], "--stall-csv") == 0) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: quickstart [app] [vcpus] [--trace out.json] "
-                             "[--metrics out.csv] [--digest] [--faults <plan>] "
-                             "[--stall] [--stall-csv out.csv]\n"
-                             "%s requires a path\n",
-                     argv[i]);
+        std::fprintf(stderr, "%s%s requires a path\n", kUsage, argv[i]);
         return 2;
       }
       if (std::strcmp(argv[i], "--trace") == 0) {
@@ -171,7 +171,17 @@ int main(int argc, char** argv) {
     }
   }
   const std::string app = !positional.empty() ? positional[0] : "lu";
-  const int vcpus = positional.size() > 1 ? std::atoi(positional[1].c_str()) : 4;
+  int vcpus = 4;
+  if (positional.size() > 1) {
+    int64_t n = 0;
+    if (!vscale::ParseI64(positional[1], &n) || n < 1 ||
+        n > vscale::kMaxVcpusPerDomain) {
+      std::fprintf(stderr, "%svcpus must be an integer in 1..%d, got '%s'\n", kUsage,
+                   vscale::kMaxVcpusPerDomain, positional[1].c_str());
+      return 2;
+    }
+    vcpus = static_cast<int>(n);
+  }
 
   // Attach only the sinks the flags ask for; an unobserved run builds none.
   std::unique_ptr<vscale::Tracer> tracer;

@@ -2,8 +2,7 @@
 //
 // VS_INVARIANT(cond, fmt, ...) is the checked-build counterpart of assert(): it
 // verifies a scheduler/kernel/sim invariant and reports a formatted, contextual
-// message when it fails. The macro follows the VSCALE_TRACE gating idiom
-// (docs/CHECKING.md):
+// message when it fails (docs/CHECKING.md):
 //  * when the VSCALE_CHECKED CMake option is OFF (the default), every hook
 //    compiles to nothing — arguments are never evaluated, so checked and
 //    unchecked builds replay bit-identically;
@@ -28,7 +27,7 @@
 #include <string>
 
 // Compiled-in default when built outside CMake; the VSCALE_CHECKED option
-// controls it (mirrors the VSCALE_TRACE define in src/base/trace.h).
+// controls it.
 #ifndef VSCALE_CHECKED
 #define VSCALE_CHECKED 0
 #endif

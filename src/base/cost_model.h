@@ -18,7 +18,6 @@ struct CostModel {
   TimeNs hv_tick_period = Milliseconds(10);       // credit burn tick
   TimeNs hv_accounting_period = Milliseconds(30); // csched_acct
   TimeNs vscale_recalc_period = Milliseconds(10); // vscale_ticker_fn default (paper 4.2)
-  TimeNs hv_context_switch = Microseconds(3);     // VM switch incl. cache ramp cost
   TimeNs hv_ratelimit = Microseconds(1000);       // Xen sched_ratelimit_us default
 
   // --- vScale channel (paper Table 1) ---
@@ -61,9 +60,6 @@ struct CostModel {
   // --- Linux CPU hotplug baseline (paper Figure 5) ---
   // Modeled per kernel version as log-normal(median, sigma) + a floor; see
   // hypervisor/hotplug_model.h.
-
-  // Number of pCPUs in the shared (domU) pool; dom0 runs on dedicated cores.
-  int pool_pcpus = 4;
 };
 
 // The default model mirrors the paper's testbed.

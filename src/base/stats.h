@@ -39,7 +39,6 @@ class RunningStat {
 class SampleSet {
  public:
   void Add(double x);
-  void Reserve(size_t n) { samples_.reserve(n); }
 
   size_t count() const { return samples_.size(); }
   double mean() const;

@@ -7,10 +7,10 @@
 //
 // Design constraints:
 //  * Nothing to pay when unattached. Call sites go through the VSCALE_TRACE_* macros,
-//    which (a) compile to nothing when the VSCALE_TRACE CMake option is OFF, and
-//    (b) otherwise branch on the run's tracer pointer before touching it. Recording
-//    never allocates: event names are string literals and the ring is preallocated
-//    when the harness constructs the Tracer, which it does only when it wants a trace.
+//    which branch on the run's tracer pointer before touching it or evaluating any
+//    argument. Recording never allocates: event names are string literals and the
+//    ring is preallocated when the harness constructs the Tracer, which it does only
+//    when it wants a trace.
 //  * Bounded memory. The ring overwrites the oldest events once full (`dropped()`
 //    counts the overwritten ones), so tracing a long run keeps the most recent window.
 //  * No behavioural impact. Recording reads simulation state but never mutates it and
@@ -35,11 +35,6 @@
 
 #include "src/base/observers.h"
 #include "src/base/time.h"
-
-// Compiled-in default when built outside CMake; the VSCALE_TRACE option controls it.
-#ifndef VSCALE_TRACE
-#define VSCALE_TRACE 1
-#endif
 
 namespace vscale {
 
@@ -115,8 +110,6 @@ class Tracer {
   std::map<int, std::string> domain_names_;
 };
 
-#if VSCALE_TRACE
-
 // True when the run observed through `obs_` (an Observers) has a tracer attached.
 // Use to guard argument computations that only exist for tracing.
 #define VSCALE_TRACE_ACTIVE(obs_) ((obs_).tracer != nullptr)
@@ -130,13 +123,6 @@ class Tracer {
                          (pcpu_), (argname_), static_cast<int64_t>(argval_));       \
     }                                                                               \
   } while (0)
-
-#else  // !VSCALE_TRACE: hooks compile to nothing; arguments are never evaluated.
-
-#define VSCALE_TRACE_ACTIVE(obs_) (false)
-#define VSCALE_TRACE_EVENT(...) ((void)0)
-
-#endif  // VSCALE_TRACE
 
 #define VSCALE_TRACE_INSTANT(obs_, ts_, cat_, name_, dom_, vcpu_, pcpu_)           \
   VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kInstant, name_, dom_,  \

@@ -297,7 +297,6 @@ void SetFuzzCanary(bool enabled) { g_fuzz_canary = enabled; }
 bool FuzzCanaryEnabled() { return g_fuzz_canary; }
 
 void SetFairnessCanary(bool enabled) { g_fairness_canary = enabled; }
-bool FairnessCanaryEnabled() { return g_fairness_canary; }
 
 OracleReport RunOracle(const Scenario& s) {
   s.Validate();

@@ -113,7 +113,6 @@ bool FuzzCanaryEnabled();
 // the fairness oracle is not blind; independent of the digest canary above so
 // the two end-to-end tests cannot mask each other.
 void SetFairnessCanary(bool enabled);
-bool FairnessCanaryEnabled();
 
 // The entitlement slack the fairness oracle tolerates before calling an
 // overage a violation (25%): generous enough for BOOST/settle timing noise on

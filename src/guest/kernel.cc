@@ -8,13 +8,17 @@
 #include <cassert>
 
 #include "src/base/check.h"
-#include "src/base/log.h"
 #include "src/base/trace.h"
 #include "src/faults/fault_injector.h"
 #include "src/obs/coverage.h"
 #include "src/obs/stall_accounting.h"
 
 namespace vscale {
+
+namespace {
+// Periodic load balance every N ticks.
+constexpr int kTicksPerBalance = 4;
+}  // namespace
 
 GuestKernel::GuestKernel(HvServices& hv, Simulator& sim, Domain& domain,
                          GuestConfig config)
@@ -278,13 +282,13 @@ void GuestKernel::HandleTick(GuestCpu& c) {
     const bool vr_preempt =
         !c.current->rt &&
         (head->rt ||
-         head->vruntime + config_.wakeup_granularity < c.current->vruntime);
+         head->vruntime + kWakeupGranularity < c.current->vruntime);
     if (slice_up || vr_preempt) {
       PutCurrent(c, ThreadState::kRunnable);
       DispatchNext(c);
     }
   }
-  if (++c.ticks_since_balance >= config_.ticks_per_balance) {
+  if (++c.ticks_since_balance >= kTicksPerBalance) {
     c.ticks_since_balance = 0;
     PeriodicBalance(c);
   }
@@ -332,7 +336,7 @@ void GuestKernel::HandleReschedIpi(GuestCpu& c) {
     GuestThread* head = c.runq.front();
     const bool rt_preempt = head->rt && !c.current->rt;
     if (rt_preempt ||
-        head->vruntime + config_.wakeup_granularity < c.current->vruntime) {
+        head->vruntime + kWakeupGranularity < c.current->vruntime) {
       PutCurrent(c, ThreadState::kRunnable);
       DispatchNext(c);
     }

@@ -45,11 +45,6 @@ inline constexpr EvtchnPort kPortIoBase = 16;     // external devices bind from 
 
 struct GuestConfig {
   bool pv_spinlock = false;
-  // Periodic load balance every N ticks.
-  int ticks_per_balance = 4;
-  // Pull threshold: balance when busiest has this many more runnable threads.
-  int imbalance_threshold = 2;
-  TimeNs wakeup_granularity = Microseconds(500);
 
   // --- delivery hardening (docs/FAULTS.md) ---
   // All default-off: each one changes event timing, so the stock kernel must
@@ -74,6 +69,11 @@ struct GuestConfig {
 // Upper bound on freeze-IPI re-sends per handshake (doubling backoff from
 // GuestConfig::freeze_resend_ns: covers ~256x the deadline before giving up).
 inline constexpr int kFreezeResendMax = 8;
+
+// CFS wakeup granularity: a queued thread preempts the current one only once its
+// vruntime trails by more than this, and a waking sleeper's vruntime is clamped
+// to no more than this behind the queue's minimum.
+inline constexpr TimeNs kWakeupGranularity = Microseconds(500);
 
 struct GuestCpuStats {
   int64_t timer_ints = 0;
@@ -119,7 +119,6 @@ class GuestKernel : public GuestOs {
   GuestKernel& operator=(const GuestKernel&) = delete;
 
   Domain& domain() { return domain_; }
-  const GuestConfig& guest_config() const { return config_; }
   const CostModel& cost() const { return cost_; }
   int n_cpus() const { return static_cast<int>(cpus_.size()); }
   GuestCpu& cpu(int id) { return cpus_[static_cast<size_t>(id)]; }
@@ -134,7 +133,6 @@ class GuestKernel : public GuestOs {
   // Spawns a thread; placement follows fork balancing unless `pinned_cpu` >= 0.
   GuestThread& Spawn(const std::string& name, ThreadBody* body,
                      ThreadType type = ThreadType::kUthread, int pinned_cpu = -1);
-  int live_threads() const { return live_threads_; }
   const std::vector<std::unique_ptr<GuestThread>>& threads() const { return threads_; }
   // Aggregate CPU consumed by all threads, the portion burnt busy-waiting, and the
   // time threads spent queued runnable in the guest scheduler (unmet parallelism).
@@ -225,7 +223,6 @@ class GuestKernel : public GuestOs {
   // default; timer expiries use the timer port so IPI counters stay faithful).
   void WakeThread(GuestThread& t, EvtchnPort wake_port = kPortResched);
   int SelectTaskRq(const GuestThread& t);
-  void MaybePreemptCurrent(GuestCpu& c, GuestThread& wakee);
   // Kernel spinlock holders and slow-path waiters run with preemption disabled
   // (spin_lock() = preempt_disable()): the guest scheduler must never requeue them.
   static bool PreemptDisabled(const GuestThread& t) {
@@ -252,15 +249,12 @@ class GuestKernel : public GuestOs {
 
   // --- op execution (kernel_sync.cc) ---
   void FetchNextOp(GuestThread& t);
-  void BeginOp(GuestThread& t);
   // Completes the current op and fetches the next one.
   void CompleteOp(GuestThread& t);
   // The running thread finished its compute/spin boundary; advance its op machine.
   void OnThreadBoundary(GuestCpu& c, GuestThread& t);
-  void BlockCurrent(GuestCpu& c, GuestThread& t);
 
   void DoBarrierArrive(GuestCpu& c, GuestThread& t);
-  void ReleaseBarrier(GompBarrier& b);
   void DoMutexLock(GuestCpu& c, GuestThread& t);
   void DoMutexUnlock(GuestCpu& c, GuestThread& t);
   void DoCondWait(GuestCpu& c, GuestThread& t);
@@ -305,7 +299,6 @@ class GuestKernel : public GuestOs {
 
   std::vector<GuestCpu> cpus_;
   std::vector<std::unique_ptr<GuestThread>> threads_;
-  int live_threads_ = 0;
 
   std::vector<SpinFlag> spin_flags_;
   std::vector<GompBarrier> barriers_;
@@ -333,10 +326,6 @@ class GuestKernel : public GuestOs {
   int64_t freeze_resends_ = 0;
   int64_t dup_ipis_ignored_ = 0;
   int64_t tick_rescues_ = 0;
-
-  // Reentrancy guard: depth of OnDeadline/DeliverEvent processing per cpu would be
-  // overkill; a single kernel-wide flag suffices to suppress nested TouchVcpu.
-  bool in_touch_ = false;
 };
 
 }  // namespace vscale

@@ -12,6 +12,11 @@
 
 namespace vscale {
 
+namespace {
+// Pull threshold: balance when busiest has this many more runnable threads.
+constexpr int kImbalanceThreshold = 2;
+}  // namespace
+
 GuestThread& GuestKernel::Spawn(const std::string& name, ThreadBody* body,
                                 ThreadType type, int pinned_cpu) {
   const int id = static_cast<int>(threads_.size());
@@ -27,7 +32,6 @@ GuestThread& GuestKernel::Spawn(const std::string& name, ThreadBody* body,
     t.state = ThreadState::kBlocked;
     return t;
   }
-  ++live_threads_;
   // vslint: allow(stall-hook, spawn-time init before any vCPU runs; stall attribution starts at the hooked hv dispatch sites)
   t.state = ThreadState::kBlocked;
   t.op_active = false;
@@ -57,7 +61,7 @@ void GuestKernel::EnqueueThread(GuestCpu& c, GuestThread& t) {
     return;
   }
   // Wakeup vruntime normalization: don't let long sleepers starve the queue.
-  t.vruntime = std::max(t.vruntime, c.min_vruntime - config_.wakeup_granularity);
+  t.vruntime = std::max(t.vruntime, c.min_vruntime - kWakeupGranularity);
   auto pos = c.runq.begin();
   while (pos != c.runq.end() && ((*pos)->rt || (*pos)->vruntime <= t.vruntime)) {
     ++pos;
@@ -147,7 +151,6 @@ int GuestKernel::SelectTaskRq(const GuestThread& t) {
 }
 
 void GuestKernel::SendReschedIpi(int from_cpu, int to_cpu, EvtchnPort port) {
-  (void)from_cpu;  // only the trace hook reads it
   VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
                            "ipi_send", domain_.id(), from_cpu, -1, "to", to_cpu);
   if (port == kPortResched || port == kPortFreeze) {
@@ -188,16 +191,6 @@ void GuestKernel::WakeThread(GuestThread& t, EvtchnPort wake_port) {
   }
 }
 
-void GuestKernel::MaybePreemptCurrent(GuestCpu& c, GuestThread& wakee) {
-  if (c.current == nullptr || PreemptDisabled(*c.current)) {
-    return;
-  }
-  if (wakee.vruntime + config_.wakeup_granularity < c.current->vruntime) {
-    PutCurrent(c, ThreadState::kRunnable);
-    DispatchNext(c);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Load balancing
 // ---------------------------------------------------------------------------
@@ -224,7 +217,7 @@ void GuestKernel::PeriodicBalance(GuestCpu& c) {
     }
   }
   if (busiest != nullptr &&
-      busiest->load() - c.load() >= config_.imbalance_threshold) {
+      busiest->load() - c.load() >= kImbalanceThreshold) {
     for (auto it = busiest->runq.rbegin(); it != busiest->runq.rend(); ++it) {
       GuestThread* t = *it;
       if (t->migratable()) {
@@ -247,7 +240,7 @@ void GuestKernel::PeriodicBalance(GuestCpu& c) {
     }
   }
   if (idlest == nullptr ||
-      c.load() - idlest->load() < config_.imbalance_threshold) {
+      c.load() - idlest->load() < kImbalanceThreshold) {
     return;
   }
   for (auto it = c.runq.rbegin(); it != c.runq.rend(); ++it) {

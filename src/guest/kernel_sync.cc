@@ -14,8 +14,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/base/check.h"
 #include "src/base/trace.h"
@@ -29,26 +27,10 @@ namespace {
 constexpr TimeNs kInfiniteSpin = kTimeNever;
 }  // namespace
 
-namespace {
-// Opt-in per-thread op tracing: VSCALE_TRACE_THREAD=<name substring>.
-const char* TraceFilter() {
-  static const char* filter = std::getenv("VSCALE_TRACE_THREAD");
-  return filter;
-}
-void Tr(const GuestThread& t, const char* what, TimeNs now) {
-  const char* filter = TraceFilter();
-  if (filter != nullptr && t.name().find(filter) != std::string::npos) {
-    std::fprintf(stderr, "[%.6f] %s %s op=%d phase=%d state=%d\n", now / 1e9,
-                 t.name().c_str(), what, (int)t.op.kind, t.op_phase, (int)t.state);
-  }
-}
-}  // namespace
-
 void GuestKernel::FetchNextOp(GuestThread& t) {
   assert(t.body() != nullptr);
   t.op = t.body()->Next(*this, t);
   t.op_phase = -1;
-  Tr(t, "fetch", sim_.Now());
   t.op_active = true;
   t.run_mode = RunMode::kCompute;
   t.remaining_ns = 0;
@@ -58,8 +40,6 @@ void GuestKernel::CompleteOp(GuestThread& t) {
   t.op_active = false;
   FetchNextOp(t);
 }
-
-void GuestKernel::BeginOp(GuestThread& t) { FetchNextOp(t); }
 
 // Completes the current op of a thread that is spinning on ANOTHER vCPU (barrier
 // release, spin-flag raise, kernel-lock grant): settle that vCPU's elapsed spin first,
@@ -155,7 +135,6 @@ void GuestKernel::OnThreadBoundary(GuestCpu& c, GuestThread& t) {
         GuestThread* tp = &t;
         PutCurrent(c, ThreadState::kExited);
         tp->op_active = false;
-        --live_threads_;
         if (on_thread_exit) {
           on_thread_exit(*tp);
         }
@@ -557,13 +536,6 @@ void GuestKernel::ReleaseKernelLock(int lock_id, GuestThread& releaser) {
     kl.queue.pop_front();
     GrantKernelLock(kl, *next);
   }
-}
-
-void GuestKernel::BlockCurrent(GuestCpu& c, GuestThread& t) {
-  assert(c.current == &t);
-  VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
-                           "thread_block", domain_.id(), c.id, -1, "thread", t.id());
-  DispatchNext(c);
 }
 
 }  // namespace vscale

@@ -81,9 +81,6 @@ class Domain {
   // most 2.5 pCPUs worth of time per accounting period.
   double cap_pcpus() const { return cap_pcpus_; }
   void set_cap_pcpus(double cap) { cap_pcpus_ = cap; }
-  // Reservation (lower bound) in pCPUs, honored by the extendability calculation.
-  double reservation_pcpus() const { return reservation_pcpus_; }
-  void set_reservation_pcpus(double r) { reservation_pcpus_ = r; }
 
   int n_vcpus() const { return static_cast<int>(vcpus_.size()); }
   Vcpu& vcpu(VcpuId id) { return vcpus_[static_cast<size_t>(id)]; }
@@ -134,7 +131,6 @@ class Domain {
   std::string name_;
   int weight_;
   double cap_pcpus_ = 0.0;
-  double reservation_pcpus_ = 0.0;
   // By value and contiguous: the scheduler's per-domain sweeps (accounting,
   // freeze seeding, window demand) walk vCPUs in order, and the count is fixed
   // at construction so addresses handed out as Vcpu* never move.

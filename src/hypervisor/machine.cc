@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/base/check.h"
-#include "src/base/log.h"
 #include "src/base/trace.h"
 #include "src/obs/coverage.h"
 #include "src/obs/stall_accounting.h"
@@ -12,14 +11,17 @@
 namespace vscale {
 
 Machine::Machine(MachineConfig config)
-    : config_(std::move(config)), sim_(config_.observers), rng_(config_.seed) {
+    : config_(std::move(config)),
+      cost_(DefaultCostModel()),
+      sim_(config_.observers),
+      rng_(config_.seed) {
   pcpus_.resize(static_cast<size_t>(config_.n_pcpus));
   for (int i = 0; i < config_.n_pcpus; ++i) {
     pcpus_[static_cast<size_t>(i)].id = i;
   }
-  tick_task_ = std::make_unique<PeriodicTask>(sim_, config_.cost.hv_tick_period,
+  tick_task_ = std::make_unique<PeriodicTask>(sim_, cost_.hv_tick_period,
                                               [this] { HvTick(); });
-  acct_task_ = std::make_unique<PeriodicTask>(sim_, config_.cost.hv_accounting_period,
+  acct_task_ = std::make_unique<PeriodicTask>(sim_, cost_.hv_accounting_period,
                                               [this] { Accounting(); });
   tick_task_->Start();
   acct_task_->Start();
@@ -42,7 +44,7 @@ Domain& Machine::CreateDomain(const std::string& name, int weight, int n_vcpus) 
   // New vCPUs start blocked with a fresh credit balance so first wakeups boost.
   for (int i = 0; i < n_vcpus; ++i) {
     Vcpu& v = d.vcpu(i);
-    v.credit_ns = config_.cost.hv_accounting_period;
+    v.credit_ns = cost_.hv_accounting_period;
     v.priority = CreditPriority::kUnder;
     v.wait_since = sim_.Now();
     v.advance_timer = sim_.AddTimer([this, &v] { OnAdvance(v); });
@@ -191,7 +193,7 @@ void Machine::ScheduleDecision(Pcpu& p) {
   // parked on a busy neighbour — the parking half of the tick-evader and
   // boost-abuser takes. If the best local candidate is OVER, prefer the best
   // better-priority parked vCPU anywhere (global priority order at dispatch).
-  if (config_.acct_time_based && config_.work_stealing) {
+  if (config_.acct_time_based) {
     Vcpu* local = nullptr;
     for (Vcpu* v : p.runq) {
       if (Schedulable(*v)) {
@@ -226,7 +228,7 @@ void Machine::ScheduleDecision(Pcpu& p) {
     }
   }
   Vcpu* next = PickFromRunq(p);
-  if (next == nullptr && config_.work_stealing) {
+  if (next == nullptr) {
     next = StealWork(p);
     if (next != nullptr) {
       VSCALE_TRACE_INSTANT(sim_.observers(), sim_.Now(), TraceCategory::kHypervisor,
@@ -234,9 +236,6 @@ void Machine::ScheduleDecision(Pcpu& p) {
     }
   }
   if (next == nullptr) {
-    if (on_schedule_hook) {
-      on_schedule_hook(p.id, nullptr);
-    }
     return;  // stays idle; idle_since was set when the pCPU was vacated
   }
   RunOn(p, *next);
@@ -260,7 +259,7 @@ void Machine::RunOn(Pcpu& p, Vcpu& v) {
   v.domain()->waited_in_acct_window += now - std::max(v.wait_since, acct_window_start_);
   v.run_since = now;
   v.last_settle = now;
-  v.slice_end = now + config_.cost.hv_time_slice;
+  v.slice_end = now + cost_.hv_time_slice;
   ++context_switches_;
   // Opens the "running" slice on both the pCPU and the vCPU export tracks; closed by
   // the matching VSCALE_TRACE_END in DescheduleCurrent.
@@ -272,9 +271,6 @@ void Machine::RunOn(Pcpu& p, Vcpu& v) {
   DrainPendingPorts(v);
   if (v.state == VcpuState::kRunning) {
     RearmAdvance(v);
-  }
-  if (on_schedule_hook) {
-    on_schedule_hook(p.id, &v);
   }
 }
 
@@ -423,10 +419,10 @@ void Machine::MaybePreempt(Pcpu& p) {
       !(config_.acct_time_based &&
         p.current->priority == CreditPriority::kOver &&
         best < CreditPriority::kOver);
-  if (ran < config_.cost.hv_ratelimit && over_shelters) {
+  if (ran < cost_.hv_ratelimit && over_shelters) {
     // Xen's sched_ratelimit: defer the preemption until the minimum run is served.
     if (p.ratelimit_check == Simulator::kInvalidEvent) {
-      const TimeNs when = p.current->run_since + config_.cost.hv_ratelimit;
+      const TimeNs when = p.current->run_since + cost_.hv_ratelimit;
       p.ratelimit_check = sim_.ScheduleAt(when, [this, &p] {
         p.ratelimit_check = Simulator::kInvalidEvent;
         MaybePreempt(p);
@@ -498,7 +494,7 @@ void Machine::HvTick() {
     Domain& d = *v.domain();
     if (d.cap_pcpus() > 0.0) {
       const TimeNs budget = static_cast<TimeNs>(
-          d.cap_pcpus() * static_cast<double>(config_.cost.hv_accounting_period));
+          d.cap_pcpus() * static_cast<double>(cost_.hv_accounting_period));
       if (d.consumed_in_acct_window >= budget) {
         d.capped_out = true;
       }
@@ -518,7 +514,7 @@ void Machine::HvTick() {
 }
 
 void Machine::Accounting() {
-  const TimeNs period = config_.cost.hv_accounting_period;
+  const TimeNs period = cost_.hv_accounting_period;
   const TimeNs capacity = static_cast<TimeNs>(config_.n_pcpus) * period;
 
   // A domain is acct-active if it consumed CPU this window or has demand right now.
@@ -669,13 +665,13 @@ void Machine::Accounting() {
 
 #if VSCALE_CHECKED
 void Machine::CheckSchedulerInvariants() {
-  const TimeNs period = config_.cost.hv_accounting_period;
+  const TimeNs period = cost_.hv_accounting_period;
   // Legal deficit: the clamp floor (-period), one further period burnt before the
   // next accounting pass, plus ticks of unsettled overshoot. A vCPU frozen (or
   // hotplug-halted) mid-deficit is skipped by the clamp, keeps that balance, and
   // after unfreeze can burn one more period before a pass clamps it again — so
   // the deepest legitimate balance is roughly two missed clamps deep.
-  const TimeNs credit_floor = -(4 * period + 2 * config_.cost.hv_tick_period);
+  const TimeNs credit_floor = -(4 * period + 2 * cost_.hv_tick_period);
   for (const auto& p : pcpus_) {
     // A stolen pCPU belongs to another pool for the duration of the burst: it
     // must neither run nor park anything (SetStolenPcpus migrated its queue).
@@ -988,15 +984,6 @@ TimeNs Machine::TotalIdleTime() const {
     }
   }
   return total;
-}
-
-double Machine::PoolUtilization() const {
-  const TimeNs elapsed = sim_.Now();
-  if (elapsed <= 0) {
-    return 0.0;
-  }
-  const double capacity = static_cast<double>(elapsed) * config_.n_pcpus;
-  return 1.0 - static_cast<double>(TotalIdleTime()) / capacity;
 }
 
 }  // namespace vscale

@@ -20,7 +20,6 @@
 #ifndef VSCALE_SRC_HYPERVISOR_MACHINE_H_
 #define VSCALE_SRC_HYPERVISOR_MACHINE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,9 +38,7 @@ namespace vscale {
 
 struct MachineConfig {
   int n_pcpus = 4;
-  CostModel cost;
   uint64_t seed = 1;
-  bool work_stealing = true;
   // Wake placement when no pCPU idles: false = stay on v->processor (sticky);
   // true = pick the shallowest run queue (csched_cpu_pick-style spreading). Spreading
   // lets bursty VMs' BOOST wakeups displace busy vCPUs anywhere — the source of the
@@ -83,7 +80,8 @@ class Machine : public HvServices {
   // The run's observers (MachineConfig::observers, carried by the Simulator).
   const Observers& observers() const { return sim_.observers(); }
   const MachineConfig& config() const { return config_; }
-  const CostModel& cost() const { return config_.cost; }
+  // The calibrated cost model (DefaultCostModel()), the one every layer reads.
+  const CostModel& cost() const { return cost_; }
 
   // Creates a domain; the caller attaches a GuestOs before starting vCPUs.
   Domain& CreateDomain(const std::string& name, int weight, int n_vcpus);
@@ -131,15 +129,10 @@ class Machine : public HvServices {
   TimeNs PcpuIdleTime(PcpuId p) const { return pcpus_[static_cast<size_t>(p)].total_idle; }
   TimeNs TotalIdleTime() const;
   int64_t context_switches() const { return context_switches_; }
-  // Fraction of pool capacity consumed so far (all domains).
-  double PoolUtilization() const;
   // BOOST wake telemetry (never digest-absorbed): grants counts every BOOST
   // awarded by WakeVcpu; denials only occur with boost_budget > 0.
   int64_t boost_grants() const { return boost_grants_; }
   int64_t boost_denied() const { return boost_denied_; }
-
-  // Invoked after every scheduling decision; for tracing (Fig. 8) and tests.
-  std::function<void(PcpuId, Vcpu*)> on_schedule_hook;
 
  private:
   // The run queue lives inline in the Pcpu (SmallVector): scanning a queue is
@@ -217,6 +210,7 @@ class Machine : public HvServices {
   void DrainPendingPorts(Vcpu& v);
 
   MachineConfig config_;
+  const CostModel& cost_;
   Simulator sim_;
   Rng rng_;
   std::vector<std::unique_ptr<Domain>> domains_;

@@ -138,11 +138,6 @@ void StallAccountant::Flush(VcpuAcct& a, TimeNs now) {
   a.since = now;
 }
 
-void StallAccountant::Retarget(VcpuAcct& a, TimeNs now) {
-  Flush(a, now);
-  if (a.hv_state != HvState::kRunning) a.cur = DeriveBucket(a);
-}
-
 void StallAccountant::OnVcpuCreated(int dom, int vcpu, TimeNs now) {
   if (!active_) return;
   Get(dom, vcpu, now);
@@ -263,10 +258,7 @@ void StallAccountant::OnApplyTarget(int dom, int target) {
 }
 
 void StallAccountant::EmitCounterTracks(
-    [[maybe_unused]] int dom,
-    [[maybe_unused]] const std::array<int64_t, kStallBucketCount>& t,
-    [[maybe_unused]] TimeNs now) {
-  // Every statement below compiles away under -DVSCALE_TRACE=OFF.
+    int dom, const std::array<int64_t, kStallBucketCount>& t, TimeNs now) {
   VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_running_ns",
                        dom, t[0]);
   VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_runnable_ns",

@@ -106,7 +106,6 @@ class StallAccountant {
   void FinishRun(TimeNs now);
 
   bool active() const { return active_; }
-  const std::string& run_label() const { return label_; }
 
   // --- hypervisor hooks (src/hypervisor/machine.cc) -------------------------
   void OnVcpuCreated(int dom, int vcpu, TimeNs now);
@@ -149,7 +148,6 @@ class StallAccountant {
   int64_t DomainBucketNs(int dom, StallBucket b) const;
   const LatencyHistogram& wake_to_dispatch() const { return wake_to_dispatch_; }
   const LatencyHistogram& ipi_deliver() const { return ipi_deliver_; }
-  const LatencyHistogram& freeze_quiesce() const { return freeze_quiesce_; }
 
   // Exhaustiveness check valid at sampler boundaries (every running vCPU
   // settled to `now`): each vCPU's buckets plus its open interval must sum to
@@ -210,8 +208,6 @@ class StallAccountant {
   static StallBucket DeriveBucket(const VcpuAcct& a);
   // Closes the open non-running interval at `now` (no-op while running).
   void Flush(VcpuAcct& a, TimeNs now);
-  // Flush + re-derive the open bucket after a flag/state change.
-  void Retarget(VcpuAcct& a, TimeNs now);
 
   bool active_ = false;
   Observers run_;  // the attached run's observers, for the accountant's emissions

@@ -502,7 +502,6 @@ class PeriodicTask {
   void Stop();
   bool running() const { return running_; }
   TimeNs period() const { return period_; }
-  void set_period(TimeNs period) { period_ = period; }
 
  private:
   void Fire();

@@ -21,7 +21,6 @@ VscaleBalancer::ApplyOutcome VscaleBalancer::ApplyTarget(int target) {
   auto op_failed = [&]() {
     if (faults_ != nullptr && faults_->Active(FaultKind::kFreezeFail)) {
       out.cost += kernel_.cost().freeze_syscall;
-      ++out.ops_failed;
       ++op_failures_;
       VSCALE_TRACE_INSTANT(kernel_.observers(), kernel_.NowNs(), TraceCategory::kVscale,
                            "freeze_op_fail", kernel_.domain().id(), -1, -1);

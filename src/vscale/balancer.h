@@ -23,7 +23,6 @@ class VscaleBalancer {
   struct ApplyOutcome {
     TimeNs cost = 0;      // master-side cost to charge to the caller
     bool complete = false;  // reached the (clamped) target
-    int ops_failed = 0;   // freeze/unfreeze ops the fault plane failed
   };
 
   // Freezes/unfreezes vCPUs until exactly `target` are active. vCPU0 (the master) is
@@ -35,7 +34,6 @@ class VscaleBalancer {
   // Optional fault plane; null = no faults.
   void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
 
-  int active_vcpus() const { return kernel_.online_cpus(); }
   int64_t freezes() const { return freezes_; }
   int64_t unfreezes() const { return unfreezes_; }
   int64_t op_failures() const { return op_failures_; }

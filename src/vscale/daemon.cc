@@ -9,6 +9,13 @@
 
 namespace vscale {
 
+namespace {
+// Plausibility-clamp hysteresis: consecutive implausible grow cycles required
+// before the clamp engages, so a genuine demand spike racing the sample window
+// is not capped.
+constexpr int kClampConfirmations = 2;
+}  // namespace
+
 void DaemonConfig::Validate() const {
   VS_REQUIRE(poll_period > 0,
              "DaemonConfig.poll_period must be positive (got %lld ns)",
@@ -41,9 +48,6 @@ void DaemonConfig::Validate() const {
   VS_REQUIRE(resume_confirmations >= 1,
              "DaemonConfig.resume_confirmations must be >= 1 (got %d)",
              resume_confirmations);
-  VS_REQUIRE(clamp_confirmations >= 1,
-             "DaemonConfig.clamp_confirmations must be >= 1 (got %d)",
-             clamp_confirmations);
 }
 
 VscaleDaemon::VscaleDaemon(GuestKernel& kernel, HvServices& hv, DaemonConfig config)
@@ -310,7 +314,7 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
           const int plausible = static_cast<int>(std::ceil(demand_rate)) + 1;
           if (target > plausible) {
             ++implausible_streak_;
-            if (implausible_streak_ >= config_.clamp_confirmations) {
+            if (implausible_streak_ >= kClampConfirmations) {
               ++clamped_cycles_;
               VS_OBSERVE(kernel.observers(), coverage,
                          Record(CoveragePoint::kClampFired));

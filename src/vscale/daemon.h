@@ -72,9 +72,6 @@ struct DaemonConfig {
   // is clamped to the plausible count instead of trusted. Shrinks are never
   // clamped: lying *low* only hurts the liar.
   bool plausibility_clamp = false;
-  // Hysteresis: consecutive implausible grow cycles required before the clamp
-  // engages, so a genuine demand spike racing the sample window is not capped.
-  int clamp_confirmations = 2;
 
   // Aborts (or reaches the installed invariant handler) on nonsensical values —
   // non-positive periods, confirmation counts < 1, negative retry budgets. Called

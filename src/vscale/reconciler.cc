@@ -42,7 +42,6 @@ TimeNs VscaleReconciler::RepairVcpu(int i, bool guest_frozen, bool hv_frozen,
                                     bool lost_wake) {
   const TimeNs now = kernel_.NowNs();
   ++repairs_;
-  last_repair_ns_ = now;
   VS_OBSERVE(kernel_.observers(), coverage, OnReconcileRepair());
   TimeNs cost = 0;
   const DomainId dom = kernel_.domain().id();
@@ -151,7 +150,6 @@ void VscaleReconciler::Audit() {
                                  "believed_minus_online", believed - online);
       } else if (now - daemon_diverged_since_ >= config_.grace) {
         ++repairs_;
-        last_repair_ns_ = now;
         VS_OBSERVE(kernel_.observers(), coverage, OnReconcileRepair());
         int n_online = online;
         for (int i = 1; i < kernel_.n_cpus() && n_online < believed; ++i) {

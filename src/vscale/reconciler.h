@@ -72,7 +72,6 @@ class VscaleReconciler {
   int64_t converged() const { return converged_; }
   bool divergent() const { return prev_divergent_; }
   TimeNs first_divergence_ns() const { return first_divergence_ns_; }
-  TimeNs last_repair_ns() const { return last_repair_ns_; }
 
  private:
   void Audit();
@@ -97,7 +96,6 @@ class VscaleReconciler {
   int64_t repairs_ = 0;              // repair actions issued past grace
   int64_t converged_ = 0;            // divergent -> all-clean transitions
   TimeNs first_divergence_ns_ = 0;
-  TimeNs last_repair_ns_ = 0;
 };
 
 }  // namespace vscale

@@ -28,7 +28,6 @@ void ExtendabilityTicker::Recompute() {
     in.waited = machine_.WindowWaited(d->id());
     in.max_vcpus = d->n_vcpus();
     in.cap_pcpus = d->cap_pcpus();
-    in.reservation_pcpus = d->reservation_pcpus();
     inputs.push_back(in);
   }
   const auto results =

@@ -5,14 +5,21 @@
 
 namespace vscale {
 
-VcpuBalController::VcpuBalController(Machine& machine, VcpuBalConfig config)
+namespace {
+// Polling any faster is pointless when a single reconfiguration can stall the
+// guest for tens of milliseconds (the paper's argument for lighter knobs).
+constexpr TimeNs kPollPeriod = Seconds(1);
+// dom0 is otherwise idle while it monitors.
+constexpr Dom0Load kDom0Load = Dom0Load::kIdle;
+// Kernel whose hotplug latencies apply: Linux 3.14.15.
+constexpr size_t kKernelModelIndex = 2;
+}  // namespace
+
+VcpuBalController::VcpuBalController(Machine& machine)
     : machine_(machine),
-      config_(config),
       toolstack_(machine.cost(), machine.rng().Fork(0xBA1)),
-      hotplug_(HotplugKernelModels()[static_cast<size_t>(
-                   config.kernel_model_index)],
-               machine.rng().Fork(0xB01)) {
-  task_ = std::make_unique<PeriodicTask>(machine_.sim(), config_.poll_period,
+      hotplug_(HotplugKernelModels()[kKernelModelIndex], machine.rng().Fork(0xB01)) {
+  task_ = std::make_unique<PeriodicTask>(machine_.sim(), kPollPeriod,
                                          [this] { Poll(); });
 }
 
@@ -42,11 +49,10 @@ int VcpuBalController::WeightShareTarget(const Domain& d) const {
 }
 
 void VcpuBalController::Poll() {
-  ++polls_;
   // dom0 reads every VM's state through libxl before deciding anything. The cost is
   // dom0 CPU (not charged to the guests), but it bounds how fast the loop can react.
   monitoring_cost_ += toolstack_.SampleMonitorAllVms(
-      machine_.n_domains(), config_.dom0_load);
+      machine_.n_domains(), kDom0Load);
 
   for (GuestKernel* kernel : kernels_) {
     const int target = WeightShareTarget(kernel->domain());

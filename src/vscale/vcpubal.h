@@ -28,18 +28,9 @@
 
 namespace vscale {
 
-struct VcpuBalConfig {
-  // Polling any faster is pointless when a single reconfiguration can stall the
-  // guest for tens of milliseconds (the paper's argument for lighter knobs).
-  TimeNs poll_period = Seconds(1);
-  Dom0Load dom0_load = Dom0Load::kIdle;
-  // Kernel whose hotplug latencies apply (default: Linux 3.14.15, index 2).
-  int kernel_model_index = 2;
-};
-
 class VcpuBalController {
  public:
-  VcpuBalController(Machine& machine, VcpuBalConfig config);
+  explicit VcpuBalController(Machine& machine);
 
   // Registers a guest the controller manages (UP guests are ignored, like vScale).
   void Manage(GuestKernel& kernel);
@@ -51,7 +42,6 @@ class VcpuBalController {
   // reconfigure via hotplug. Exposed for tests.
   void Poll();
 
-  int64_t polls() const { return polls_; }
   int64_t reconfigurations() const { return reconfigurations_; }
   // dom0 CPU burnt monitoring (libxl reads).
   TimeNs monitoring_cost() const { return monitoring_cost_; }
@@ -62,12 +52,10 @@ class VcpuBalController {
   int WeightShareTarget(const Domain& d) const;
 
   Machine& machine_;
-  VcpuBalConfig config_;
   Dom0Toolstack toolstack_;
   HotplugModel hotplug_;
   std::vector<GuestKernel*> kernels_;
   std::unique_ptr<PeriodicTask> task_;
-  int64_t polls_ = 0;
   int64_t reconfigurations_ = 0;
   TimeNs monitoring_cost_ = 0;
   TimeNs hotplug_stall_ = 0;

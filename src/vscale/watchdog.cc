@@ -47,7 +47,6 @@ void VscaleWatchdog::Check() {
       tripped_ = false;
       ++recoveries_;
       VS_OBSERVE(kernel_.observers(), coverage, OnWatchdogRecovery());
-      last_recovery_ns_ = now;
       VSCALE_TRACE_INSTANT(kernel_.observers(), now, TraceCategory::kVscale,
                            "watchdog_recover", kernel_.domain().id(), 0, -1);
     }

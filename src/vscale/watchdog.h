@@ -57,7 +57,6 @@ class VscaleWatchdog {
   int64_t trips() const { return trips_; }
   int64_t recoveries() const { return recoveries_; }
   TimeNs first_trip_ns() const { return first_trip_ns_; }
-  TimeNs last_recovery_ns() const { return last_recovery_ns_; }
 
  private:
   void Check();
@@ -73,7 +72,6 @@ class VscaleWatchdog {
   int64_t trips_ = 0;
   int64_t recoveries_ = 0;
   TimeNs first_trip_ns_ = 0;
-  TimeNs last_recovery_ns_ = 0;
 };
 
 }  // namespace vscale

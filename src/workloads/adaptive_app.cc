@@ -4,6 +4,13 @@
 
 namespace vscale {
 
+namespace {
+// Team size: one worker per vCPU of the 4-vCPU VMs every caller builds.
+constexpr int kMaxWorkers = 4;
+// Per-chunk work varies uniformly by up to this fraction around chunk_mean.
+constexpr double kChunkImbalance = 0.3;
+}  // namespace
+
 // Worker loop: claim a chunk, compute it; in adaptive mode a worker whose index is
 // beyond the current online-vCPU count parks on the gate condvar between chunks and
 // is woken when any peer observes regrown capacity.
@@ -28,8 +35,7 @@ class AdaptiveApp::Worker : public ThreadBody {
         }
         ++a.chunks_claimed_;
         phase_ = Phase::kCompute;
-        const double skew =
-            rng_.UniformReal(-a.config_.chunk_imbalance, a.config_.chunk_imbalance);
+        const double skew = rng_.UniformReal(-kChunkImbalance, kChunkImbalance);
         const TimeNs chunk = static_cast<TimeNs>(
             static_cast<double>(a.config_.chunk_mean) * (1.0 + skew));
         return Op::Compute(std::max<TimeNs>(Microseconds(50), chunk));
@@ -110,7 +116,7 @@ void AdaptiveApp::Start() {
   start_time_ = kernel_.NowNs();
   gate_mutex_ = kernel_.CreateMutex();
   gate_cond_ = kernel_.CreateCond();
-  live_workers_ = config_.max_workers;
+  live_workers_ = kMaxWorkers;
   auto previous_hook = kernel_.on_thread_exit;
   kernel_.on_thread_exit = [this, previous_hook](GuestThread& t) {
     if (previous_hook) {
@@ -123,7 +129,7 @@ void AdaptiveApp::Start() {
       }
     }
   };
-  for (int i = 0; i < config_.max_workers; ++i) {
+  for (int i = 0; i < kMaxWorkers; ++i) {
     workers_.push_back(std::make_unique<Worker>(*this, i, rng_.Fork(500 + i)));
     GuestThread& t = kernel_.Spawn(config_.name + "/" + std::to_string(i),
                                    workers_.back().get());

@@ -23,10 +23,8 @@ namespace vscale {
 
 struct AdaptiveAppConfig {
   std::string name = "adaptive";
-  int max_workers = 4;
   int64_t chunks = 2000;
   TimeNs chunk_mean = Milliseconds(2);
-  double chunk_imbalance = 0.3;
   // true: workers beyond the online-vCPU count park between chunks.
   bool adaptive = true;
 };

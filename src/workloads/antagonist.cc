@@ -324,7 +324,7 @@ FairnessProbe::FairnessProbe(Machine& machine, std::vector<DomainId> attackers,
     : machine_(machine),
       attackers_(std::move(attackers)),
       eps_pct_(eps_pct),
-      period_(machine.config().cost.hv_accounting_period),
+      period_(machine.cost().hv_accounting_period),
       last_(machine.domains().size()),
       bank_(attackers_.size(), kBankUnset),
       theft_(attackers_.size(), 0) {

@@ -4,6 +4,30 @@
 
 namespace vscale {
 
+namespace {
+
+// Closed-loop interactive model: decode a slide (burst of CPU on both vCPUs), then
+// think before the next one. The think gap persists no matter how contended the
+// decode was — which keeps the desktops' credit balances topped up, so every slide
+// arrival is a BOOST-priority preemption of whoever holds the pCPU. That burst-
+// preempt-burst pattern is precisely the interference the paper's primary VM
+// suffers from.
+constexpr int kSlideshowThreads = 2;  // decode fans out over the desktop's two vCPUs
+constexpr TimeNs kBurstMean = MillisecondsF(700);    // decode + render one 2802x1849 jpeg
+constexpr TimeNs kBurstStddev = MillisecondsF(140);  // per-thread; both vCPUs decode together
+constexpr TimeNs kThinkMean = MillisecondsF(120);    // auto-advance gap (exponential)
+constexpr TimeNs kThinkFloor = MillisecondsF(40);
+
+// The Table 2 kernel build.
+constexpr int kBuildJobs = 8;                          // make -jN
+constexpr TimeNs kUnitMean = MillisecondsF(55);        // one compilation unit (cc1)
+constexpr double kUnitImbalance = 0.5;
+// Each unit forks a short-lived assembler/linker helper; the fork placement is
+// what generates the steady ~20 reschedule IPIs/s/vCPU of the paper's Table 2.
+constexpr TimeNs kHelperMean = MillisecondsF(8);
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // SlideshowDesktop
 // ---------------------------------------------------------------------------
@@ -34,12 +58,11 @@ class SlideshowDesktop::ViewerBody : public ThreadBody {
 
   Op Next(GuestKernel& kernel, GuestThread& thread) override {
     (void)thread;
-    const SlideshowConfig& cfg = desktop_.config_;
     const TimeNs now = kernel.NowNs();
     if (bursting_) {
       bursting_ = false;
       ++desktop_.slides_shown_;
-      TimeNs think = cfg.think_floor + rng_.ExponentialTime(cfg.think_mean);
+      TimeNs think = kThinkFloor + rng_.ExponentialTime(kThinkMean);
       if (desktop_.phases_ != nullptr && !desktop_.phases_->InCrunch(now)) {
         // Quiet phase: the user dwells on this photo until the phase ends (jittered
         // so the desktops do not wake in lockstep).
@@ -49,7 +72,7 @@ class SlideshowDesktop::ViewerBody : public ThreadBody {
       return Op::Sleep(think);
     }
     bursting_ = true;
-    const TimeNs burst = rng_.NormalTime(cfg.burst_mean, cfg.burst_stddev);
+    const TimeNs burst = rng_.NormalTime(kBurstMean, kBurstStddev);
     return Op::Compute(std::max<TimeNs>(Milliseconds(20), burst));
   }
 
@@ -59,16 +82,16 @@ class SlideshowDesktop::ViewerBody : public ThreadBody {
   bool bursting_ = false;
 };
 
-SlideshowDesktop::SlideshowDesktop(GuestKernel& kernel, SlideshowConfig config,
-                                   uint64_t seed, LoadPhaseSchedule* phases)
-    : kernel_(kernel), config_(config), rng_(seed), phases_(phases) {}
+SlideshowDesktop::SlideshowDesktop(GuestKernel& kernel, uint64_t seed,
+                                   LoadPhaseSchedule* phases)
+    : kernel_(kernel), rng_(seed), phases_(phases) {}
 
 SlideshowDesktop::~SlideshowDesktop() = default;
 
 void SlideshowDesktop::Start() {
   assert(!started_);
   started_ = true;
-  for (int i = 0; i < config_.threads; ++i) {
+  for (int i = 0; i < kSlideshowThreads; ++i) {
     bodies_.push_back(std::make_unique<ViewerBody>(*this, rng_.Fork(300 + i)));
     kernel_.Spawn("slideshow/" + std::to_string(i), bodies_.back().get());
   }
@@ -105,18 +128,13 @@ class KernelBuild::JobBody : public ThreadBody {
   Op Next(GuestKernel& kernel, GuestThread& thread) override {
     (void)kernel;
     (void)thread;
-    const KernelBuildConfig& cfg = build_.config_;
     switch (phase_) {
       case Phase::kCompile: {
-        if (cfg.units_per_job > 0 && units_ >= cfg.units_per_job) {
-          return Op::Exit();
-        }
-        ++units_;
         ++build_.units_built_;
         phase_ = Phase::kFsLock;
-        const double skew = rng_.UniformReal(-cfg.unit_imbalance, cfg.unit_imbalance);
+        const double skew = rng_.UniformReal(-kUnitImbalance, kUnitImbalance);
         const TimeNs unit = static_cast<TimeNs>(
-            static_cast<double>(cfg.unit_mean) * (1.0 + skew));
+            static_cast<double>(kUnitMean) * (1.0 + skew));
         return Op::Compute(std::max<TimeNs>(Milliseconds(5), unit));
       }
       case Phase::kFsLock:
@@ -143,11 +161,10 @@ class KernelBuild::JobBody : public ThreadBody {
   KernelBuild& build_;
   Rng rng_;
   Phase phase_ = Phase::kCompile;
-  int64_t units_ = 0;
 };
 
-KernelBuild::KernelBuild(GuestKernel& kernel, KernelBuildConfig config, uint64_t seed)
-    : kernel_(kernel), config_(config), rng_(seed) {}
+KernelBuild::KernelBuild(GuestKernel& kernel, uint64_t seed)
+    : kernel_(kernel), rng_(seed) {}
 
 KernelBuild::~KernelBuild() = default;
 
@@ -155,7 +172,7 @@ void KernelBuild::Start() {
   assert(!started_);
   started_ = true;
   fs_mutex_ = kernel_.CreateMutex();
-  for (int i = 0; i < config_.jobs; ++i) {
+  for (int i = 0; i < kBuildJobs; ++i) {
     bodies_.push_back(std::make_unique<JobBody>(*this, rng_.Fork(400 + i)));
     kernel_.Spawn("cc1/" + std::to_string(i), bodies_.back().get());
   }
@@ -163,7 +180,7 @@ void KernelBuild::Start() {
 
 void KernelBuild::SpawnHelper() {
   const TimeNs work = std::max<TimeNs>(
-      Milliseconds(1), rng_.ExponentialTime(config_.helper_mean));
+      Milliseconds(1), rng_.ExponentialTime(kHelperMean));
   helpers_.push_back(std::make_unique<HelperBody>(work));
   kernel_.Spawn("as", helpers_.back().get());
 }

@@ -16,20 +16,6 @@
 
 namespace vscale {
 
-struct SlideshowConfig {
-  int threads = 2;  // decode fans out over the desktop's two vCPUs
-  // Closed-loop interactive model: decode a slide (burst of CPU on both vCPUs), then
-  // think before the next one. The think gap persists no matter how contended the
-  // decode was — which keeps the desktops' credit balances topped up, so every slide
-  // arrival is a BOOST-priority preemption of whoever holds the pCPU. That burst-
-  // preempt-burst pattern is precisely the interference the paper's primary VM
-  // suffers from.
-  TimeNs burst_mean = MillisecondsF(700);   // decode + render one 2802x1849 jpeg
-  TimeNs burst_stddev = MillisecondsF(140); // per-thread; both vCPUs decode together
-  TimeNs think_mean = MillisecondsF(120);   // auto-advance gap (exponential)
-  TimeNs think_floor = MillisecondsF(40);
-};
-
 // The machine-wide availability process the paper's co-located desktops create: their
 // bursts overlap into episodes where the pool is saturated ("crunch") separated by
 // windows where most desktops think ("quiet"). Desktops sharing a schedule dwell
@@ -65,7 +51,7 @@ class SlideshowDesktop {
   // `phases` is optional (may be nullptr): with a schedule attached the desktop
   // follows the machine-wide crunch/quiet process; without one it free-runs on its
   // own slide pacing.
-  SlideshowDesktop(GuestKernel& kernel, SlideshowConfig config, uint64_t seed,
+  SlideshowDesktop(GuestKernel& kernel, uint64_t seed,
                    LoadPhaseSchedule* phases = nullptr);
   ~SlideshowDesktop();
 
@@ -79,7 +65,6 @@ class SlideshowDesktop {
   class ViewerBody;
 
   GuestKernel& kernel_;
-  SlideshowConfig config_;
   Rng rng_;
   LoadPhaseSchedule* phases_;
   std::vector<std::unique_ptr<ViewerBody>> bodies_;
@@ -87,21 +72,12 @@ class SlideshowDesktop {
   bool started_ = false;
 };
 
-struct KernelBuildConfig {
-  int jobs = 8;  // make -jN
-  TimeNs unit_mean = MillisecondsF(55);  // one compilation unit (cc1)
-  double unit_imbalance = 0.5;
-  int64_t units_per_job = 0;  // 0 = run forever
-  // Each unit forks a short-lived assembler/linker helper; the fork placement is
-  // what generates the steady ~20 reschedule IPIs/s/vCPU of the paper's Table 2.
-  TimeNs helper_mean = MillisecondsF(8);
-};
-
 // A make-style parallel build: a coordinator hands compilation units to jobs through a
-// condvar; completions wake the coordinator — a steady, moderate IPI source.
+// condvar; completions wake the coordinator — a steady, moderate IPI source. Runs
+// until the simulation stops.
 class KernelBuild {
  public:
-  KernelBuild(GuestKernel& kernel, KernelBuildConfig config, uint64_t seed);
+  KernelBuild(GuestKernel& kernel, uint64_t seed);
   ~KernelBuild();
 
   KernelBuild(const KernelBuild&) = delete;
@@ -117,7 +93,6 @@ class KernelBuild {
   void SpawnHelper();
 
   GuestKernel& kernel_;
-  KernelBuildConfig config_;
   Rng rng_;
   int fs_mutex_ = -1;  // shared filesystem lock touched per unit
   std::vector<std::unique_ptr<JobBody>> bodies_;

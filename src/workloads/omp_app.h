@@ -62,8 +62,6 @@ class OmpApp {
   void Start();
 
   bool done() const { return done_; }
-  TimeNs start_time() const { return start_time_; }
-  TimeNs finish_time() const { return finish_time_; }
   TimeNs duration() const { return done_ ? finish_time_ - start_time_ : 0; }
   const OmpAppConfig& config() const { return config_; }
 

@@ -159,8 +159,7 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
     background_kernels_.push_back(
         std::make_unique<GuestKernel>(*machine_, machine_->sim(), d, gc));
     auto desktop = std::make_unique<SlideshowDesktop>(
-        *background_kernels_.back(), config_.slideshow, seeder.NextU64(),
-        phases_.get());
+        *background_kernels_.back(), seeder.NextU64(), phases_.get());
     desktop->Start();
     desktops_.push_back(std::move(desktop));
   }
@@ -238,14 +237,6 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
         watchdog_->set_reconciler(reconciler_.get());
       }
     }
-    if (config_.vscale_in_background) {
-      for (auto& bk : background_kernels_) {
-        auto d = std::make_unique<VscaleDaemon>(*bk, *machine_, dc);
-        d->set_fault_injector(injector_.get());
-        d->Start();
-        background_daemons_.push_back(std::move(d));
-      }
-    }
     // Antagonists that asked for a daemon get one: an inflated extendability
     // only becomes CPU theft once a daemon grows the attacker, which is the
     // end-to-end path the plausibility clamp is measured against.
@@ -320,22 +311,6 @@ void Testbed::PublishMetrics(MetricsRegistry& reg) const {
 
 bool Testbed::RunUntil(const std::function<bool()>& stop, TimeNs deadline) {
   return sim().RunUntilCondition(stop, deadline);
-}
-
-int64_t Testbed::PrimaryReschedIpis() const {
-  int64_t total = 0;
-  for (int i = 0; i < primary_kernel_->n_cpus(); ++i) {
-    total += primary_kernel_->cpu(i).stats.resched_ipis;
-  }
-  return total;
-}
-
-int64_t Testbed::PrimaryTimerInts() const {
-  int64_t total = 0;
-  for (int i = 0; i < primary_kernel_->n_cpus(); ++i) {
-    total += primary_kernel_->cpu(i).stats.timer_ints;
-  }
-  return total;
 }
 
 }  // namespace vscale

@@ -111,14 +111,10 @@ struct TestbedConfig {
   int background_vms = 0;
   uint64_t seed = 1;
   DaemonConfig daemon;
-  SlideshowConfig slideshow;
   // Machine-wide crunch/quiet phase process the desktops follow (see
   // LoadPhaseSchedule). Zero means free-running desktops with no shared phases.
   TimeNs crunch_mean = MillisecondsF(4000);
   TimeNs quiet_mean = MillisecondsF(1200);
-  // Run vScale daemons inside the background VMs too. The paper's evaluation scales
-  // only the VM under test; cooperative all-VM scaling is left as an extension.
-  bool vscale_in_background = false;
   // Weight per vCPU so "all vCPUs are treated equally by the hypervisor scheduler".
   int weight_per_vcpu = 256;
   // Scheduled fault events (docs/FAULTS.md); empty = fault-free run. Steal bursts
@@ -190,19 +186,13 @@ class Testbed {
   // --- antagonist access (empty unless config.antagonists is set) ---
   int n_antagonists() const { return static_cast<int>(antagonists_.size()); }
   Antagonist& antagonist(int i) { return *antagonists_[static_cast<size_t>(i)]; }
-  // The hypervisor domain backing antagonist i (primary and desktops precede it).
-  Domain& antagonist_domain(int i) {
-    return machine_->domain(antagonist_domain_ids_[static_cast<size_t>(i)]);
-  }
+  // The hypervisor domains backing the antagonists (primary and desktops precede them).
   const std::vector<DomainId>& antagonist_domain_ids() const {
     return antagonist_domain_ids_;
   }
 
   // --- metric helpers over the primary VM ---
   TimeNs PrimaryWaitTime() const { return machine_->domain(0).TotalWait(); }
-  TimeNs PrimaryRunTime() const { return machine_->domain(0).TotalRuntime(); }
-  int64_t PrimaryReschedIpis() const;
-  int64_t PrimaryTimerInts() const;
 
  private:
   // Writes the run's machine, guest and control-plane statistics, then the

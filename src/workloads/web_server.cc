@@ -4,6 +4,15 @@
 
 namespace vscale {
 
+namespace {
+// Per-request CPU: TCP/IP receive+transmit path, httpd dispatch, sendfile of the
+// 16 KB body. Sized so ~4 vCPUs saturate a 1 GbE link, as in the paper's testbed.
+constexpr TimeNs kServiceCpu = Microseconds(380);
+constexpr TimeNs kServiceJitter = Microseconds(80);
+// 16 KB + headers over 1 GbE: ~139 us of wire time per reply.
+constexpr TimeNs kReplyTxTime = MicrosecondsF(139);
+}  // namespace
+
 // Worker threads loop: wait for a request assignment (IoWait), then burn the service
 // CPU; the reply transmission is accounted at op completion via FinishRequest.
 class WebServer::WorkerBody : public ThreadBody {
@@ -19,9 +28,8 @@ class WebServer::WorkerBody : public ThreadBody {
         return Op::IoWait();
       case Phase::kService: {
         phase_ = Phase::kFinish;
-        const TimeNs jitter = server_.rng_.UniformTime(
-            -server_.config_.service_jitter, server_.config_.service_jitter);
-        TimeNs service = server_.config_.service_cpu + jitter;
+        const TimeNs jitter = server_.rng_.UniformTime(-kServiceJitter, kServiceJitter);
+        TimeNs service = kServiceCpu + jitter;
         if (service < Microseconds(5)) {
           service = Microseconds(5);
         }
@@ -127,7 +135,7 @@ void WebServer::FinishRequest(const Request& r) {
   const TimeNs now = kernel_.NowNs();
   // Serialize the reply on the shared link; the client sees it (and httperf counts
   // it) when it leaves the wire, which caps the reply rate at link saturation.
-  link_free_at_ = std::max(link_free_at_, now) + config_.reply_tx_time;
+  link_free_at_ = std::max(link_free_at_, now) + kReplyTxTime;
   stats_.response_time_us.Add(ToMicroseconds(link_free_at_ - r.arrival));
   sim_.ScheduleAt(link_free_at_, [this] { ++stats_.replies; });
 }

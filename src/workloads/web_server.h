@@ -31,14 +31,7 @@ namespace vscale {
 
 struct WebServerConfig {
   int workers = 8;                         // httpd worker threads
-  // Per-request CPU: TCP/IP receive+transmit path, httpd dispatch, sendfile of the
-  // 16 KB body. Sized so ~4 vCPUs saturate a 1 GbE link, as in the paper's testbed.
-  TimeNs service_cpu = Microseconds(380);
-  TimeNs service_jitter = Microseconds(80);
   int accept_backlog = 256;               // connections queued beyond busy workers
-  // 16 KB + headers over 1 GbE: ~139 us of wire time per reply.
-  TimeNs reply_tx_time = MicrosecondsF(139);
-  TimeNs request_rx_time = MicrosecondsF(6);  // request packets on the wire
 };
 
 class WebServer {

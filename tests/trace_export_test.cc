@@ -137,7 +137,6 @@ TEST(TraceExportTest, InstrumentedRunExportsAllLayers) {
   }
   const std::string json = Export(tracer);
 
-#if VSCALE_TRACE
   TraceStats stats;
   std::string error;
   ASSERT_TRUE(ValidateChromeTrace(json, &error, &stats)) << error;
@@ -148,13 +147,6 @@ TEST(TraceExportTest, InstrumentedRunExportsAllLayers) {
   EXPECT_TRUE(stats.categories.count("vscale"));
   EXPECT_GE(stats.domain_pids.size(), 2u);
   EXPECT_GT(stats.events, 100u);
-#else
-  // Hooks compiled out: the export is valid but empty.
-  std::string error;
-  TraceStats stats;
-  ASSERT_TRUE(ValidateChromeTrace(json, &error, &stats)) << error;
-  EXPECT_EQ(stats.events, 0u);
-#endif
 }
 
 TEST(TraceExportTest, TracingDoesNotPerturbSimulation) {

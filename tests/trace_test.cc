@@ -71,12 +71,8 @@ TEST(TracerTest, MacrosAreNoOpsWithoutATracer) {
   };
   VSCALE_TRACE_INSTANT_ARG(unobserved, 0, TraceCategory::kSim, "x", -1, -1, -1, "v",
                            expensive());
-  (void)expensive;  // unreferenced when hooks compile out
-#if VSCALE_TRACE
-  // Hooks compiled in: the pointer check must short-circuit before argument
-  // evaluation.
+  // The pointer check must short-circuit before argument evaluation.
   EXPECT_EQ(evaluations, 0);
-#endif
 }
 
 TEST(TracerTest, MacrosRecordIntoTheirOwnRunsTracer) {
@@ -88,15 +84,11 @@ TEST(TracerTest, MacrosRecordIntoTheirOwnRunsTracer) {
   VSCALE_TRACE_INSTANT(run, 5, TraceCategory::kGuest, "mine", 0, 1, -1);
   VSCALE_TRACE_COUNTER(run, 6, TraceCategory::kVscale, "level", 0, 3);
   EXPECT_EQ(other.size(), 0u);
-#if VSCALE_TRACE
   EXPECT_TRUE(VSCALE_TRACE_ACTIVE(run));
   ASSERT_EQ(mine.size(), 2u);
   EXPECT_STREQ(mine.Snapshot()[0].name, "mine");
   EXPECT_EQ(mine.Snapshot()[1].phase, TracePhase::kCounter);
   EXPECT_EQ(mine.Snapshot()[1].arg, 3);
-#else
-  EXPECT_EQ(mine.size(), 0u);
-#endif
 }
 
 TEST(TracerTest, RebasesTimestampsAcrossRuns) {

@@ -567,7 +567,7 @@ TEST(VcpuBalTest, WeightShareTargetsIgnoreConsumption) {
   Domain& d = machine.CreateDomain("vm", 256, 4);   // weight share: 2 of 4 pCPUs
   machine.CreateDomain("other", 256, 2);            // idle neighbour
   GuestKernel kernel(machine, machine.sim(), d, GuestConfig{});
-  VcpuBalController controller(machine, VcpuBalConfig{});
+  VcpuBalController controller(machine);
   controller.Manage(kernel);
   controller.Poll();
   // Weight-only policy shrinks to ceil(2.0) = 2 although the neighbour is idle
@@ -585,7 +585,7 @@ TEST(VcpuBalTest, GrowsBackWhenWeightsChange) {
   Domain& d = machine.CreateDomain("vm", 256, 4);
   Domain& other = machine.CreateDomain("other", 256, 2);
   GuestKernel kernel(machine, machine.sim(), d, GuestConfig{});
-  VcpuBalController controller(machine, VcpuBalConfig{});
+  VcpuBalController controller(machine);
   controller.Manage(kernel);
   controller.Poll();
   EXPECT_EQ(kernel.online_cpus(), 2);
@@ -613,7 +613,7 @@ TEST(VcpuBalTest, ReconfigurationStallsGuestWork) {
   TimeNs cpu0 = 0;
   TimeNs spin0 = 0;
   kernel.TotalThreadTimes(&cpu0, &spin0);
-  VcpuBalController controller(machine, VcpuBalConfig{});
+  VcpuBalController controller(machine);
   controller.Manage(kernel);
   controller.Poll();  // shrinks to 2 via hotplug, stop_machine stalls everyone
   const TimeNs stall = controller.hotplug_stall();

@@ -223,7 +223,7 @@ TEST(SlideshowTest, AlternatesBurstAndThink) {
   Machine machine(mc);
   Domain& d = machine.CreateDomain("desktop", 512, 2);
   GuestKernel kernel(machine, machine.sim(), d, GuestConfig{});
-  SlideshowDesktop desktop(kernel, SlideshowConfig{}, 9);
+  SlideshowDesktop desktop(kernel, 9);
   desktop.Start();
   machine.sim().RunUntil(Seconds(10));
   EXPECT_GT(desktop.slides_shown(), 5);
@@ -258,7 +258,7 @@ TEST(KernelBuildTest, BuildsUnitsAndGeneratesIpis) {
   Machine machine(mc);
   Domain& d = machine.CreateDomain("builder", 1024, 4);
   GuestKernel kernel(machine, machine.sim(), d, GuestConfig{});
-  KernelBuild build(kernel, KernelBuildConfig{}, 13);
+  KernelBuild build(kernel, 13);
   build.Start();
   machine.sim().RunUntil(Seconds(5));
   EXPECT_GT(build.units_built(), 100);

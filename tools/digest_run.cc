@@ -255,7 +255,7 @@ int ObserversCheck(uint64_t seed, const CheckSinks& sinks) {
                   " point(s) covered";
     }
     if (sinks.tracer) {
-      if (VSCALE_TRACE && tracer.recorded() == 0) {
+      if (tracer.recorded() == 0) {
         fail(s.name, "vacuous: the tracer recorded no events");
         continue;
       }

@@ -93,9 +93,8 @@ TreeLoad LoadTree(const fs::path& root, const std::vector<std::string>& subs) {
 
 void PrintFindings(const std::vector<Finding>& findings, FILE* out) {
   for (const Finding& f : findings) {
-    std::fprintf(out, "%s:%d: [%s]%s %s\n", f.rel.c_str(), f.line,
-                 f.rule.c_str(), f.baselined ? " (baselined)" : "",
-                 f.detail.c_str());
+    std::fprintf(out, "%s:%d: [%s] %s\n", f.rel.c_str(), f.line,
+                 f.rule.c_str(), f.detail.c_str());
   }
 }
 
@@ -130,8 +129,7 @@ std::string FindingsJson(const std::vector<Finding>& findings) {
     const Finding& f = findings[i];
     out += "  {\"file\": \"" + JsonEscape(f.rel) +
            "\", \"line\": " + std::to_string(f.line) + ", \"rule\": \"" +
-           JsonEscape(f.rule) + "\", \"baselined\": " +
-           (f.baselined ? "true" : "false") + ", \"detail\": \"" +
+           JsonEscape(f.rule) + "\", \"detail\": \"" +
            JsonEscape(f.detail) + "\"}";
     out += i + 1 < findings.size() ? ",\n" : "\n";
   }

@@ -24,7 +24,7 @@ struct TreeLoad {
 TreeLoad LoadTree(const std::filesystem::path& root,
                   const std::vector<std::string>& subdirs);
 
-// Human output: `rel:line: [rule] detail`, baselined findings marked.
+// Human output: `rel:line: [rule] detail`.
 void PrintFindings(const std::vector<Finding>& findings, FILE* out);
 // Machine output: a JSON array of finding objects.
 std::string FindingsJson(const std::vector<Finding>& findings);

@@ -1,10 +1,7 @@
 #include "tools/lintlib/engine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
 #include <set>
-#include <sstream>
 
 #include "tools/lintlib/rules.h"
 
@@ -140,7 +137,7 @@ std::vector<Finding> RunLint(const Project& project, const LintOptions& opts) {
                         "bit-identically, randomness only via src/base/rng.h"});
       }
       if (!family_active("meta")) continue;
-      if (!a.legacy && a.reason.empty()) {
+      if (a.reason.empty()) {
         kept.push_back({pf.src.rel, a.line, "allow-needs-reason",
                         "suppression of '" + a.rule +
                             "' has no reason; write vslint: allow(" + a.rule +
@@ -171,87 +168,6 @@ std::vector<Finding> RunLint(const Project& project, const LintOptions& opts) {
     return a.rule < b.rule;
   });
   return kept;
-}
-
-// --- baseline -------------------------------------------------------------
-
-namespace {
-
-uint64_t Fnv64(const std::string& s, uint64_t h = 1469598103934665603ull) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string TrimmedStrippedLine(const Project& project, const std::string& rel,
-                                int line) {
-  for (const ParsedFile& pf : project.files) {
-    if (pf.src.rel != rel) continue;
-    const size_t idx = static_cast<size_t>(line - 1);
-    if (idx >= pf.src.stripped.size()) return "";
-    const std::string& s = pf.src.stripped[idx];
-    const size_t a = s.find_first_not_of(" \t");
-    if (a == std::string::npos) return "";
-    const size_t b = s.find_last_not_of(" \t");
-    return s.substr(a, b - a + 1);
-  }
-  return "";
-}
-
-std::string HexHash(uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-}  // namespace
-
-uint64_t FindingKeyHash(const Project& project, const Finding& f) {
-  uint64_t h = Fnv64(f.rule);
-  h = Fnv64(std::string(1, '\0') + f.rel, h);
-  h = Fnv64(std::string(1, '\0') + TrimmedStrippedLine(project, f.rel, f.line),
-            h);
-  return h;
-}
-
-size_t ApplyBaseline(const Project& project, const std::string& baseline_text,
-                     std::vector<Finding>* findings) {
-  // rule\trel\thash, count-based multiset.
-  std::map<std::string, int> entries;
-  std::istringstream in(baseline_text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    entries[line] += 1;
-  }
-  for (Finding& f : *findings) {
-    const std::string key =
-        f.rule + "\t" + f.rel + "\t" + HexHash(FindingKeyHash(project, f));
-    auto it = entries.find(key);
-    if (it != entries.end() && it->second > 0) {
-      f.baselined = true;
-      it->second -= 1;
-    }
-  }
-  size_t unmatched = 0;
-  for (const auto& [key, n] : entries) unmatched += static_cast<size_t>(n);
-  return unmatched;
-}
-
-std::string SerializeBaseline(const Project& project,
-                              const std::vector<Finding>& findings) {
-  std::string out =
-      "# vslint baseline: legacy findings tolerated while being burned down.\n"
-      "# One `rule<TAB>rel<TAB>line-hash` entry per finding; regenerate with\n"
-      "# vslint <root> --write-baseline <file>. Keep this file empty.\n";
-  for (const Finding& f : findings) {
-    out += f.rule + "\t" + f.rel + "\t" +
-           HexHash(FindingKeyHash(project, f)) + "\n";
-  }
-  return out;
 }
 
 }  // namespace vslint

@@ -3,9 +3,9 @@
 // A rule is a free function over the whole parsed project (cross-file rules
 // like event-owner need project scope), reporting raw findings. The engine
 // then:
-//   1. drops findings covered by a `vslint: allow(rule, reason)` or legacy
-//      `det_lint: allow(rule)` marker, marking the marker used;
-//   2. reports `allow-needs-reason` for vslint markers without a reason;
+//   1. drops findings covered by a `vslint: allow(rule, reason)` marker,
+//      marking the marker used;
+//   2. reports `allow-needs-reason` for markers without a reason;
 //   3. reports `stale-suppression` for markers that suppressed nothing
 //      (only for rules that were active in this run, so a determinism-only
 //      `--family` pass cannot mis-flag semantic-rule markers);
@@ -20,7 +20,6 @@
 #ifndef VSCALE_TOOLS_LINTLIB_ENGINE_H_
 #define VSCALE_TOOLS_LINTLIB_ENGINE_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,6 @@ struct Finding {
   int line = 0;
   std::string rule;
   std::string detail;
-  bool baselined = false;  // present in the checked-in baseline: warn, not fail
 };
 
 struct Project {
@@ -62,18 +60,6 @@ struct LintOptions {
 // Runs the active rules over `project` and returns the surviving findings,
 // sorted by (rel, line, rule).
 std::vector<Finding> RunLint(const Project& project, const LintOptions& opts);
-
-// Baseline support: a finding is keyed by (rule, rel, hash of the stripped
-// source line) so line-number drift does not invalidate entries. The baseline
-// file is one `rule<TAB>rel<TAB>hex-hash` entry per line; '#' comments and
-// blanks are ignored.
-uint64_t FindingKeyHash(const Project& project, const Finding& f);
-// Demotes findings matching a baseline entry (count-based) to baselined=true.
-// Returns the number of baseline entries that matched nothing (burned down).
-size_t ApplyBaseline(const Project& project, const std::string& baseline_text,
-                     std::vector<Finding>* findings);
-std::string SerializeBaseline(const Project& project,
-                              const std::vector<Finding>& findings);
 
 }  // namespace vslint
 

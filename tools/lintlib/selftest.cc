@@ -94,29 +94,32 @@ int RunSelfTest() {
   Case1("int-ns-ok", "int64_t wait_ns = 0;\n", {}, Det());
   Case1("allow-same-line",
         "std::unordered_map<int, int> m;  "
-        "// det_lint: allow(unordered-container)\n",
+        "// vslint: allow(unordered-container, never iterated)\n",
         {}, Det());
-  Case1("allow-line-above", "// det_lint: allow(raw-rand)\nint x = rand();\n",
-        {}, Det());
-  Case1("allow-wrong-rule",
-        "// det_lint: allow(wall-clock)\nint x = rand();\n", {"raw-rand"},
+  Case1("allow-line-above",
+        "// vslint: allow(raw-rand, tool-local seed)\nint x = rand();\n", {},
         Det());
+  Case1("allow-wrong-rule",
+        "// vslint: allow(wall-clock, host timing)\nint x = rand();\n",
+        {"raw-rand"}, Det());
   Case1("allow-not-transitive",
-        "int a = rand();  // det_lint: allow(raw-rand)\nint b = rand();\n",
+        "int a = rand();  // vslint: allow(raw-rand, tool-local seed)\n"
+        "int b = rand();\n",
         {"raw-rand"}, Det());
   failures += Expect(
       "faults-escape-banned",
       {{"src/faults/inject.cc",
-        "int x = rand();  // det_lint: allow(raw-rand)\n"}},
+        "int x = rand();  // vslint: allow(raw-rand, jitter)\n"}},
       "", Det(), {"faults-allow-escape"});
   failures += Expect(
       "fuzz-escape-banned",
-      {{"src/fuzz/gen.cc", "// det_lint: allow(raw-rand)\nint x = rand();\n"}},
+      {{"src/fuzz/gen.cc",
+        "// vslint: allow(raw-rand, jitter)\nint x = rand();\n"}},
       "", Det(), {"faults-allow-escape"});
   failures += Expect(
       "escape-fine-elsewhere",
       {{"src/sim/clock.cc",
-        "int x = rand();  // det_lint: allow(raw-rand)\n"}},
+        "int x = rand();  // vslint: allow(raw-rand, tool-local seed)\n"}},
       "", Det(), {});
 
   // --- suppression semantics (vslint form, reasons, staleness) -------------

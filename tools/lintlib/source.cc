@@ -257,55 +257,47 @@ bool ValidRuleName(const std::string& s) {
   return true;
 }
 
-// Parses every `vslint: allow(rule, reason)` / `det_lint: allow(rule)` marker
-// in the comment text of one line. The reason runs to the parenthesis that
-// balances the opener, so it may itself contain parentheses. Only whitespace
-// may precede the marker word — so prose *mentioning* the syntax in
-// backquotes (as this comment does) is not itself a marker.
+// Parses every `vslint: allow(rule, reason)` marker in the comment text of
+// one line. The reason runs to the parenthesis that balances the opener, so it
+// may itself contain parentheses. Only whitespace may precede the marker word
+// — so prose *mentioning* the syntax in backquotes (as this comment does) is
+// not itself a marker.
 void ParseAllowsOnLine(const std::string& raw, int line,
                        std::vector<Allow>* out) {
-  struct Marker {
-    const char* text;
-    bool legacy;
-  };
-  static const Marker kMarkers[] = {{"vslint: allow(", false},
-                                    {"det_lint: allow(", true}};
-  for (const Marker& m : kMarkers) {
-    const size_t mn = std::strlen(m.text);
-    size_t pos = 0;
-    while ((pos = raw.find(m.text, pos)) != std::string::npos) {
-      if (pos > 0 && raw[pos - 1] != ' ' && raw[pos - 1] != '\t') {
-        pos += mn;
-        continue;
-      }
-      size_t i = pos + mn;
-      int depth = 1;
-      size_t end = std::string::npos;
-      for (size_t j = i; j < raw.size(); ++j) {
-        if (raw[j] == '(') ++depth;
-        if (raw[j] == ')' && --depth == 0) {
-          end = j;
-          break;
-        }
-      }
-      if (end == std::string::npos) break;
-      const std::string inner = raw.substr(i, end - i);
-      Allow a;
-      a.line = line;
-      a.legacy = m.legacy;
-      const size_t comma = inner.find(',');
-      if (comma == std::string::npos) {
-        a.rule = inner;
-      } else {
-        a.rule = inner.substr(0, comma);
-        size_t rs = inner.find_first_not_of(" \t", comma + 1);
-        a.reason = rs == std::string::npos ? "" : inner.substr(rs);
-      }
-      while (!a.rule.empty() && (a.rule.back() == ' ' || a.rule.back() == '\t'))
-        a.rule.pop_back();
-      if (ValidRuleName(a.rule)) out->push_back(a);
-      pos = end + 1;
+  static const char kMarker[] = "vslint: allow(";
+  const size_t mn = std::strlen(kMarker);
+  size_t pos = 0;
+  while ((pos = raw.find(kMarker, pos)) != std::string::npos) {
+    if (pos > 0 && raw[pos - 1] != ' ' && raw[pos - 1] != '\t') {
+      pos += mn;
+      continue;
     }
+    size_t i = pos + mn;
+    int depth = 1;
+    size_t end = std::string::npos;
+    for (size_t j = i; j < raw.size(); ++j) {
+      if (raw[j] == '(') ++depth;
+      if (raw[j] == ')' && --depth == 0) {
+        end = j;
+        break;
+      }
+    }
+    if (end == std::string::npos) break;
+    const std::string inner = raw.substr(i, end - i);
+    Allow a;
+    a.line = line;
+    const size_t comma = inner.find(',');
+    if (comma == std::string::npos) {
+      a.rule = inner;
+    } else {
+      a.rule = inner.substr(0, comma);
+      size_t rs = inner.find_first_not_of(" \t", comma + 1);
+      a.reason = rs == std::string::npos ? "" : inner.substr(rs);
+    }
+    while (!a.rule.empty() && (a.rule.back() == ' ' || a.rule.back() == '\t'))
+      a.rule.pop_back();
+    if (ValidRuleName(a.rule)) out->push_back(a);
+    pos = end + 1;
   }
 }
 

@@ -18,7 +18,6 @@
 //
 // Suppressions (docs/CHECKING.md#vslint-suppression-policy):
 //   // vslint: allow(<rule>, <reason>)     reason is mandatory
-//   // det_lint: allow(<rule>)             legacy form, determinism rules only
 // A marker applies to its own line; a marker on a comment-only line also
 // covers the next line. The engine tracks which markers actually suppressed a
 // finding — unused ones are findings themselves (stale-suppression).
@@ -44,9 +43,8 @@ struct Token {
 
 struct Allow {
   std::string rule;
-  std::string reason;  // empty for the legacy det_lint form
+  std::string reason;  // empty when the marker omits it (allow-needs-reason)
   int line = 0;        // 1-based line the marker sits on
-  bool legacy = false; // `det_lint: allow(rule)` (no reason field)
   mutable bool used = false;  // set by the engine when it suppresses a finding
 };
 

@@ -9,8 +9,7 @@
 //       Runs a miniature consolidated testbed with tracing enabled, exports the
 //       trace in memory, and validates it end to end (the ctest entry). Requires
 //       events from all four layers (sim, hypervisor, guest, vscale) across at
-//       least two domains. Prints "skipped" and exits 0 when the binary was built
-//       with -DVSCALE_TRACE=OFF.
+//       least two domains.
 //
 //   trace_lint --stall-selftest
 //       Same miniature testbed with stall attribution ALSO enabled: validates
@@ -63,11 +62,6 @@ int Lint(const std::string& json, size_t min_categories, size_t min_domains,
 }
 
 int SelfTest(bool stall) {
-#if !VSCALE_TRACE
-  (void)stall;
-  std::printf("trace_lint: selftest skipped (built with VSCALE_TRACE=OFF)\n");
-  return 0;
-#else
   using namespace vscale;
   const char* label = stall ? "stall-selftest" : "selftest";
   Tracer tracer;
@@ -130,7 +124,6 @@ int SelfTest(bool stall) {
               "stall buckets present\n",
               label, stats.counters, stats.counter_names.size());
   return 0;
-#endif
 }
 
 }  // namespace

@@ -12,9 +12,6 @@
 //                                    tools examples); exit 1 on findings
 //     --json                         machine-readable findings on stdout
 //     --family <name>                restrict to a rule family (repeatable)
-//     --baseline <file>              tolerate findings listed in <file>
-//                                    (default: <root>/tools/vslint.baseline)
-//     --write-baseline <file>        snapshot current findings and exit
 //   vslint --selftest                run the in-binary snippet suite
 //   vslint --corpus <dir>            run the planted-violation corpus
 //   vslint --list-rules              print the rule catalogue
@@ -154,8 +151,6 @@ int Main(int argc, char** argv) {
   std::string root;
   std::vector<std::string> subdirs;
   std::vector<std::string> families;
-  std::string baseline_path;
-  std::string write_baseline_path;
   bool json = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -174,10 +169,6 @@ int Main(int argc, char** argv) {
       json = true;
     } else if (arg == "--family") {
       families.push_back(next());
-    } else if (arg == "--baseline") {
-      baseline_path = next();
-    } else if (arg == "--write-baseline") {
-      write_baseline_path = next();
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "vslint: unknown flag %s (see tools/vslint.cc)\n",
                    arg.c_str());
@@ -191,7 +182,6 @@ int Main(int argc, char** argv) {
   if (root.empty()) {
     std::fprintf(stderr,
                  "usage: vslint <root> [subdir...] [--json] [--family F]\n"
-                 "              [--baseline FILE] [--write-baseline FILE]\n"
                  "       vslint --selftest | --corpus <dir> | --list-rules\n");
     return 2;
   }
@@ -199,56 +189,16 @@ int Main(int argc, char** argv) {
   TreeLoad tree = LoadTree(root, subdirs);
   LintOptions opts;
   opts.families = families;
-  std::vector<Finding> findings = RunLint(tree.project, opts);
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path);
-    out << SerializeBaseline(tree.project, findings);
-    std::fprintf(stderr, "vslint: wrote %zu baseline entr%s to %s\n",
-                 findings.size(), findings.size() == 1 ? "y" : "ies",
-                 write_baseline_path.c_str());
-    return 0;
-  }
-
-  // Baseline: explicit flag, else the checked-in default if present.
-  size_t unmatched = 0;
-  bool have_baseline = false;
-  std::string baseline_text;
-  if (!baseline_path.empty()) {
-    baseline_text = ReadFileOrEmpty(baseline_path, &have_baseline);
-    if (!have_baseline) {
-      std::fprintf(stderr, "vslint: cannot open baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-  } else {
-    baseline_text =
-        ReadFileOrEmpty(fs::path(root) / "tools" / "vslint.baseline",
-                        &have_baseline);
-  }
-  if (have_baseline) {
-    unmatched = ApplyBaseline(tree.project, baseline_text, &findings);
-  }
+  const std::vector<Finding> findings = RunLint(tree.project, opts);
 
   if (json) {
     std::fputs(FindingsJson(findings).c_str(), stdout);
   } else {
     PrintFindings(findings, stdout);
   }
-
-  size_t live = 0;
-  for (const Finding& f : findings) live += f.baselined ? 0 : 1;
-  std::fprintf(stderr,
-               "vslint: %zu file(s), %zu finding(s) (%zu baselined), "
-               "%zu stale baseline entr%s\n",
-               tree.file_count, findings.size(), findings.size() - live,
-               unmatched, unmatched == 1 ? "y" : "ies");
-  if (unmatched > 0) {
-    std::fprintf(stderr,
-                 "vslint: baseline entries no longer match any finding — "
-                 "regenerate with --write-baseline to keep it tight\n");
-  }
-  return (live == 0 && unmatched == 0 && tree.io_ok) ? 0 : 1;
+  std::fprintf(stderr, "vslint: %zu file(s), %zu finding(s)\n",
+               tree.file_count, findings.size());
+  return (findings.empty() && tree.io_ok) ? 0 : 1;
 }
 
 }  // namespace
