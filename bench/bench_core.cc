@@ -86,22 +86,6 @@ double MeasureScheduleFireNs(int iters, int repeats) {
   return best;
 }
 
-// ns per schedule+cancel pair (tombstone path): a cancel that never fires.
-double MeasureCancelNs(int iters, int repeats) {
-  double best = 1e18;
-  for (int r = 0; r < repeats; ++r) {
-    Simulator sim;
-    const double t0 = NowSec();
-    for (int i = 0; i < iters; ++i) {
-      const Simulator::EventId id = sim.ScheduleAfter(1'000'000, [] {});
-      sim.Cancel(id);
-      if (g_slowdown_spins > 0) InjectedSlowdown();
-    }
-    best = std::min(best, (NowSec() - t0) * 1e9 / iters);
-  }
-  return best;
-}
-
 // ns per timer-lane fire plus the fired timer's self re-arm, with `timers` - 1
 // other timers armed. Every timer re-arms itself a seeded delay ahead, so each
 // re-arm lands at a random rank of a full lane: the insertion shifts about half
@@ -209,7 +193,6 @@ double MeasureSoakScenariosPerMin(int count) {
 struct Metrics {
   // Wall-clock measurement results, not simulation state: double is correct here.
   double schedule_fire_ns = 0;  // vslint: allow(float-accum, wall-clock measurement result, not simulation state)
-  double cancel_ns = 0;  // vslint: allow(float-accum, wall-clock measurement result, not simulation state)
   double rearm_fire_ns_12 = 0;
   double rearm_fire_ns_64 = 0;
   TestbedResult testbed;
@@ -225,7 +208,6 @@ std::string FormatJson(const Metrics& m, bool quick, int repeats) {
                 "  \"repeats\": %d,\n"
                 "  \"metrics\": {\n"
                 "    \"event_schedule_fire_ns\": %.2f,\n"
-                "    \"event_cancel_ns\": %.2f,\n"
                 "    \"timer_rearm_fire_ns_12\": %.2f,\n"
                 "    \"timer_rearm_fire_ns_64\": %.2f,\n"
                 "    \"events_per_sec\": %.0f,\n"
@@ -236,7 +218,7 @@ std::string FormatJson(const Metrics& m, bool quick, int repeats) {
                 "    \"soak_scenarios_per_min\": %.1f\n"
                 "  }\n"
                 "}\n",
-                quick ? "true" : "false", repeats, m.schedule_fire_ns, m.cancel_ns,
+                quick ? "true" : "false", repeats, m.schedule_fire_ns,
                 m.rearm_fire_ns_12, m.rearm_fire_ns_64,
                 1e9 / m.schedule_fire_ns, m.testbed.wall_ms_per_sim_sec,
                 1e3 / m.testbed.wall_ms_per_sim_sec, m.testbed.events_per_sec,
@@ -254,7 +236,6 @@ struct GateRule {
 };
 constexpr GateRule kGates[] = {
     {"metrics.event_schedule_fire_ns", true},
-    {"metrics.event_cancel_ns", true},
     {"metrics.testbed_wall_ms_per_sim_sec", true},
     {"metrics.soak_scenarios_per_min", false},
 };
@@ -371,9 +352,6 @@ int main(int argc, char** argv) {
   m.schedule_fire_ns = MeasureScheduleFireNs(micro_iters, repeats);
   std::printf("  event_schedule_fire_ns      %10.2f  (%.1fM events/sec)\n",
               m.schedule_fire_ns, 1e3 / m.schedule_fire_ns);
-  std::printf("bench_core: cancel micro...\n");
-  m.cancel_ns = MeasureCancelNs(micro_iters, repeats);
-  std::printf("  event_cancel_ns             %10.2f\n", m.cancel_ns);
   std::printf("bench_core: timer-lane re-arm/fire micro (12 and 64 timers)...\n");
   m.rearm_fire_ns_12 = MeasureTimerRearmFireNs(12, micro_iters, repeats);
   m.rearm_fire_ns_64 = MeasureTimerRearmFireNs(64, micro_iters, repeats);

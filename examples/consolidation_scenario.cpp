@@ -7,9 +7,10 @@
 //
 //   $ ./examples/consolidation_scenario [seconds]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/base/parse.h"
 #include "src/base/table.h"
 #include "src/metrics/run_metrics.h"
 #include "src/workloads/omp_app.h"
@@ -18,7 +19,18 @@
 using namespace vscale;
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 12;
+  int seconds = 12;
+  if (argc > 1) {
+    int64_t n = 0;
+    if (!ParseI64(argv[1], &n) || n < 1 || n > INT32_MAX) {
+      std::fprintf(stderr,
+                   "usage: consolidation_scenario [seconds]\n"
+                   "seconds must be an integer >= 1, got '%s'\n",
+                   argv[1]);
+      return 2;
+    }
+    seconds = static_cast<int>(n);
+  }
 
   TestbedConfig cfg;
   cfg.policy = Policy::kVscale;

@@ -3,17 +3,31 @@
 //
 //   $ ./examples/npb_campaign [app] [vcpus]
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
+#include "src/base/parse.h"
 #include "src/base/table.h"
 #include "src/workloads/campaign.h"
+#include "src/workloads/testbed.h"
 
 using namespace vscale;
 
 int main(int argc, char** argv) {
   const std::string app = argc > 1 ? argv[1] : "cg";
-  const int vcpus = argc > 2 ? std::atoi(argv[2]) : 4;
+  int vcpus = 4;
+  if (argc > 2) {
+    int64_t n = 0;
+    if (!ParseI64(argv[2], &n) || n < 1 || n > kMaxVcpusPerDomain) {
+      std::fprintf(stderr,
+                   "usage: npb_campaign [app] [vcpus]\n"
+                   "vcpus must be an integer in 1..%d, got '%s'\n",
+                   kMaxVcpusPerDomain, argv[2]);
+      return 2;
+    }
+    vcpus = static_cast<int>(n);
+  }
 
   CampaignConfig cfg;
   cfg.vcpus = vcpus;

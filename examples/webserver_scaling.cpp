@@ -4,9 +4,10 @@
 //
 //   $ ./examples/webserver_scaling [rate_per_sec] [seconds]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/base/parse.h"
 #include "src/base/table.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/web_server.h"
@@ -52,8 +53,23 @@ Outcome RunOne(Policy policy, double rate, int seconds, uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double rate = argc > 1 ? std::atof(argv[1]) : 5000.0;
-  const int seconds = argc > 2 ? std::atoi(argv[2]) : 30;
+  constexpr const char* kUsage = "usage: webserver_scaling [rate_per_sec] [seconds]\n";
+  double rate = 5000.0;
+  if (argc > 1 && (!ParseF64(argv[1], &rate) || rate <= 0)) {
+    std::fprintf(stderr, "%srate must be a finite number > 0, got '%s'\n", kUsage,
+                 argv[1]);
+    return 2;
+  }
+  int seconds = 30;
+  if (argc > 2) {
+    int64_t n = 0;
+    if (!ParseI64(argv[2], &n) || n < 1 || n > INT32_MAX) {
+      std::fprintf(stderr, "%sseconds must be an integer >= 1, got '%s'\n", kUsage,
+                   argv[2]);
+      return 2;
+    }
+    seconds = static_cast<int>(n);
+  }
 
   std::printf("Web server under consolidation: %.0f req/s for %d s, 16 KB replies\n\n",
               rate, seconds);

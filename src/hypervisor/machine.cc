@@ -17,7 +17,9 @@ Machine::Machine(MachineConfig config)
       rng_(config_.seed) {
   pcpus_.resize(static_cast<size_t>(config_.n_pcpus));
   for (int i = 0; i < config_.n_pcpus; ++i) {
-    pcpus_[static_cast<size_t>(i)].id = i;
+    Pcpu& p = pcpus_[static_cast<size_t>(i)];
+    p.id = i;
+    p.ratelimit_timer = sim_.AddTimer([this, &p] { MaybePreempt(p); });
   }
   tick_task_ = std::make_unique<PeriodicTask>(sim_, cost_.hv_tick_period,
                                               [this] { HvTick(); });
@@ -338,8 +340,7 @@ void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail)
   VSCALE_TRACE_END(sim_.observers(), now, TraceCategory::kHypervisor, "run",
                    v.domain()->id(), v.id(), p.id);
   sim_.DisarmTimer(v.advance_timer);
-  sim_.Cancel(p.ratelimit_check);
-  p.ratelimit_check = Simulator::kInvalidEvent;
+  sim_.DisarmTimer(p.ratelimit_timer);
   p.current = nullptr;
   p.idle_since = now;
   v.domain()->guest()->OnDescheduled(v.id(), now);
@@ -421,12 +422,8 @@ void Machine::MaybePreempt(Pcpu& p) {
         best < CreditPriority::kOver);
   if (ran < cost_.hv_ratelimit && over_shelters) {
     // Xen's sched_ratelimit: defer the preemption until the minimum run is served.
-    if (p.ratelimit_check == Simulator::kInvalidEvent) {
-      const TimeNs when = p.current->run_since + cost_.hv_ratelimit;
-      p.ratelimit_check = sim_.ScheduleAt(when, [this, &p] {
-        p.ratelimit_check = Simulator::kInvalidEvent;
-        MaybePreempt(p);
-      });
+    if (!sim_.TimerArmed(p.ratelimit_timer)) {
+      sim_.ArmTimer(p.ratelimit_timer, p.current->run_since + cost_.hv_ratelimit);
     }
     return;
   }

@@ -147,7 +147,7 @@ class Machine : public HvServices {
     RunQueue runq;            // priority buckets flattened: sorted stably by priority
     TimeNs idle_since = 0;
     TimeNs total_idle = 0;
-    Simulator::EventId ratelimit_check = Simulator::kInvalidEvent;
+    Simulator::TimerId ratelimit_timer = 0;  // armed while a preemption is deferred
     TimeNs stolen_since = 0;
   };
 

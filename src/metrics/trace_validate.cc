@@ -1,11 +1,14 @@
 #include "src/metrics/trace_validate.h"
 
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <vector>
 
+#include "src/base/parse.h"
 #include "src/metrics/trace_export.h"  // pid scheme constants
 
 namespace vscale {
@@ -264,10 +267,12 @@ class JsonParser {
       }
       ++pos_;
     }
-    if (!digits) {
+    // The scan above only finds the token's end; the whole token must parse
+    // as one finite number ("1-2" is not 1, "1e999" is not a trace time).
+    if (!digits || !ParseF64(std::string_view(text_).substr(start, pos_ - start),
+                             &out.num)) {
       return Fail("malformed number");
     }
-    out.num = std::stod(text_.substr(start, pos_ - start));
     return true;
   }
 
@@ -278,7 +283,10 @@ class JsonParser {
 
 bool GetInt(const JsonValue& ev, const std::string& key, int& out) {
   const JsonValue* v = ev.Get(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
+  // An id is an integer in int range: 1.5 is not one, and casting 1e12 to
+  // int is undefined behaviour.
+  if (v == nullptr || v->kind != JsonValue::Kind::kNumber ||
+      v->num != std::trunc(v->num) || v->num < INT_MIN || v->num > INT_MAX) {
     return false;
   }
   out = static_cast<int>(v->num);

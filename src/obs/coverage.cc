@@ -1,10 +1,12 @@
 #include "src/obs/coverage.h"
 
-#include <cstdlib>
+#include <cstdint>
 #include <istream>
 #include <ostream>
+#include <string_view>
 
 #include "src/base/metrics_registry.h"
+#include "src/base/parse.h"
 
 namespace vscale {
 
@@ -131,8 +133,11 @@ void MergeCoverage(CoverageVector* into, const CoverageVector& from) {
   if (into->size() < from.size()) {
     into->resize(from.size(), 0);
   }
+  // Saturate rather than wrap: two near-INT64_MAX counts must not merge into
+  // a negative one.
   for (size_t i = 0; i < from.size(); ++i) {
-    (*into)[i] += from[i];
+    int64_t& c = (*into)[i];
+    c = from[i] > INT64_MAX - c ? INT64_MAX : c + from[i];
   }
 }
 
@@ -180,9 +185,8 @@ bool ParseCoverageText(std::istream& is, CoverageVector* out,
                name + "' (a frontier from a newer catalogue?)";
       return false;
     }
-    char* end = nullptr;
-    const long long c = std::strtoll(line.c_str() + sp + 1, &end, 10);
-    if (end == line.c_str() + sp + 1 || *end != '\0' || c < 0) {
+    int64_t c = 0;
+    if (!ParseI64(std::string_view(line).substr(sp + 1), &c) || c < 0) {
       *error = "line " + std::to_string(lineno) +
                ": bad count for '" + name + "': '" + line.substr(sp + 1) + "'";
       return false;

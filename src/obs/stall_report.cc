@@ -5,23 +5,13 @@
 #include <sstream>
 #include <tuple>
 
+#include "src/base/parse.h"
 #include "src/base/table.h"
 #include "src/base/time.h"
 
 namespace vscale {
 
 namespace {
-
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  size_t pos = 0;
-  try {
-    *out = std::stoll(s, &pos);
-  } catch (...) {
-    return false;
-  }
-  return pos == s.size();
-}
 
 std::string ShareCell(int64_t part, int64_t whole) {
   double share = whole > 0 ? 100.0 * static_cast<double>(part) /
@@ -65,8 +55,8 @@ bool LoadStallCsv(std::istream& is, StallSeries* out, std::string* error) {
     StallRow row;
     row.run = field[0];
     int64_t ts = 0, dom = 0, vcpu = 0, cum = 0;
-    if (!ParseInt64(field[1], &ts) || !ParseInt64(field[2], &dom) ||
-        !ParseInt64(field[3], &vcpu) || !ParseInt64(field[5], &cum) ||
+    if (!ParseI64(field[1], &ts) || !ParseI64(field[2], &dom) ||
+        !ParseI64(field[3], &vcpu) || !ParseI64(field[5], &cum) ||
         !ParseStallBucket(field[4], &row.bucket)) {
       if (error != nullptr) {
         *error = "line " + std::to_string(lineno) + ": malformed row \"" +

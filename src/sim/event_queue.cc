@@ -1,10 +1,6 @@
 #include "src/sim/event_queue.h"
 
-#include <cassert>
 #include <utility>
-
-#include "src/base/check.h"
-#include "src/base/trace.h"
 
 namespace vscale {
 
@@ -13,21 +9,6 @@ Simulator::Simulator(Observers observers) : observers_(observers) {
   // first few growth reallocations without committing real memory.
   heap_.reserve(64);
   free_.reserve(64);
-}
-
-void Simulator::CompactHeap() {
-  size_t keep = 0;
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    if (!Stale(heap_[i])) {
-      heap_[keep++] = heap_[i];
-    }
-  }
-  heap_.resize(keep);
-  // Floyd heapify: O(n), and the result is a valid (when, seq) min-heap no matter
-  // the input order, so firing order is untouched.
-  for (size_t i = keep / 2; i-- > 0;) {
-    SiftDown(i);
-  }
 }
 
 void Simulator::RunUntil(TimeNs deadline) {
@@ -61,27 +42,21 @@ bool Simulator::RunUntilCondition(const std::function<bool()>& stop, TimeNs dead
 }
 
 PeriodicTask::PeriodicTask(Simulator& sim, TimeNs period, std::function<void()> fn)
-    : sim_(sim), period_(period), fn_(std::move(fn)) {}
+    : sim_(sim),
+      period_(period),
+      fn_(std::move(fn)),
+      timer_(sim_.AddTimer([this] { Fire(); })) {}
 
 PeriodicTask::~PeriodicTask() { Stop(); }
 
 void PeriodicTask::Start(TimeNs phase) {
-  Stop();
-  running_ = true;
-  const TimeNs delay = phase >= 0 ? phase : period_;
-  pending_ = sim_.ScheduleAfter(delay, [this] { Fire(); });
+  sim_.ArmTimer(timer_, sim_.Now() + (phase >= 0 ? phase : period_));
 }
 
-void PeriodicTask::Stop() {
-  if (pending_ != Simulator::kInvalidEvent) {
-    sim_.Cancel(pending_);
-    pending_ = Simulator::kInvalidEvent;
-  }
-  running_ = false;
-}
+void PeriodicTask::Stop() { sim_.DisarmTimer(timer_); }
 
 void PeriodicTask::Fire() {
-  pending_ = sim_.ScheduleAfter(period_, [this] { Fire(); });
+  sim_.ArmTimer(timer_, sim_.Now() + period_);
   fn_();
 }
 

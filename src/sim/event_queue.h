@@ -1,54 +1,41 @@
 // Discrete-event simulation engine.
 //
 // A Simulator owns virtual time and two queues of (time, sequence) ordered
-// occurrences: a heap of one-shot events (ScheduleAt returns a cancellable
-// EventId) and a lane of re-armable timers (AddTimer registers one callback,
-// ArmTimer/DisarmTimer move its single pending fire). Both draw `seq` from one
-// counter and the run loops always fire the earlier root by (when, seq), so
-// ties are broken by schedule order across both queues and runs are fully
-// deterministic.
+// occurrences: a heap of one-shot events (ScheduleAt) and a lane of re-armable
+// timers (AddTimer registers one callback, ArmTimer/DisarmTimer move its single
+// pending fire). Both draw `seq` from one counter and the run loops always fire
+// the earlier root by (when, seq), so ties are broken by schedule order across
+// both queues and runs are fully deterministic.
+//
+// One-shots are fire-and-forget: ScheduleAt returns nothing, so no caller can
+// hold a handle to a pending one. A callback that may have to be withdrawn
+// before it fires (a periodic tick, a deferred preemption, a vCPU's advance) is
+// a timer, registered outside timer callbacks and disarmed by its owner; vslint
+// timer-owner checks that every stored TimerId has a DisarmTimer call.
 //
 // Hot-path design (docs/PERFORMANCE.md has the full story and the numbers):
 //
-//  * Slab allocator. One-shot callbacks live in a slab of Nodes indexed by a
+//  * Slab allocator. One-shot callbacks live in a slab of EventFns indexed by a
 //    32-bit slot, recycled through a LIFO free list — steady-state scheduling
 //    performs no heap allocation at all.
-//  * Flat binary heap. Pending one-shots are 24-byte {when, seq, slot, gen}
-//    entries in a contiguous min-heap ordered by (when, seq) — no per-node
-//    allocation, no pointer chasing, and `seq` is the monotonically increasing
-//    schedule order that implements the tie-break.
-//  * O(1) tombstone Cancel. An EventId packs {generation:32, slot:32}. Each slot
-//    carries a generation counter that is bumped whenever the slot is released
-//    (fire or cancel), so Cancel is a bounds check plus a generation compare: a
-//    match releases the slot immediately; a mismatch means the event already fired
-//    (or the slot was recycled) and the call is a no-op.
-//  * Lazy deletion + compaction. A cancelled event's heap entry stays behind as a
-//    tombstone (its generation no longer matches the slot's) and is skipped when it
-//    surfaces at the root. When tombstones outnumber live entries the heap is
-//    compacted in one O(n) filter-and-heapify pass, so cancel-heavy workloads can't
-//    bloat it.
+//  * Flat binary heap. Pending one-shots are 24-byte {when, seq, slot} entries
+//    in a contiguous min-heap ordered by (when, seq) — no per-node allocation,
+//    no pointer chasing, and `seq` is the monotonically increasing schedule
+//    order that implements the tie-break.
 //  * Timer lane. A callback that is re-armed over and over (each running vCPU's
 //    advance event moves on every settle) is registered once as a timer. Armed
 //    timers sit in one small array beside the slab heap, sorted latest-first by
 //    (when, seq): firing is a pop from the back and arming one insertion-sort
-//    step, so the re-arm traffic leaves no tombstones and never touches the
-//    slab or the one-shot heap.
-//
-// Cancel semantics, pinned by SimulatorTest.CancelSlotReuseIsSafe and
-// SimulatorTest.CancelAfterFireAndUnknownIdsAreNoOps: Cancel(kInvalidEvent),
-// Cancel of an already-fired id, double Cancel, and Cancel of an id this
-// Simulator never issued are all deterministic O(1) no-ops. In particular, the
-// generation check guarantees that a stale id can never cancel a *different*
-// live event that happens to reuse the same slab slot.
+//    step, so re-arm traffic never touches the slab or the one-shot heap.
 //
 // Timer semantics, pinned by the SimulatorTimerTest cases and checked against
 // a reference model by SimulatorPropertyTest.TimerLaneMatchesReferenceModel: a
 // timer fires at most once per ArmTimer and is disarmed when its callback
 // starts (TimerArmed is false inside it until the callback re-arms). ArmTimer
 // draws exactly one `seq` per call, even when the deadline is unchanged, and
-// DisarmTimer draws none, so arming orders exactly like Cancel + ScheduleAt of
-// a one-shot. events_processed() counts timer fires and pending_events()
-// counts armed timers, so both read as if every arm were a one-shot event.
+// DisarmTimer draws none, so an arm orders exactly like a ScheduleAt made at
+// the same moment. events_processed() counts the fires of both queues and
+// pending_events() counts pending one-shots plus armed timers.
 //
 // Determinism: the firing order is a pure function of the (when, seq) keys — the
 // heap is never iterated, only its root consumed, and the lane is searched only
@@ -79,12 +66,6 @@ namespace vscale {
 
 class Simulator {
  public:
-  using EventId = uint64_t;
-  static constexpr EventId kInvalidEvent = 0;
-  // Below this heap size compaction is pointless: skimming a handful of
-  // tombstones off the root is cheaper than a rebuild.
-  static constexpr size_t kCompactMinHeapSize = 64;
-
   explicit Simulator(Observers observers = {});
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -93,20 +74,16 @@ class Simulator {
   // Where this run's observations go; fixed for the Simulator's lifetime.
   const Observers& observers() const { return observers_; }
 
-  // Schedules fn at absolute virtual time `when` (>= Now()). Returns a
-  // cancellable id. Templated so the callable is constructed directly inside a
-  // recycled slab slot — the hot path materializes no EventFn temporaries.
+  // Schedules fn once at absolute virtual time `when` (>= Now()); it cannot be
+  // withdrawn (use a timer for that). Templated so the callable is constructed
+  // directly inside a recycled slab slot — the hot path materializes no EventFn
+  // temporaries.
   template <typename F>
-  EventId ScheduleAt(TimeNs when, F&& fn);
+  void ScheduleAt(TimeNs when, F&& fn);
   template <typename F>
-  EventId ScheduleAfter(TimeNs delay, F&& fn) {
-    return ScheduleAt(now_ + delay, std::forward<F>(fn));
+  void ScheduleAfter(TimeNs delay, F&& fn) {
+    ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
-
-  // Cancels a pending event in O(1). Safe to call with kInvalidEvent, an
-  // already-fired or already-cancelled id, or an id this Simulator never issued:
-  // all are deterministic no-ops (see the header comment for the pinned contract).
-  void Cancel(EventId id);
 
   // --- timer lane (see the header comment for the pinned contract) ---
   using TimerId = uint32_t;
@@ -137,43 +114,27 @@ class Simulator {
   bool RunUntilCondition(const std::function<bool()>& stop, TimeNs deadline);
 
   // Both count timer arms and fires as events.
-  size_t pending_events() const { return live_ + lane_.size(); }
+  size_t pending_events() const { return heap_.size() + lane_.size(); }
   uint64_t events_processed() const { return events_processed_; }
 
  private:
-  // A pending occurrence in the flat min-heap. `seq` is the schedule order (the
-  // tie-break); `slot`/`gen` locate and validate the callback in the slab.
+  // A pending one-shot in the flat min-heap. `seq` is the schedule order (the
+  // tie-break); `slot` locates the callback in the slab.
   struct HeapEntry {
     TimeNs when;
     uint64_t seq;
     uint32_t slot;
-    uint32_t gen;
   };
 
-  // Slab node: callback storage plus the generation that outstanding EventIds and
-  // heap entries are validated against. `gen` starts at 1 and is bumped on every
-  // release, so a packed id is never kInvalidEvent and never matches twice.
-  struct Node {
-    EventFn fn;
-    uint32_t gen = 1;
-  };
-
-  // The slab is chunked (not one contiguous vector) so Node addresses are stable
-  // across growth. That lets FireTop invoke a callback *in place* — no defensive
-  // move-out — because a callback that schedules new events can never relocate
-  // the closure it is currently executing.
-  static constexpr uint32_t kSlabChunkShift = 8;  // 256 nodes per chunk
+  // The slab is chunked (not one contiguous vector) so callback addresses are
+  // stable across growth. That lets FireTop invoke a callback *in place* — no
+  // defensive move-out — because a callback that schedules new events can never
+  // relocate the closure it is currently executing.
+  static constexpr uint32_t kSlabChunkShift = 8;  // 256 callbacks per chunk
   static constexpr uint32_t kSlabChunkSize = 1u << kSlabChunkShift;
 
-  Node& NodeAt(uint32_t slot) {
+  EventFn& SlotFn(uint32_t slot) {
     return chunks_[slot >> kSlabChunkShift][slot & (kSlabChunkSize - 1)];
-  }
-  const Node& NodeAt(uint32_t slot) const {
-    return chunks_[slot >> kSlabChunkShift][slot & (kSlabChunkSize - 1)];
-  }
-
-  static EventId Pack(uint32_t slot, uint32_t gen) {
-    return (static_cast<EventId>(gen) << 32) | slot;
   }
 
   // An armed timer in the lane. `timer` is the lane's own index, not an owned
@@ -190,18 +151,14 @@ class Simulator {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
-  bool Stale(const HeapEntry& e) const { return NodeAt(e.slot).gen != e.gen; }
-
-  // The schedule/cancel/arm/fire path is defined inline below the class: these
-  // run tens of millions of times per simulated second, and letting them inline
+  // The schedule/arm/fire path is defined inline below the class: these run
+  // tens of millions of times per simulated second, and letting them inline
   // into callers (RearmAdvance re-arms on every settle) is worth several ns per
   // event — see docs/PERFORMANCE.md for the measured effect.
   void SiftUp(size_t i);
   void SiftDown(size_t i);
-  void PopRoot();      // removes heap_[0], restores heap order
-  void SkimStale();    // pops tombstones off the root until it is live or empty
-  void FireTop();      // fires heap_[0] (must be live): advance clock, run callback
-  void CompactHeap();  // one O(n) filter-and-heapify pass dropping all tombstones
+  void PopRoot();  // removes heap_[0], restores heap order
+  void FireTop();  // fires heap_[0]: advance clock, run callback
   size_t LaneIndex(TimerId t) const;  // where armed timer t sits in lane_
   void CheckLane() const;  // checked builds: lane_ sorted, armed bytes match
   void FireLaneBack();     // fires lane_.back(): disarm, advance clock, run callback
@@ -216,10 +173,9 @@ class Simulator {
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;
   std::vector<HeapEntry> heap_;
-  std::vector<std::unique_ptr<Node[]>> chunks_;  // the slab; chunk arrays never move
-  uint32_t n_nodes_ = 0;        // slots handed out so far (all chunks, all states)
+  std::vector<std::unique_ptr<EventFn[]>> chunks_;  // the slab; chunk arrays never move
+  uint32_t n_slots_ = 0;        // slots handed out so far (all chunks, all states)
   std::vector<uint32_t> free_;  // LIFO free list: the hottest slot is reused first
-  size_t live_ = 0;             // scheduled and neither fired nor cancelled
   std::vector<LaneEntry> lane_;       // armed timers, latest (when, seq) first
   std::vector<uint8_t> timer_armed_;  // [timer] -> 1 while it has an entry in lane_
   std::vector<EventFn> timer_fns_;    // [timer] -> callback, invoked in place
@@ -234,7 +190,7 @@ class Simulator {
 // --- inline hot path -------------------------------------------------------
 
 template <typename F>
-inline Simulator::EventId Simulator::ScheduleAt(TimeNs when, F&& fn) {
+inline void Simulator::ScheduleAt(TimeNs when, F&& fn) {
   assert(when >= now_ && "cannot schedule in the past");
   if (when < now_) {
     when = now_;
@@ -244,41 +200,16 @@ inline Simulator::EventId Simulator::ScheduleAt(TimeNs when, F&& fn) {
     slot = free_.back();
     free_.pop_back();
   } else {
-    if ((n_nodes_ >> kSlabChunkShift) == chunks_.size()) {
-      chunks_.push_back(std::make_unique<Node[]>(kSlabChunkSize));
+    if ((n_slots_ >> kSlabChunkShift) == chunks_.size()) {
+      chunks_.push_back(std::make_unique<EventFn[]>(kSlabChunkSize));
     }
-    slot = n_nodes_++;
+    slot = n_slots_++;
   }
-  Node& n = NodeAt(slot);
   // Freed slots always hold an empty EventFn, so this is a pure placement
   // construction: capture bytes + one invoke pointer, nothing else.
-  n.fn.Emplace(std::forward<F>(fn));
-  const uint32_t gen = n.gen;
-  heap_.push_back(HeapEntry{when, next_seq_++, slot, gen});
+  SlotFn(slot).Emplace(std::forward<F>(fn));
+  heap_.push_back(HeapEntry{when, next_seq_++, slot});
   SiftUp(heap_.size() - 1);
-  ++live_;
-  return Pack(slot, gen);
-}
-
-inline void Simulator::Cancel(EventId id) {
-  if (id == kInvalidEvent) {
-    return;
-  }
-  const uint32_t slot = static_cast<uint32_t>(id);
-  const uint32_t gen = static_cast<uint32_t>(id >> 32);
-  if (slot >= n_nodes_ || NodeAt(slot).gen != gen) {
-    return;  // already fired/cancelled (generation bumped) or never issued
-  }
-  Node& n = NodeAt(slot);
-  n.fn.Reset();  // release the callback's resources now, not at pop time
-  ++n.gen;       // tombstones the heap entry and invalidates the id
-  free_.push_back(slot);
-  --live_;
-  // The heap entry stays behind as a tombstone, skipped when it surfaces at the
-  // root. Rebuild once tombstones dominate so cancel-heavy phases stay O(live).
-  if (heap_.size() >= kCompactMinHeapSize && heap_.size() - live_ > live_) {
-    CompactHeap();
-  }
 }
 
 inline void Simulator::SiftUp(size_t i) {
@@ -328,12 +259,6 @@ inline void Simulator::PopRoot() {
   }
 }
 
-inline void Simulator::SkimStale() {
-  while (!heap_.empty() && Stale(heap_[0])) {
-    PopRoot();
-  }
-}
-
 inline void Simulator::NoteFire(TimeNs when, [[maybe_unused]] uint64_t seq) {
   // Virtual time is monotonic and the tie-break is stable: events at the same
   // timestamp fire in schedule order. Every replay guarantee rests on these two.
@@ -361,16 +286,14 @@ inline void Simulator::NoteFire(TimeNs when, [[maybe_unused]] uint64_t seq) {
 inline void Simulator::FireTop() {
   const HeapEntry e = heap_[0];
   PopRoot();
-  Node& n = NodeAt(e.slot);
-  ++n.gen;  // invalidates the outstanding EventId: Cancel after fire is a no-op
-  --live_;
   NoteFire(e.when, e.seq);
-  // In-place invocation: the chunked slab guarantees `n` stays put even if the
+  // In-place invocation: the chunked slab guarantees `fn` stays put even if the
   // callback grows the slab, and the slot is not on the free list yet, so a
   // callback that schedules can never clobber its own executing closure. The
   // slot is released only after the callback returns.
-  n.fn();
-  n.fn.Reset();
+  EventFn& fn = SlotFn(e.slot);
+  fn();
+  fn.Reset();
   free_.push_back(e.slot);
 }
 
@@ -472,7 +395,6 @@ inline void Simulator::FireLaneBack() {
 }
 
 inline bool Simulator::FireNext(TimeNs deadline) {
-  SkimStale();
   if (!lane_.empty() && (heap_.empty() || Earlier(lane_.back(), heap_[0]))) {
     if (lane_.back().when > deadline) {
       return false;
@@ -489,7 +411,9 @@ inline bool Simulator::FireNext(TimeNs deadline) {
 
 inline bool Simulator::Step() { return FireNext(kTimeNever); }
 
-// Re-schedules itself at a fixed period until stopped. The callback observes Now().
+// Fires at a fixed period until stopped. The callback observes Now(). The task
+// owns one timer, registered at construction (so, like AddTimer, not from
+// inside a timer callback); each fire re-arms it before calling back.
 class PeriodicTask {
  public:
   PeriodicTask(Simulator& sim, TimeNs period, std::function<void()> fn);
@@ -500,7 +424,7 @@ class PeriodicTask {
   // First fire happens at Now() + phase (default: one full period from now).
   void Start(TimeNs phase = -1);
   void Stop();
-  bool running() const { return running_; }
+  bool running() const { return sim_.TimerArmed(timer_); }
   TimeNs period() const { return period_; }
 
  private:
@@ -509,8 +433,7 @@ class PeriodicTask {
   Simulator& sim_;
   TimeNs period_;
   std::function<void()> fn_;
-  Simulator::EventId pending_ = Simulator::kInvalidEvent;
-  bool running_ = false;
+  Simulator::TimerId timer_;
 };
 
 }  // namespace vscale

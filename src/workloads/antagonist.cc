@@ -340,11 +340,11 @@ FairnessProbe::FairnessProbe(Machine& machine, std::vector<DomainId> attackers,
     const Domain& d = *machine_.domains()[i];
     last_[i] = {d.TotalRuntime(), d.TotalWait()};
   }
-  next_sample_ = machine_.sim().ScheduleAt(now + period_ + period_ / 2,
-                                           [this] { Sample(); });
+  sample_timer_ = machine_.sim().AddTimer([this] { Sample(); });
+  machine_.sim().ArmTimer(sample_timer_, now + period_ + period_ / 2);
 }
 
-FairnessProbe::~FairnessProbe() { machine_.sim().Cancel(next_sample_); }
+FairnessProbe::~FairnessProbe() { machine_.sim().DisarmTimer(sample_timer_); }
 
 void FairnessProbe::Sample() {
   const TimeNs now = machine_.Now();
@@ -420,7 +420,7 @@ void FairnessProbe::Sample() {
     }
   }
   last_now_ = now;
-  next_sample_ = machine_.sim().ScheduleAt(now + period_, [this] { Sample(); });
+  machine_.sim().ArmTimer(sample_timer_, now + period_);
 }
 
 TimeNs FairnessProbe::theft(DomainId attacker) const {

@@ -166,8 +166,8 @@ bool FairnessViolated(const FairnessReport& report, DomainId attacker,
 // scheduler handing that slack to whoever can use it reads as work
 // conservation, not theft.
 //
-// Pure observation: it reads domain counters and schedules its own (read-only)
-// sampling events, so an attached probe never changes how the run unfolds.
+// Pure observation: it reads domain counters from its own (read-only) sampling
+// timer, so an attached probe never changes how the run unfolds.
 // The fairness-violation oracle (src/fuzz/oracle.cc) trips when theft exceeds
 // a small fraction of pool capacity; bench_antagonist reports it per cell.
 class FairnessProbe {
@@ -176,7 +176,7 @@ class FairnessProbe {
   // a window never ends on the credit pass it is trying to observe.
   FairnessProbe(Machine& machine, std::vector<DomainId> attackers,
                 int eps_pct);
-  ~FairnessProbe();  // cancels the pending sampling event
+  ~FairnessProbe();  // disarms the sampling timer
 
   FairnessProbe(const FairnessProbe&) = delete;
   FairnessProbe& operator=(const FairnessProbe&) = delete;
@@ -195,7 +195,7 @@ class FairnessProbe {
   int eps_pct_;
   int64_t total_weight_ = 0;
   TimeNs period_ = 0;
-  uint64_t next_sample_ = 0;  // Simulator::EventId of the pending Sample()
+  Simulator::TimerId sample_timer_ = 0;  // fires Sample()
   TimeNs last_now_ = 0;
   TimeNs sampled_capacity_ = 0;
   struct Snap {

@@ -220,5 +220,36 @@ TEST(CoverageGenTest, BiasedDegeneratesToBlindOnSaturatedFrontier) {
   }
 }
 
+// A frontier count past int64 is a parse error, not a silent INT64_MAX.
+TEST(CoverageTextTest, RejectsCountPastInt64) {
+  std::istringstream in(
+      "vscale-coverage v1\nfault.channel_stale 99999999999999999999\n");
+  CoverageVector v;
+  std::string error;
+  EXPECT_FALSE(ParseCoverageText(in, &v, &error));
+  EXPECT_NE(error.find("bad count"), std::string::npos) << error;
+}
+
+// Merging two huge counts saturates instead of wrapping negative, so the
+// merged frontier still covers the point and parses back.
+TEST(CoverageTextTest, MergeSaturatesAtInt64Max) {
+  CoverageVector a(kNumCoveragePoints, 0);
+  CoverageVector b(kNumCoveragePoints, 0);
+  a[0] = INT64_MAX - 1;
+  b[0] = INT64_MAX - 1;
+  a[1] = 2;
+  b[1] = 3;
+  MergeCoverage(&a, b);
+  EXPECT_EQ(a[0], INT64_MAX);
+  EXPECT_EQ(a[1], 5);
+  EXPECT_EQ(CoveredPoints(a), 2);
+  std::stringstream text;
+  WriteCoverageText(text, a);
+  CoverageVector back;
+  std::string error;
+  ASSERT_TRUE(ParseCoverageText(text, &back, &error)) << error;
+  EXPECT_EQ(back, a);
+}
+
 }  // namespace
 }  // namespace vscale

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -33,32 +34,6 @@ TEST(SimulatorTest, TiesFireInScheduleOrder) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i);
   }
-}
-
-TEST(SimulatorTest, CancelPreventsFire) {
-  Simulator sim;
-  bool fired = false;
-  const auto id = sim.ScheduleAfter(Microseconds(1), [&] { fired = true; });
-  sim.Cancel(id);
-  sim.RunUntilIdle();
-  EXPECT_FALSE(fired);
-}
-
-TEST(SimulatorTest, CancelInvalidAndDoubleCancelAreSafe) {
-  Simulator sim;
-  sim.Cancel(Simulator::kInvalidEvent);
-  const auto id = sim.ScheduleAfter(1, [] {});
-  sim.Cancel(id);
-  sim.Cancel(id);
-  sim.RunUntilIdle();
-  EXPECT_EQ(sim.pending_events(), 0u);
-}
-
-TEST(SimulatorTest, CancelAfterFireIsSafe) {
-  Simulator sim;
-  const auto id = sim.ScheduleAfter(1, [] {});
-  sim.RunUntilIdle();
-  sim.Cancel(id);  // already fired
 }
 
 TEST(SimulatorTest, RunUntilAdvancesClockToDeadline) {
@@ -124,61 +99,37 @@ TEST(SimulatorTest, EventsProcessedCounter) {
   EXPECT_EQ(sim.events_processed(), 7u);
 }
 
-// Property: with random schedule/cancel interleavings, fired events are exactly the
-// non-cancelled ones and fire in nondecreasing time order.
-TEST(SimulatorPropertyTest, RandomScheduleCancelConsistency) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    Simulator sim;
-    Rng rng(seed);
-    std::vector<Simulator::EventId> ids;
-    std::vector<bool> cancelled;
-    std::vector<int> fired;
-    for (int i = 0; i < 200; ++i) {
-      const TimeNs when = rng.UniformTime(1, Milliseconds(1));
-      const int tag = i;
-      ids.push_back(sim.ScheduleAt(when, [&fired, tag] { fired.push_back(tag); }));
-      cancelled.push_back(false);
-      if (rng.Chance(0.3) && !ids.empty()) {
-        const size_t victim = rng.NextBelow(ids.size());
-        sim.Cancel(ids[victim]);
-        cancelled[victim] = true;
-      }
-    }
-    sim.RunUntilIdle();
-    size_t expected = 0;
-    for (bool c : cancelled) {
-      expected += c ? 0 : 1;
-    }
-    EXPECT_EQ(fired.size(), expected) << "seed " << seed;
-    for (int tag : fired) {
-      EXPECT_FALSE(cancelled[static_cast<size_t>(tag)]) << "seed " << seed;
-    }
-  }
-}
-
-// Regression for the deterministic tie-break (the heap orders by (when, seq)
-// with seq drawn at schedule time; tombstoned cancels never perturb it):
-// heavily interleaved schedule/cancel traffic must replay the exact same
-// firing order run after run. An engine that hashed, or that let compaction
-// reorder equal-time entries, would still pass the set-consistency property
-// above while silently reordering ties between runs.
-TEST(SimulatorPropertyTest, InterleavedScheduleCancelReplaysIdentically) {
+// Regression for the deterministic tie-break (both queues order by (when, seq)
+// with seq drawn at schedule or arm time): heavily interleaved schedule, arm
+// and disarm traffic must replay the exact same firing order run after run.
+// An engine that hashed, or that let a re-arm or a disarm reorder equal-time
+// entries, would still fire the right set while silently reordering ties
+// between runs.
+TEST(SimulatorPropertyTest, InterleavedScheduleAndDisarmReplaysIdentically) {
   auto run = [](uint64_t seed) {
     Simulator sim;
     Rng rng(seed);
     std::vector<std::pair<TimeNs, int>> fired;
-    std::vector<Simulator::EventId> ids;
+    std::vector<Simulator::TimerId> timers;
+    for (int t = 0; t < 16; ++t) {
+      const int tag = -1 - t;
+      timers.push_back(
+          sim.AddTimer([&fired, &sim, tag] { fired.emplace_back(sim.Now(), tag); }));
+    }
+    // Coarse buckets force many exact time ties, the tie-break's hard case.
+    auto bucket = [&rng] {
+      return Microseconds(1 + static_cast<TimeNs>(rng.NextBelow(20)));
+    };
     for (int i = 0; i < 300; ++i) {
-      // Coarse buckets force many exact time ties, the tie-break's hard case.
-      const TimeNs when = Microseconds(1 + static_cast<TimeNs>(rng.NextBelow(20)));
       const int tag = i;
-      ids.push_back(sim.ScheduleAt(
-          when, [&fired, &sim, tag] { fired.emplace_back(sim.Now(), tag); }));
+      sim.ScheduleAt(bucket(),
+                     [&fired, &sim, tag] { fired.emplace_back(sim.Now(), tag); });
       if (rng.Chance(0.4)) {
-        sim.Cancel(ids[rng.NextBelow(ids.size())]);
+        const Simulator::TimerId t = timers[rng.NextBelow(timers.size())];
+        sim.ArmTimer(t, bucket());
       }
       if (rng.Chance(0.1)) {
-        sim.Cancel(ids[rng.NextBelow(ids.size())]);  // double-cancel candidates
+        sim.DisarmTimer(timers[rng.NextBelow(timers.size())]);
       }
     }
     sim.RunUntilIdle();
@@ -194,90 +145,66 @@ TEST(SimulatorPropertyTest, InterleavedScheduleCancelReplaysIdentically) {
   }
 }
 
-// Pinned by the Cancel contract in src/sim/event_queue.h: a cancelled slot is
-// recycled for later events under a new generation, and the stale EventId must
-// never reach the new tenant.
-TEST(SimulatorTest, CancelSlotReuseIsSafe) {
-  Simulator sim;
-  int old_fires = 0;
-  int new_fires = 0;
-  const Simulator::EventId old_id =
-      sim.ScheduleAt(Microseconds(10), [&] { ++old_fires; });
-  sim.Cancel(old_id);
-  // LIFO free list: the very next schedule reuses the slot just released.
-  const Simulator::EventId new_id =
-      sim.ScheduleAt(Microseconds(20), [&] { ++new_fires; });
-  EXPECT_EQ(static_cast<uint32_t>(new_id), static_cast<uint32_t>(old_id));
-  EXPECT_NE(new_id, old_id);  // but under a bumped generation
-  sim.Cancel(old_id);         // stale handle: must not touch the new tenant
-  sim.RunUntilIdle();
-  EXPECT_EQ(old_fires, 0);
-  EXPECT_EQ(new_fires, 1);
-  EXPECT_EQ(sim.Now(), Microseconds(20));
-}
-
-// Pinned by the Cancel contract in src/sim/event_queue.h: cancelling a fired
-// event, an id that was never issued, or kInvalidEvent is a harmless no-op.
-TEST(SimulatorTest, CancelAfterFireAndUnknownIdsAreNoOps) {
-  Simulator sim;
-  int fires = 0;
-  const Simulator::EventId fired_id =
-      sim.ScheduleAt(Microseconds(1), [&] { ++fires; });
-  int live_fires = 0;
-  sim.ScheduleAt(Microseconds(5), [&] { ++live_fires; });
-  EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(fires, 1);
-  sim.Cancel(fired_id);                    // already fired
-  sim.Cancel(Simulator::kInvalidEvent);    // the sentinel
-  sim.Cancel(static_cast<Simulator::EventId>(0x7fff) << 32 | 0x1234);  // never issued
-  sim.Cancel(fired_id);                    // and again, for double-cancel
-  sim.RunUntilIdle();
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(live_fires, 1);  // unrelated live event unharmed
-  EXPECT_EQ(sim.events_processed(), 2u);
-}
+// Records the address it runs at. A trivially copyable callable this small is
+// built inline in its slab slot, so the address names the slot.
+struct RecordSlot {
+  const void** at;
+  void operator()() const { *at = this; }
+};
 
 // The slab recycles released slots LIFO, so steady-state schedule/fire traffic
-// runs in a bounded set of slots instead of growing the arena: slot ids
-// (the low 32 bits of EventId) must repeat once the queue drains.
+// runs in a bounded set of slots instead of growing the arena: the slot a
+// callback runs in must repeat once the queue drains, and the slot released
+// last must be the first one reused.
 TEST(SimulatorTest, SlabSlotsAreReusedAfterRelease) {
   Simulator sim;
-  const Simulator::EventId first = sim.ScheduleAt(Microseconds(1), [] {});
+  const void* first = nullptr;
+  const void* second = nullptr;
+  sim.ScheduleAt(Microseconds(1), RecordSlot{&first});
+  sim.ScheduleAt(Microseconds(2), RecordSlot{&second});
   sim.RunUntilIdle();
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(first, second);
   for (int round = 0; round < 100; ++round) {
-    const Simulator::EventId id = sim.ScheduleAt(Microseconds(1), [] {});
-    EXPECT_EQ(static_cast<uint32_t>(id), static_cast<uint32_t>(first))
-        << "round " << round;
-    EXPECT_NE(id, first);  // generation must differ every reuse
+    const void* at = nullptr;
+    sim.ScheduleAfter(Microseconds(1), RecordSlot{&at});
     sim.RunUntilIdle();
+    EXPECT_EQ(at, second) << "round " << round;
   }
 }
 
 // Same-tick batching (the RunUntil inner drain) must preserve schedule order
-// among survivors even when cancels punch holes in the batch.
-TEST(SimulatorTest, SameTickBatchPreservesScheduleOrderAcrossCancels) {
+// across both queues among survivors even when disarms punch holes in the
+// batch.
+TEST(SimulatorTest, SameTickBatchPreservesScheduleOrderAcrossDisarms) {
   Simulator sim;
   std::vector<int> order;
-  std::vector<Simulator::EventId> ids;
+  std::vector<Simulator::TimerId> timers;
   for (int i = 0; i < 50; ++i) {
-    ids.push_back(sim.ScheduleAt(Microseconds(7), [&order, i] { order.push_back(i); }));
+    if (i % 2 == 0) {
+      sim.ScheduleAt(Microseconds(7), [&order, i] { order.push_back(i); });
+    } else {
+      timers.push_back(sim.AddTimer([&order, i] { order.push_back(i); }));
+      sim.ArmTimer(timers.back(), Microseconds(7));
+    }
   }
-  for (int i = 0; i < 50; i += 3) {
-    sim.Cancel(ids[static_cast<size_t>(i)]);
+  for (size_t k = 0; k < timers.size(); k += 3) {
+    sim.DisarmTimer(timers[k]);  // the timers of i = 1, 7, 13, ...
   }
   sim.RunUntil(Microseconds(7));
   std::vector<int> expected;
   for (int i = 0; i < 50; ++i) {
-    if (i % 3 != 0) expected.push_back(i);
+    if (i % 6 != 1) expected.push_back(i);
   }
   EXPECT_EQ(order, expected);
   EXPECT_EQ(sim.Now(), Microseconds(7));
 }
 
 // Property: the engine's firing order must match a trivially-correct reference
-// model (stable sort of surviving events by (when, schedule order)) over random
-// schedule/cancel interleavings — the old-engine-vs-new-engine equivalence
-// check, with the reference standing in for the pre-rewrite container queue.
+// model (stable sort of surviving occurrences by (when, schedule order)) over
+// random interleavings of one-shots, timer arms and disarms — the
+// old-engine-vs-new-engine equivalence check, with the reference standing in
+// for the pre-rewrite container queue.
 TEST(SimulatorPropertyTest, FiringOrderMatchesReferenceModel) {
   for (uint64_t seed = 1; seed <= 15; ++seed) {
     Simulator sim;
@@ -285,27 +212,33 @@ TEST(SimulatorPropertyTest, FiringOrderMatchesReferenceModel) {
     struct Ref {
       TimeNs when;
       int tag;
-      bool cancelled = false;
+      bool disarmed = false;
     };
     std::vector<Ref> model;
-    std::vector<Simulator::EventId> ids;
+    std::vector<std::pair<Simulator::TimerId, size_t>> timers;  // (timer, model row)
     std::vector<int> fired;
     for (int i = 0; i < 400; ++i) {
       // Coarse buckets force ties; the reference resolves them by index order.
       const TimeNs when = Microseconds(1 + static_cast<TimeNs>(rng.NextBelow(25)));
-      ids.push_back(sim.ScheduleAt(when, [&fired, i] { fired.push_back(i); }));
       model.push_back(Ref{when, i});
-      if (rng.Chance(0.35)) {
-        const size_t victim = rng.NextBelow(ids.size());
-        sim.Cancel(ids[victim]);
-        model[victim].cancelled = true;
+      if (rng.Chance(0.5)) {
+        sim.ScheduleAt(when, [&fired, i] { fired.push_back(i); });
+      } else {
+        timers.emplace_back(sim.AddTimer([&fired, i] { fired.push_back(i); }),
+                            model.size() - 1);
+        sim.ArmTimer(timers.back().first, when);
+      }
+      if (rng.Chance(0.35) && !timers.empty()) {
+        const auto& [timer, row] = timers[rng.NextBelow(timers.size())];
+        sim.DisarmTimer(timer);
+        model[row].disarmed = true;
       }
     }
     sim.RunUntilIdle();
     std::vector<int> expected;
     for (TimeNs t = Microseconds(1); t <= Microseconds(25); t += Microseconds(1)) {
       for (const Ref& r : model) {
-        if (!r.cancelled && r.when == t) expected.push_back(r.tag);
+        if (!r.disarmed && r.when == t) expected.push_back(r.tag);
       }
     }
     ASSERT_EQ(fired, expected) << "seed " << seed;
@@ -316,18 +249,14 @@ TEST(SimulatorPropertyTest, FiringOrderMatchesReferenceModel) {
 
 // The reference model for both queues at once: every ScheduleAt and ArmTimer
 // draws one seq, re-arming replaces a timer's single pending fire, DisarmTimer
-// and Cancel draw nothing, and the earliest live (when, seq) fires next. It
+// draws nothing, and the earliest live (when, seq) fires next. It
 // scans a flat list, so its only cleverness is the contract itself.
 class RefQueue {
  public:
   std::function<void(int)> on_fire;
 
-  uint64_t Schedule(TimeNs when, int tag) {
+  void Schedule(TimeNs when, int tag) {
     items_.push_back(Item{when, next_seq_++, tag, -1, true});
-    return items_.size();  // id = index + 1, so 0 stays invalid
-  }
-  void Cancel(uint64_t id) {
-    if (id != 0 && id <= items_.size()) items_[id - 1].live = false;
   }
   int AddTimer(int tag) {
     timer_tags_.push_back(tag);
@@ -395,10 +324,9 @@ class SimQueue {
  public:
   std::function<void(int)> on_fire;
 
-  uint64_t Schedule(TimeNs when, int tag) {
-    return sim_.ScheduleAt(when, [this, tag] { on_fire(tag); });
+  void Schedule(TimeNs when, int tag) {
+    sim_.ScheduleAt(when, [this, tag] { on_fire(tag); });
   }
-  void Cancel(uint64_t id) { sim_.Cancel(id); }
   int AddTimer(int tag) {
     return static_cast<int>(sim_.AddTimer([this, tag] { on_fire(tag); }));
   }
@@ -419,7 +347,7 @@ class SimQueue {
 // pending, processed).
 using FireRecord = std::tuple<TimeNs, int, bool, size_t, uint64_t>;
 
-// Drives a queue with a seeded mix of ScheduleAt, Cancel, ArmTimer (fresh,
+// Drives a queue with a seeded mix of ScheduleAt, ArmTimer (fresh,
 // moved and unchanged deadlines) and DisarmTimer over `timers` timers, from the
 // top level and from inside callbacks — timers re-arm or disarm themselves from
 // their own callback. Tags below `timers` name timers, the rest events.
@@ -432,7 +360,6 @@ std::vector<FireRecord> DriveLaneScript(uint64_t seed, int timers) {
   Q q;
   Rng rng(seed);
   std::vector<FireRecord> log;
-  std::vector<uint64_t> ids;
   std::vector<TimeNs> armed_at(static_cast<size_t>(timers), 0);
   int next_tag = timers;
   auto near = [&] {
@@ -444,17 +371,14 @@ std::vector<FireRecord> DriveLaneScript(uint64_t seed, int timers) {
   };
   auto random_op = [&] {
     const int t = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(timers)));
-    switch (rng.NextBelow(5)) {
+    switch (rng.NextBelow(4)) {
       case 0:
-        ids.push_back(q.Schedule(near(), next_tag++));
+        q.Schedule(near(), next_tag++);
         break;
       case 1:
-        if (!ids.empty()) q.Cancel(ids[rng.NextBelow(ids.size())]);
-        break;
-      case 2:
         arm(t, near());
         break;
-      case 3:  // unchanged deadline: must still draw a fresh seq
+      case 2:  // unchanged deadline: must still draw a fresh seq
         if (q.Armed(t)) arm(t, armed_at[static_cast<size_t>(t)]);
         break;
       default:
@@ -576,7 +500,7 @@ TEST(SimulatorTimerTest, DisarmOnDisarmedTimerIsNoOp) {
 
 // Pinned: ArmTimer with the deadline it already has still draws a fresh seq,
 // so an event scheduled in between at the same instant now fires first — the
-// order a Cancel + ScheduleAt would give. Keeping the old seq would reorder
+// order a fresh ScheduleAt would give. Keeping the old seq would reorder
 // this tie (docs/PERFORMANCE.md).
 TEST(SimulatorTimerTest, RearmWithUnchangedDeadlineDrawsFreshSeq) {
   Simulator sim;
@@ -669,6 +593,23 @@ TEST(PeriodicTaskTest, RestartResets) {
   task.Start();  // restart: next fire 5ms from now
   sim.RunUntil(Milliseconds(12));
   EXPECT_EQ(fires, 2);
+}
+
+// Pinned: a PeriodicTask fire and a one-shot due at the same instant fire in
+// schedule order, whichever was armed first. Each re-arm draws its seq when
+// the previous fire runs, as a ScheduleAfter from inside the callback would.
+TEST(PeriodicTaskTest, TiesWithOneShotsFireInScheduleOrder) {
+  Simulator sim;
+  std::string order;
+  PeriodicTask task(sim, Milliseconds(10), [&] { order += 'p'; });
+  sim.ScheduleAt(Milliseconds(10), [&] { order += 'a'; });  // before the arm
+  task.Start();                                             // due at 10 ms
+  sim.ScheduleAt(Milliseconds(10), [&] { order += 'b'; });  // after the arm
+  sim.ScheduleAt(Milliseconds(20), [&] { order += 'c'; });  // before the re-arm
+  sim.RunUntil(Milliseconds(10));  // the fire re-arms the task for 20 ms
+  sim.ScheduleAt(Milliseconds(20), [&] { order += 'd'; });  // after the re-arm
+  sim.RunUntil(Milliseconds(20));
+  EXPECT_EQ(order, "apbcpd");
 }
 
 }  // namespace

@@ -109,6 +109,15 @@ TEST(TraceValidateTest, RejectsMalformedInput) {
   // E without B.
   EXPECT_FALSE(ValidateChromeTrace(
       R"({"traceEvents":[{"name":"a","ph":"E","pid":1,"tid":0,"ts":1.0}]})"));
+  // Numbers that do not parse whole, overflow a double, or are no int id.
+  EXPECT_FALSE(ValidateChromeTrace(
+      R"({"traceEvents":[{"name":"a","ph":"i","pid":1,"tid":0,"ts":1e999,"s":"t"}]})"));
+  EXPECT_FALSE(ValidateChromeTrace(
+      R"({"traceEvents":[{"name":"a","ph":"i","pid":1,"tid":0,"ts":1-2,"s":"t"}]})"));
+  EXPECT_FALSE(ValidateChromeTrace(
+      R"({"traceEvents":[{"name":"a","ph":"i","pid":1e12,"tid":0,"ts":1,"s":"t"}]})"));
+  EXPECT_FALSE(ValidateChromeTrace(
+      R"({"traceEvents":[{"name":"a","ph":"i","pid":1,"tid":0.5,"ts":1,"s":"t"}]})"));
   std::string error;
   EXPECT_TRUE(ValidateChromeTrace(
       R"({"traceEvents":[

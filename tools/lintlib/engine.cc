@@ -39,18 +39,10 @@ const std::vector<RuleDef>& AllRules() {
       {"faults-allow-escape", "determinism",
        "src/faults/ and src/fuzz/ carry no lint escapes at all", nullptr},
       // event-lifecycle
-      {"event-owner", "event-lifecycle",
-       "a stored EventId member must have a Cancel() owner somewhere in the "
-       "project",
-       rules::EventOwner},
       {"timer-owner", "event-lifecycle",
        "a stored TimerId member must have a DisarmTimer() owner somewhere in "
        "the project",
        rules::TimerOwner},
-      {"event-freeze-path", "event-lifecycle",
-       "freeze-path layers (src/guest/, src/vscale/) never persist raw "
-       "EventIds; own timers via PeriodicTask",
-       rules::EventFreezePath},
       // stall-attribution
       {"stall-hook", "stall-attribution",
        "every run-state mutation in machine.cc / kernel_sched.cc sits in a "

@@ -1,7 +1,7 @@
 // lintlib engine: rule registry, suppression accounting, and the lint driver.
 //
 // A rule is a free function over the whole parsed project (cross-file rules
-// like event-owner need project scope), reporting raw findings. The engine
+// like timer-owner need project scope), reporting raw findings. The engine
 // then:
 //   1. drops findings covered by a `vslint: allow(rule, reason)` marker,
 //      marking the marker used;

@@ -20,9 +20,7 @@ void PointerKey(const Project&, std::vector<Finding>*);
 void FloatAccum(const Project&, std::vector<Finding>*);
 
 // event-lifecycle family
-void EventOwner(const Project&, std::vector<Finding>*);
 void TimerOwner(const Project&, std::vector<Finding>*);
-void EventFreezePath(const Project&, std::vector<Finding>*);
 
 // stall-attribution family
 void StallHook(const Project&, std::vector<Finding>*);

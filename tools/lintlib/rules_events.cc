@@ -1,25 +1,14 @@
-// event-lifecycle rules: every EventId or TimerId that outlives the scheduling
-// statement must have an owner that can retire it.
+// event-lifecycle rule: a timer that outlives the arming statement must have
+// an owner that can disarm it.
 //
-//   event-owner        — a class member of type (Simulator::)EventId must be
-//                        named inside a Cancel(...) call somewhere in the
-//                        project. A stored id nobody can cancel is a leak
-//                        waiting for a stale fire: the two-level scheduler
-//                        cancels on every deschedule, so an uncancellable
-//                        stored id is always a protocol miss, not a style
-//                        choice.
-//   timer-owner        — the same contract for the timer lane: a class member
-//                        of type (Simulator::)TimerId must be named inside a
-//                        DisarmTimer(...) call somewhere in the project. A
-//                        timer nobody disarms keeps firing for an owner that
-//                        has stopped (an advance timer outliving its vCPU's
-//                        run).
-//   event-freeze-path  — src/guest/ and src/vscale/ (the layers the vScale
-//                        freeze path reenters) must not persist raw EventIds
-//                        at all: a frozen vCPU's stored id can be recycled
-//                        before unfreeze. Periodic work in those layers owns
-//                        its timer through PeriodicTask, whose Stop()/dtor
-//                        cancels deterministically.
+//   timer-owner        — a class member of type (Simulator::)TimerId must be
+//                        named inside a DisarmTimer(...) call somewhere in the
+//                        project. A timer nobody disarms keeps firing for an
+//                        owner that has stopped (an advance timer outliving
+//                        its vCPU's run, a periodic task outliving its owner).
+//
+// One-shot events need no rule: ScheduleAt returns nothing, so no code can
+// store a handle to a pending one.
 //
 // Matching is by member *name* project-wide, which can under-report when two
 // classes share a member name — acceptable for a lint; the corpus pins the
@@ -34,25 +23,24 @@ namespace rules {
 
 namespace {
 
-struct IdMember {
+struct TimerMember {
   std::string rel;
   int line;
   std::string cls;
   std::string name;
 };
 
-// Member declarations of type `type` / `Simulator::<type>` at class scope
+// Member declarations of type `TimerId` / `Simulator::TimerId` at class scope
 // (function bodies excluded, so locals never match).
-void CollectIdMembers(const ParsedFile& pf, const std::string& type,
-                      std::vector<IdMember>* out) {
+void CollectTimerMembers(const ParsedFile& pf, std::vector<TimerMember>* out) {
   const std::vector<Token>& toks = pf.src.tokens;
   for (const ClassInfo& ci : pf.classes) {
     for (size_t t = ci.body_begin; t + 1 < ci.body_end && t < toks.size();
          ++t) {
-      if (toks[t].kind != Token::kIdent || toks[t].text != type) continue;
+      if (toks[t].kind != Token::kIdent || toks[t].text != "TimerId") continue;
       if (InFunctionBody(pf, t)) continue;
-      // Skip `using EventId = ...;` aliases and `static constexpr EventId`
-      // constants (kInvalidEvent is a sentinel, not a stored schedule).
+      // Skip `using TimerId = ...;` aliases and constants: neither is a
+      // stored timer.
       bool is_alias_or_constant = false;
       size_t back = t;
       if (back >= 2 && toks[back - 1].kind == Token::kPunct &&
@@ -71,7 +59,7 @@ void CollectIdMembers(const ParsedFile& pf, const std::string& type,
       if (is_alias_or_constant) continue;
       const Token& next = toks[t + 1];
       if (next.kind != Token::kIdent) continue;
-      // Require a declarator: `EventId name;` or `EventId name = ...;`.
+      // Require a declarator: `TimerId name;` or `TimerId name = ...;`.
       if (t + 2 < toks.size() && toks[t + 2].kind == Token::kPunct &&
           (toks[t + 2].text == ";" || toks[t + 2].text == "=" ||
            toks[t + 2].text == "{")) {
@@ -81,14 +69,13 @@ void CollectIdMembers(const ParsedFile& pf, const std::string& type,
   }
 }
 
-// Every identifier that appears inside a `call(...)` argument list anywhere
-// in the project.
-void CollectRetiredNames(const Project& project, const std::string& call,
-                         std::set<std::string>* out) {
+// Every identifier that appears inside a `DisarmTimer(...)` argument list
+// anywhere in the project.
+void CollectDisarmedNames(const Project& project, std::set<std::string>* out) {
   for (const ParsedFile& pf : project.files) {
     const std::vector<Token>& toks = pf.src.tokens;
     for (size_t t = 0; t + 1 < toks.size(); ++t) {
-      if (toks[t].kind != Token::kIdent || toks[t].text != call) {
+      if (toks[t].kind != Token::kIdent || toks[t].text != "DisarmTimer") {
         continue;
       }
       if (toks[t + 1].kind != Token::kPunct || toks[t + 1].text != "(") {
@@ -107,52 +94,22 @@ void CollectRetiredNames(const Project& project, const std::string& call,
   }
 }
 
-// Flags every stored `type` member never named inside a `retire_call(...)`.
-void CheckOwned(const Project& project, const std::string& type,
-                const std::string& retire_call, const char* rule,
-                std::vector<Finding>* out) {
-  std::vector<IdMember> members;
-  for (const ParsedFile& pf : project.files) {
-    CollectIdMembers(pf, type, &members);
-  }
-  if (members.empty()) return;
-  std::set<std::string> retired;
-  CollectRetiredNames(project, retire_call, &retired);
-  for (const IdMember& m : members) {
-    if (retired.count(m.name) != 0) continue;
-    out->push_back({m.rel, m.line, rule,
-                    "stored " + type + " '" + m.name + "' in class '" + m.cls +
-                        "' is never passed to " + retire_call +
-                        "(); every persisted " + type + " needs an owner that "
-                        "retires it"});
-  }
-}
-
 }  // namespace
 
-void EventOwner(const Project& project, std::vector<Finding>* out) {
-  CheckOwned(project, "EventId", "Cancel", "event-owner", out);
-}
-
 void TimerOwner(const Project& project, std::vector<Finding>* out) {
-  CheckOwned(project, "TimerId", "DisarmTimer", "timer-owner", out);
-}
-
-void EventFreezePath(const Project& project, std::vector<Finding>* out) {
+  std::vector<TimerMember> members;
   for (const ParsedFile& pf : project.files) {
-    const std::string& rel = pf.src.rel;
-    if (rel.rfind("src/guest/", 0) != 0 && rel.rfind("src/vscale/", 0) != 0) {
-      continue;
-    }
-    std::vector<IdMember> members;
-    CollectIdMembers(pf, "EventId", &members);
-    for (const IdMember& m : members) {
-      out->push_back({m.rel, m.line, "event-freeze-path",
-                      "raw EventId '" + m.name +
-                          "' persisted in a freeze-path layer; the freeze "
-                          "path can recycle ids under it — own the timer via "
-                          "PeriodicTask instead"});
-    }
+    CollectTimerMembers(pf, &members);
+  }
+  if (members.empty()) return;
+  std::set<std::string> disarmed;
+  CollectDisarmedNames(project, &disarmed);
+  for (const TimerMember& m : members) {
+    if (disarmed.count(m.name) != 0) continue;
+    out->push_back({m.rel, m.line, "timer-owner",
+                    "stored TimerId '" + m.name + "' in class '" + m.cls +
+                        "' is never passed to DisarmTimer(); every persisted "
+                        "TimerId needs an owner that disarms it"});
   }
 }
 

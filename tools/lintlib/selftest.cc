@@ -146,21 +146,6 @@ int RunSelfTest() {
   }
 
   // --- event-lifecycle ------------------------------------------------------
-  const char* kOrphanEvent =
-      "class Poller {\n"
-      " public:\n"
-      "  void Arm();\n"
-      " private:\n"
-      "  EventId tick_;\n"
-      "};\n";
-  failures += Expect("event-owner-orphan", {{"src/sim/poller.h", kOrphanEvent}},
-                     "", All(), {"event-owner"});
-  failures += Expect(
-      "event-owner-cancelled",
-      {{"src/sim/poller.h", kOrphanEvent},
-       {"src/sim/poller.cc",
-        "void Poller::Disarm() { sim_->Cancel(tick_); }\n"}},
-      "", All(), {});
   const char* kOrphanTimer =
       "class Runner {\n"
       " private:\n"
@@ -178,28 +163,14 @@ int RunSelfTest() {
         "void Runner::Stop() { sim_->DisarmTimer(advance_); }\n"}},
       "", All(), {});
   failures += Expect(
-      "event-freeze-path",
-      {{"src/guest/balancer.h",
-        "class Balancer {\n"
-        "  EventId rebalance_;\n"
-        "};\n"},
-       {"src/guest/balancer.cc",
-        "void Balancer::Stop() { sim_->Cancel(rebalance_); }\n"}},
-      "", All(), {"event-freeze-path"});
-  failures += Expect(
-      "periodic-task-ok-on-freeze-path",
-      {{"src/guest/balancer.h",
-        "class Balancer {\n"
-        "  PeriodicTask rebalance_;\n"
+      "local-timerid-ok",
+      {{"src/sim/user.h",
+        "class User {\n"
+        "  void Once(Simulator* sim) {\n"
+        "    Simulator::TimerId t = sim->AddTimer([] {});\n"
+        "    sim->ArmTimer(t, 10);\n"
+        "  }\n"
         "};\n"}},
-      "", All(), {});
-  failures += Expect(
-      "local-eventid-ok",
-      {{"src/sim/user.cc",
-        "void Fire(Simulator* sim) {\n"
-        "  EventId id = sim->Schedule(10, [] {});\n"
-        "  sim->Cancel(id);\n"
-        "}\n"}},
       "", All(), {});
 
   // --- stall-attribution ----------------------------------------------------
