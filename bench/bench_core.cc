@@ -93,7 +93,7 @@ double MeasureScheduleFireNs(int iters, int repeats) {
 double MeasureTimerRearmFireNs(int timers, int iters, int repeats) {
   struct Lane {
     Simulator sim;
-    std::vector<Simulator::TimerId> ids;
+    std::vector<Simulator::Timer> timers;
     std::vector<TimeNs> delays;  // seeded, so every repeat replays one schedule
     size_t next = 0;
     int64_t fires = 0;
@@ -107,14 +107,14 @@ double MeasureTimerRearmFireNs(int timers, int iters, int repeats) {
       d = 1 + static_cast<TimeNs>(rng.NextBelow(1000));
     }
     for (int t = 0; t < timers; ++t) {
-      lane.ids.push_back(lane.sim.AddTimer([&lane, t] {
+      lane.timers.push_back(lane.sim.AddTimer([&lane, t] {
         ++lane.fires;
         const TimeNs d = lane.delays[lane.next++ & (lane.delays.size() - 1)];
-        lane.sim.ArmTimer(lane.ids[static_cast<size_t>(t)], lane.sim.Now() + d);
+        lane.timers[static_cast<size_t>(t)].Arm(lane.sim.Now() + d);
       }));
     }
-    for (const Simulator::TimerId id : lane.ids) {
-      lane.sim.ArmTimer(id, lane.delays[lane.next++]);
+    for (Simulator::Timer& timer : lane.timers) {
+      timer.Arm(lane.delays[lane.next++]);
     }
     const double t0 = NowSec();
     for (int i = 0; i < iters; ++i) {

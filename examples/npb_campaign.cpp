@@ -10,19 +10,25 @@
 #include "src/base/parse.h"
 #include "src/base/table.h"
 #include "src/workloads/campaign.h"
+#include "src/workloads/omp_app.h"
 #include "src/workloads/testbed.h"
 
 using namespace vscale;
 
+constexpr const char* kUsage = "usage: npb_campaign [app] [vcpus]\n";
+
 int main(int argc, char** argv) {
   const std::string app = argc > 1 ? argv[1] : "cg";
+  if (!IsNpbProfileName(app)) {
+    std::fprintf(stderr, "%sapp must be an NPB kernel name, got '%s'\n", kUsage,
+                 app.c_str());
+    return 2;
+  }
   int vcpus = 4;
   if (argc > 2) {
     int64_t n = 0;
     if (!ParseI64(argv[2], &n) || n < 1 || n > kMaxVcpusPerDomain) {
-      std::fprintf(stderr,
-                   "usage: npb_campaign [app] [vcpus]\n"
-                   "vcpus must be an integer in 1..%d, got '%s'\n",
+      std::fprintf(stderr, "%svcpus must be an integer in 1..%d, got '%s'\n", kUsage,
                    kMaxVcpusPerDomain, argv[2]);
       return 2;
     }

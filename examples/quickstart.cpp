@@ -171,6 +171,11 @@ int main(int argc, char** argv) {
     }
   }
   const std::string app = !positional.empty() ? positional[0] : "lu";
+  if (!vscale::IsNpbProfileName(app)) {
+    std::fprintf(stderr, "%sapp must be an NPB kernel name, got '%s'\n", kUsage,
+                 app.c_str());
+    return 2;
+  }
   int vcpus = 4;
   if (positional.size() > 1) {
     int64_t n = 0;

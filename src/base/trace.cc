@@ -18,7 +18,7 @@ const char* ToString(TraceCategory c) {
 
 Tracer::Tracer(size_t capacity) { ring_.resize(capacity > 0 ? capacity : 1); }
 
-void Tracer::Record(TimeNs ts, TraceCategory category, TracePhase phase,
+void Tracer::Append(TimeNs ts, TraceCategory category, TracePhase phase,
                     const char* name, int domain, int vcpu, int pcpu,
                     const char* arg_name, int64_t arg) {
   // Rebase: a fresh Machine restarts simulated time at 0; shift it past everything

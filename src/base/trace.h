@@ -48,6 +48,8 @@ enum class TraceCategory : uint32_t {
 
 const char* ToString(TraceCategory c);
 
+class Vcpu;
+
 // The subset of Chrome trace_event phases the exporter emits.
 enum class TracePhase : char {
   kBegin = 'B',    // opens a duration slice on a track
@@ -72,6 +74,32 @@ class Tracer {
  public:
   static constexpr size_t kDefaultCapacity = 1u << 18;  // ~12 MB of events
 
+  // Permission to record a slice phase (kBegin, kEnd). The one duration slice in
+  // a trace is a vCPU's `run`, opened and closed by its run-state writer
+  // (Vcpu::SetState); only Vcpu can make a key, so no other code can open a
+  // slice that nothing closes.
+  class SliceKey {
+    friend class Vcpu;
+    SliceKey() = default;
+  };
+
+  // A phase any code may record: kInstant or kCounter. The conversion runs at
+  // compile time and, from kBegin or kEnd, calls a function that is not
+  // constexpr, so recording a slice phase without a SliceKey does not compile.
+  class PointPhase {
+   public:
+    consteval PointPhase(TracePhase phase) : phase_(phase) {
+      if (phase == TracePhase::kBegin || phase == TracePhase::kEnd) {
+        SlicePhaseNeedsSliceKey();
+      }
+    }
+    TracePhase phase() const { return phase_; }
+
+   private:
+    static void SlicePhaseNeedsSliceKey() {}
+    TracePhase phase_;
+  };
+
   explicit Tracer(size_t capacity = kDefaultCapacity);
 
   Tracer(const Tracer&) = delete;
@@ -82,8 +110,15 @@ class Tracer {
   // Records one event. Cheap: a ring slot write, no allocation. `ts` may restart
   // from 0 (a fresh Machine); the tracer rebases it so buffer order is always
   // chronological.
-  void Record(TimeNs ts, TraceCategory category, TracePhase phase, const char* name,
-              int domain, int vcpu, int pcpu, const char* arg_name, int64_t arg);
+  void Record(TimeNs ts, TraceCategory category, PointPhase phase, const char* name,
+              int domain, int vcpu, int pcpu, const char* arg_name, int64_t arg) {
+    Append(ts, category, phase.phase(), name, domain, vcpu, pcpu, arg_name, arg);
+  }
+  // The same for any phase, slices included; see SliceKey.
+  void Record(SliceKey, TimeNs ts, TraceCategory category, TracePhase phase,
+              const char* name, int domain, int vcpu, int pcpu) {
+    Append(ts, category, phase, name, domain, vcpu, pcpu, nullptr, 0);
+  }
 
   // Number of events currently retained (<= capacity).
   size_t size() const { return count_; }
@@ -101,6 +136,9 @@ class Tracer {
   const std::map<int, std::string>& domain_names() const { return domain_names_; }
 
  private:
+  void Append(TimeNs ts, TraceCategory category, TracePhase phase, const char* name,
+              int domain, int vcpu, int pcpu, const char* arg_name, int64_t arg);
+
   std::vector<TraceEvent> ring_;
   size_t head_ = 0;       // next slot to write
   size_t count_ = 0;      // retained events
@@ -131,15 +169,19 @@ class Tracer {
                                  argname_, argval_)                                \
   VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kInstant, name_, dom_,  \
                      vcpu_, pcpu_, argname_, argval_)
-#define VSCALE_TRACE_BEGIN(obs_, ts_, cat_, name_, dom_, vcpu_, pcpu_)             \
-  VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kBegin, name_, dom_,    \
-                     vcpu_, pcpu_, nullptr, 0)
-#define VSCALE_TRACE_END(obs_, ts_, cat_, name_, dom_, vcpu_, pcpu_)               \
-  VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kEnd, name_, dom_,      \
-                     vcpu_, pcpu_, nullptr, 0)
 #define VSCALE_TRACE_COUNTER(obs_, ts_, cat_, name_, dom_, value_)                 \
   VSCALE_TRACE_EVENT(obs_, ts_, cat_, ::vscale::TracePhase::kCounter, name_, dom_,  \
                      -1, -1, "value", value_)
+
+// Opens (kBegin) or closes (kEnd) a slice. It makes a Tracer::SliceKey, so it
+// compiles only inside Vcpu.
+#define VSCALE_TRACE_SLICE(obs_, ts_, cat_, phase_, name_, dom_, vcpu_, pcpu_)     \
+  do {                                                                              \
+    if (::vscale::Tracer* vs_tracer_ = (obs_).tracer) {                             \
+      vs_tracer_->Record(::vscale::Tracer::SliceKey(), (ts_), (cat_), (phase_),     \
+                         (name_), (dom_), (vcpu_), (pcpu_));                        \
+    }                                                                               \
+  } while (0)
 
 }  // namespace vscale
 

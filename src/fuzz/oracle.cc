@@ -172,14 +172,14 @@ RunOutcome RunScenarioOnce(const Scenario& s, uint64_t testbed_seed) {
       for (int i = 0; i < k.n_cpus() && !out.notification_lost; ++i) {
         const GuestCpu& c = k.cpu(i);
         const Vcpu& v = bed.primary_domain().vcpu(i);
-        if (c.evacuate_pending && v.state == VcpuState::kBlocked &&
+        if (c.evacuate_pending && v.state() == VcpuState::kBlocked &&
             c.freeze_resends_left == 0) {
           out.notification_lost = true;
           out.notification_detail =
               "cpu" + std::to_string(i) +
               " wedged mid-freeze: evacuate pending, hv-blocked, resend "
               "budget spent";
-        } else if (!c.frozen && v.state == VcpuState::kBlocked && !v.polling &&
+        } else if (!c.frozen && v.state() == VcpuState::kBlocked && !v.polling &&
                    !c.runq.empty()) {
           out.notification_lost = true;
           out.notification_detail =

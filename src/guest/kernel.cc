@@ -303,7 +303,7 @@ void GuestKernel::HandleTick(GuestCpu& c) {
         continue;
       }
       const Vcpu& v = domain_.vcpu(other.id);
-      if (v.state != VcpuState::kBlocked || v.polling) {
+      if (v.state() != VcpuState::kBlocked || v.polling) {
         continue;
       }
       ++tick_rescues_;
@@ -449,8 +449,7 @@ TimeNs GuestKernel::FreezeCpu(int target) {
   hv_.NotifyFreeze(domain_.id(), target, true);
   // (5) reschedule IPI tickles the target's scheduler to migrate its load.
   c.evacuate_pending = true;
-  VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
-  NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
+  KickFreeze(target);
   if (config_.freeze_resend_ns > 0) {
     // Quiescence deadline: if the target has not evacuated by then, the freeze
     // IPI was lost — re-send with doubling backoff instead of wedging forever.
@@ -476,8 +475,7 @@ TimeNs GuestKernel::UnfreezeCpu(int target) {
     ++c.freeze_epoch;  // retire any resend chain of the superseded freeze
   }
   // wake_up_idle_cpu(): the target will idle-balance and pull threads over.
-  VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
-  NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
+  KickFreeze(target);
   return cost_.freeze_syscall + cost_.freeze_lock + cost_.freeze_mask_update +
          cost_.freeze_group_power_update + cost_.freeze_hypercall +
          cost_.freeze_resched_ipi;
@@ -614,6 +612,11 @@ void GuestKernel::NotifyVcpu(int target, EvtchnPort port, bool urgent) {
   hv_.NotifyEvent(domain_.id(), target, port, urgent);
 }
 
+void GuestKernel::KickFreeze(int target) {
+  VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
+  NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
+}
+
 void GuestKernel::OnFaultTransition(const FaultEvent& ev, bool began) {
   if (ev.kind != FaultKind::kPortMask || began) {
     return;
@@ -653,8 +656,7 @@ void GuestKernel::ScheduleFreezeResend(int target, TimeNs delay, int64_t epoch) 
     VSCALE_TRACE_INSTANT_ARG(sim_.observers(), sim_.Now(), TraceCategory::kGuest,
                              "freeze_resend", domain_.id(), target, -1, "left",
                              static_cast<int64_t>(c.freeze_resends_left));
-    VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
-    NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
+    KickFreeze(target);
     ScheduleFreezeResend(target, delay * 2, epoch);
   });
 }
@@ -704,7 +706,7 @@ void GuestKernel::CheckKernelInvariants() {
     // would never run again (frozen vCPUs take no ticks and no pulls target them).
     const Vcpu& v = domain_.vcpu(c.id);
     if (c.frozen && !c.evacuate_pending && c.current == nullptr &&
-        v.state == VcpuState::kBlocked && !v.polling) {
+        v.state() == VcpuState::kBlocked && !v.polling) {
       for (const GuestThread* t : c.runq) {
         VS_INVARIANT(!t->migratable(),
                      "frozen dom %d cpu %d still queues migratable thread '%s' "
@@ -820,8 +822,7 @@ TimeNs GuestKernel::HotplugRemove(int target, TimeNs modeled_latency) {
   UpdateGroupPower();
   hv_.NotifyFreeze(domain_.id(), target, true);
   c.evacuate_pending = true;
-  VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
-  NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
+  KickFreeze(target);
   return modeled_latency;
 }
 
@@ -839,8 +840,7 @@ TimeNs GuestKernel::HotplugAdd(int target, TimeNs modeled_latency) {
   c.evacuate_pending = false;
   UpdateGroupPower();
   hv_.NotifyFreeze(domain_.id(), target, false);
-  VS_OBSERVE(sim_.observers(), stall, OnIpiSent(domain_.id(), target, sim_.Now()));
-  NotifyVcpu(target, kPortFreeze, /*urgent=*/true);
+  KickFreeze(target);
   return modeled_latency;
 }
 

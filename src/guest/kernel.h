@@ -241,6 +241,9 @@ class GuestKernel : public GuestOs {
   static bool FaultablePort(EvtchnPort port) {
     return port == kPortResched || port == kPortFreeze || port == kPortTimer;
   }
+  // The urgent freeze-port kick every freeze, unfreeze, resend and hotplug
+  // sends to `target`, reported to the stall accountant as an IPI sent.
+  void KickFreeze(int target);
   // Arms/extends the freeze_resend_ns quiescence-deadline chain for `target`.
   void ScheduleFreezeResend(int target, TimeNs delay, int64_t epoch);
   // Settles and re-arms the vCPU of cpu `c` after out-of-context state mutation.

@@ -28,11 +28,9 @@ GuestThread& GuestKernel::Spawn(const std::string& name, ThreadBody* body,
   }
   if (body == nullptr) {
     // Boot-time kthreads with no workload stay blocked (quiescent servants).
-    // vslint: allow(stall-hook, spawn-time init before any vCPU runs; stall attribution starts at the hooked hv dispatch sites)
     t.state = ThreadState::kBlocked;
     return t;
   }
-  // vslint: allow(stall-hook, spawn-time init before any vCPU runs; stall attribution starts at the hooked hv dispatch sites)
   t.state = ThreadState::kBlocked;
   t.op_active = false;
   // Fork balancing: first op is fetched when the thread first runs.
@@ -47,7 +45,6 @@ GuestThread& GuestKernel::Spawn(const std::string& name, ThreadBody* body,
 
 void GuestKernel::EnqueueThread(GuestCpu& c, GuestThread& t) {
   assert(t.state != ThreadState::kRunning);
-  // vslint: allow(stall-hook, guest thread-level transition; per-vCPU stall buckets are charged at the hooked hv RunOn/Desched/Wake sites)
   t.state = ThreadState::kRunnable;
   t.cpu = c.id;
   t.enqueued_at = sim_.Now();
@@ -90,7 +87,6 @@ void GuestKernel::DispatchNext(GuestCpu& c) {
   if (t == nullptr) {
     return;
   }
-  // vslint: allow(stall-hook, guest thread-level transition; per-vCPU stall buckets are charged at the hooked hv RunOn/Desched/Wake sites)
   t->state = ThreadState::kRunning;
   t->cpu = c.id;
   t->wait_time += sim_.Now() - t->enqueued_at;
@@ -106,7 +102,6 @@ void GuestKernel::PutCurrent(GuestCpu& c, ThreadState new_state) {
   GuestThread* t = c.current;
   assert(t != nullptr);
   c.current = nullptr;
-  // vslint: allow(stall-hook, guest thread-level transition; per-vCPU stall buckets are charged at the hooked hv RunOn/Desched/Wake sites)
   t->state = new_state;
   if (new_state == ThreadState::kRunnable) {
     EnqueueThread(c, *t);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/base/histogram.h"
+#include "src/base/observers.h"
 #include "src/base/time.h"
 #include "src/hypervisor/types.h"
 #include "src/sim/event_queue.h"
@@ -16,23 +17,41 @@ namespace vscale {
 
 class Domain;
 class GuestOs;
+class Machine;
 
 // Per-vCPU hypervisor state. Owned by its Domain, which stores vCPUs by value in
 // one contiguous array (fixed at domain creation, so Vcpu* stay stable).
 //
 // Field order is deliberate: the members every scheduling decision reads —
-// identity, state/priority flags, the settle/slice clocks and the armed advance
-// timer — are packed into the leading cache line; lifetime statistics, which only
-// reports read, trail behind it.
+// run state, identity, priority flags and the settle/slice clocks — fill the
+// leading cache line, the armed advance timer follows; lifetime statistics, which
+// only reports read, trail behind them.
 class Vcpu {
+  VcpuState state_ = VcpuState::kBlocked;  // written only by SetState
+  VcpuId id_;
+
  public:
-  Vcpu(Domain* domain, VcpuId id) : domain_(domain), id_(id) {}
+  // Machine's permission to change the run state: nothing else can make one.
+  class Key {
+    friend class Machine;
+    Key() = default;
+  };
+
+  Vcpu(Domain* domain, VcpuId id) : id_(id), domain_(domain) {}
 
   Domain* domain() const { return domain_; }
   VcpuId id() const { return id_; }
 
   // --- hot: read/written by every dispatch, settle, wake and queue operation ---
-  VcpuState state = VcpuState::kBlocked;
+  VcpuState state() const { return state_; }
+  // The one writer of the run state (Machine's RunOn, DescheduleCurrent and
+  // WakeVcpu call it), so every transition reaches the observers at `now`:
+  // RUNNABLE -> RUNNING opens the `run` trace slice on pCPU `pcpu` and reports
+  // OnDispatch; leaving RUNNING closes the slice and reports OnDesched; BLOCKED
+  // -> RUNNABLE reports OnWake. Defined inline in machine.cc, beside its only
+  // callers on the dispatch, deschedule and wake path.
+  inline void SetState(Key, VcpuState next, const Observers& obs, TimeNs now);
+
   CreditPriority priority = CreditPriority::kUnder;
   bool frozen = false;           // guest marked it frozen (vScale) — stays blocked
   bool polling = false;          // blocked in SCHEDOP_poll on poll_port
@@ -46,8 +65,10 @@ class Vcpu {
   TimeNs last_settle = 0;        // last time runtime was settled
   TimeNs wait_since = 0;         // when it entered kRunnable
 
-  // Armed exactly while RUNNING (Machine::CreateDomain registers it).
-  Simulator::TimerId advance_timer = 0;
+  // Armed exactly while RUNNING (Machine::CreateDomain registers it). Declared
+  // [[no_unique_address]] so boost_used fills the handle's tail padding, which
+  // keeps a Vcpu at two cache lines.
+  [[no_unique_address]] Simulator::Timer advance_timer;
 
   // BOOST grants consumed this accounting period (reset by Accounting); only
   // consulted when MachineConfig::boost_budget > 0.
@@ -62,8 +83,9 @@ class Vcpu {
 
  private:
   Domain* domain_;
-  VcpuId id_;
 };
+static_assert(sizeof(void*) != 8 || sizeof(Vcpu) == 128,
+              "a Vcpu spans two cache lines; see the field-order note");
 
 // A VM. Weight is per-domain (vScale's Xen 4.5 patch, paper section 4.2) so freezing
 // vCPUs never changes the aggregate entitlement.

@@ -61,7 +61,7 @@ int Machine::GlobalIndex(const Vcpu& v) const {
 
 void Machine::StartVcpu(DomainId dom, VcpuId vcpu) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state == VcpuState::kBlocked) {
+  if (v.state() == VcpuState::kBlocked) {
     WakeVcpu(v, /*boost_eligible=*/false);
   }
 }
@@ -71,7 +71,7 @@ void Machine::StartVcpu(DomainId dom, VcpuId vcpu) {
 // ---------------------------------------------------------------------------
 
 void Machine::InsertRunnable(Vcpu& v, bool at_head_of_prio, bool tickle_idlers) {
-  assert(v.state == VcpuState::kRunnable);
+  assert(v.state() == VcpuState::kRunnable);
   Pcpu* p = nullptr;
   if (v.pcpu >= 0) {
     p = &pcpus_[static_cast<size_t>(v.pcpu)];
@@ -186,6 +186,29 @@ Vcpu* Machine::StealWork(Pcpu& thief) {
 // Dispatch
 // ---------------------------------------------------------------------------
 
+// Inline beside its only callers (RunOn, DescheduleCurrent, WakeVcpu), which
+// run on every dispatch, deschedule and wake.
+inline void Vcpu::SetState(Key, VcpuState next, const Observers& obs, TimeNs now) {
+  const VcpuState prev = state_;
+  state_ = next;
+  const DomainId dom = domain_->id();
+  if (prev == VcpuState::kRunning) {
+    assert(next != VcpuState::kRunning);
+    VSCALE_TRACE_SLICE(obs, now, TraceCategory::kHypervisor, TracePhase::kEnd, "run",
+                       dom, id_, pcpu);
+    VS_OBSERVE(obs, stall, OnDesched(dom, id_, now, next == VcpuState::kRunnable));
+  } else if (next == VcpuState::kRunning) {
+    assert(prev == VcpuState::kRunnable);
+    // The slice shows on both the pCPU and the vCPU export tracks.
+    VSCALE_TRACE_SLICE(obs, now, TraceCategory::kHypervisor, TracePhase::kBegin, "run",
+                       dom, id_, pcpu);
+    VS_OBSERVE(obs, stall, OnDispatch(dom, id_, now));
+  } else {
+    assert(prev == VcpuState::kBlocked && next == VcpuState::kRunnable);
+    VS_OBSERVE(obs, stall, OnWake(dom, id_, now));
+  }
+}
+
 void Machine::ScheduleDecision(Pcpu& p) {
   if (p.current != nullptr || p.stolen) {
     return;
@@ -245,11 +268,10 @@ void Machine::ScheduleDecision(Pcpu& p) {
 
 void Machine::RunOn(Pcpu& p, Vcpu& v) {
   assert(p.current == nullptr);
-  assert(v.state == VcpuState::kRunnable);
+  assert(v.state() == VcpuState::kRunnable);
   const TimeNs now = sim_.Now();
   p.total_idle += now - p.idle_since;
   p.current = &v;
-  v.state = VcpuState::kRunning;
   v.pcpu = p.id;
   v.total_wait += now - v.wait_since;
   if (now > v.wait_since) {
@@ -263,22 +285,18 @@ void Machine::RunOn(Pcpu& p, Vcpu& v) {
   v.last_settle = now;
   v.slice_end = now + cost_.hv_time_slice;
   ++context_switches_;
-  // Opens the "running" slice on both the pCPU and the vCPU export tracks; closed by
-  // the matching VSCALE_TRACE_END in DescheduleCurrent.
-  VSCALE_TRACE_BEGIN(sim_.observers(), now, TraceCategory::kHypervisor, "run",
-                     v.domain()->id(), v.id(), p.id);
-  VS_OBSERVE(sim_.observers(), stall, OnDispatch(v.domain()->id(), v.id(), now));
+  v.SetState({}, VcpuState::kRunning, sim_.observers(), now);
   GuestOs* guest = v.domain()->guest();
   guest->OnScheduledIn(v.id(), now);
   DrainPendingPorts(v);
-  if (v.state == VcpuState::kRunning) {
+  if (v.state() == VcpuState::kRunning) {
     RearmAdvance(v);
   }
 }
 
 void Machine::DrainPendingPorts(Vcpu& v) {
   auto& pending = pending_ports_[static_cast<size_t>(GlobalIndex(v))];
-  while (!pending.empty() && v.state == VcpuState::kRunning) {
+  while (!pending.empty() && v.state() == VcpuState::kRunning) {
     const EvtchnPort port = pending.front();
     pending.erase(pending.begin());
     v.domain()->guest()->DeliverEvent(v.id(), port);
@@ -286,7 +304,7 @@ void Machine::DrainPendingPorts(Vcpu& v) {
 }
 
 void Machine::SettleRunning(Vcpu& v) {
-  assert(v.state == VcpuState::kRunning);
+  assert(v.state() == VcpuState::kRunning);
   const TimeNs now = sim_.Now();
   const TimeNs elapsed = now - v.last_settle;
   if (elapsed <= 0) {
@@ -305,7 +323,7 @@ void Machine::SettleRunning(Vcpu& v) {
 }
 
 void Machine::RearmAdvance(Vcpu& v) {
-  assert(v.state == VcpuState::kRunning);
+  assert(v.state() == VcpuState::kRunning);
   const TimeNs now = sim_.Now();
   const TimeNs dt = v.domain()->guest()->NextEventDelta(v.id());
   TimeNs deadline = v.slice_end;
@@ -315,12 +333,12 @@ void Machine::RearmAdvance(Vcpu& v) {
   if (deadline < now) {
     deadline = now;
   }
-  sim_.ArmTimer(v.advance_timer, deadline);
+  v.advance_timer.Arm(deadline);
 }
 
 void Machine::OnAdvance(Vcpu& v) {
   // DescheduleCurrent disarms the timer, so it only ever fires on a RUNNING vCPU.
-  assert(v.state == VcpuState::kRunning);
+  assert(v.state() == VcpuState::kRunning);
   SettleRunning(v);
   Pcpu& p = PcpuOf(v);
   if (sim_.Now() >= v.slice_end) {
@@ -329,7 +347,7 @@ void Machine::OnAdvance(Vcpu& v) {
     return;
   }
   v.domain()->guest()->OnDeadline(v.id());
-  if (v.state == VcpuState::kRunning && !sim_.TimerArmed(v.advance_timer)) {
+  if (v.state() == VcpuState::kRunning && !v.advance_timer.armed()) {
     RearmAdvance(v);
   }
 }
@@ -337,10 +355,8 @@ void Machine::OnAdvance(Vcpu& v) {
 void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail) {
   Vcpu& v = *p.current;
   const TimeNs now = sim_.Now();
-  VSCALE_TRACE_END(sim_.observers(), now, TraceCategory::kHypervisor, "run",
-                   v.domain()->id(), v.id(), p.id);
-  sim_.DisarmTimer(v.advance_timer);
-  sim_.DisarmTimer(p.ratelimit_timer);
+  v.advance_timer.Disarm();
+  p.ratelimit_timer.Disarm();
   p.current = nullptr;
   p.idle_since = now;
   v.domain()->guest()->OnDescheduled(v.id(), now);
@@ -352,10 +368,8 @@ void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail)
   if (v.priority == CreditPriority::kBoost || config_.acct_time_based) {
     v.priority = v.credit_ns > 0 ? CreditPriority::kUnder : CreditPriority::kOver;
   }
-  v.state = new_state;
+  v.SetState({}, new_state, sim_.observers(), now);
   v.wait_since = now;
-  VS_OBSERVE(sim_.observers(), stall,
-             OnDesched(v.domain()->id(), v.id(), now, new_state == VcpuState::kRunnable));
   if (new_state == VcpuState::kRunnable) {
     // Slice-end requeues stay local (no idler tickle): in Xen a descheduled vCPU
     // lingers on its pCPU's runq until an idler's load balance finds it.
@@ -364,7 +378,7 @@ void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail)
 }
 
 void Machine::WakeVcpu(Vcpu& v, bool boost_eligible) {
-  assert(v.state == VcpuState::kBlocked);
+  assert(v.state() == VcpuState::kBlocked);
   const TimeNs now = sim_.Now();
   v.total_blocked += now - v.wait_since;
   ++v.wakeups;
@@ -382,9 +396,8 @@ void Machine::WakeVcpu(Vcpu& v, bool boost_eligible) {
       ++boost_grants_;
     }
   }
-  v.state = VcpuState::kRunnable;
+  v.SetState({}, VcpuState::kRunnable, sim_.observers(), now);
   v.wait_since = now;
-  VS_OBSERVE(sim_.observers(), stall, OnWake(v.domain()->id(), v.id(), now));
   VSCALE_TRACE_INSTANT_ARG(sim_.observers(), now, TraceCategory::kHypervisor, "vcpu_wake",
                            v.domain()->id(), v.id(), v.pcpu, "boost",
                            v.priority == CreditPriority::kBoost ? 1 : 0);
@@ -422,8 +435,8 @@ void Machine::MaybePreempt(Pcpu& p) {
         best < CreditPriority::kOver);
   if (ran < cost_.hv_ratelimit && over_shelters) {
     // Xen's sched_ratelimit: defer the preemption until the minimum run is served.
-    if (!sim_.TimerArmed(p.ratelimit_timer)) {
-      sim_.ArmTimer(p.ratelimit_timer, p.current->run_since + cost_.hv_ratelimit);
+    if (!p.ratelimit_timer.armed()) {
+      p.ratelimit_timer.Arm(p.current->run_since + cost_.hv_ratelimit);
     }
     return;
   }
@@ -532,10 +545,10 @@ void Machine::Accounting() {
       const TimeNs now = sim_.Now();
       for (int i = 0; i < d.n_vcpus(); ++i) {
         const Vcpu& v = d.vcpu(i);
-        if (v.state == VcpuState::kRunning) {
+        if (v.state() == VcpuState::kRunning) {
           return true;
         }
-        if (v.state == VcpuState::kRunnable &&
+        if (v.state() == VcpuState::kRunnable &&
             now - std::max(v.wait_since, acct_window_start_) > 0) {
           return true;
         }
@@ -543,7 +556,7 @@ void Machine::Accounting() {
       return false;
     }
     for (int i = 0; i < d.n_vcpus(); ++i) {
-      const VcpuState s = d.vcpu(i).state;
+      const VcpuState s = d.vcpu(i).state();
       if (s == VcpuState::kRunning || s == VcpuState::kRunnable) {
         return true;
       }
@@ -676,19 +689,19 @@ void Machine::CheckSchedulerInvariants() {
                  "stolen pcpu %d still holds work (current=%d, runq=%zu)", p.id,
                  p.current != nullptr ? 1 : 0, p.runq.size());
     if (p.current != nullptr) {
-      VS_INVARIANT(p.current->state == VcpuState::kRunning,
+      VS_INVARIANT(p.current->state() == VcpuState::kRunning,
                    "pcpu %d runs dom %d vcpu %d which is in state %d, not RUNNING",
                    p.id, p.current->domain()->id(), p.current->id(),
-                   static_cast<int>(p.current->state));
+                   static_cast<int>(p.current->state()));
       VS_INVARIANT(p.current->pcpu == p.id,
                    "pcpu %d runs dom %d vcpu %d whose pcpu field says %d", p.id,
                    p.current->domain()->id(), p.current->id(), p.current->pcpu);
     }
     for (size_t i = 0; i < p.runq.size(); ++i) {
       const Vcpu* v = p.runq[i];
-      VS_INVARIANT(v->state == VcpuState::kRunnable,
+      VS_INVARIANT(v->state() == VcpuState::kRunnable,
                    "dom %d vcpu %d queued on pcpu %d in state %d, not RUNNABLE",
-                   v->domain()->id(), v->id(), p.id, static_cast<int>(v->state));
+                   v->domain()->id(), v->id(), p.id, static_cast<int>(v->state()));
       VS_INVARIANT(v->pcpu == p.id,
                    "dom %d vcpu %d queued on pcpu %d but its pcpu field says %d",
                    v->domain()->id(), v->id(), p.id, v->pcpu);
@@ -699,7 +712,7 @@ void Machine::CheckSchedulerInvariants() {
   for (const auto& d : domains_) {
     for (int i = 0; i < d->n_vcpus(); ++i) {
       const Vcpu& v = d->vcpu(i);
-      if (v.state == VcpuState::kRunning) {
+      if (v.state() == VcpuState::kRunning) {
         // At most one RUNNING vCPU per pCPU: every RUNNING vCPU must be the single
         // `current` of the pCPU it claims — two RUNNING vCPUs cannot share one.
         VS_INVARIANT(v.pcpu >= 0 && v.pcpu < n_pcpus(),
@@ -713,19 +726,19 @@ void Machine::CheckSchedulerInvariants() {
       // forward. Unarmed while RUNNING, the guest stalls until some other event
       // happens to settle it; armed while not RUNNING, it advances a guest that
       // holds no pCPU.
-      VS_INVARIANT((v.state == VcpuState::kRunning) == sim_.TimerArmed(v.advance_timer),
+      VS_INVARIANT((v.state() == VcpuState::kRunning) == v.advance_timer.armed(),
                    "dom %d vcpu %d is in state %d but its advance timer is %s",
-                   d->id(), i, static_cast<int>(v.state),
-                   sim_.TimerArmed(v.advance_timer) ? "armed" : "disarmed");
+                   d->id(), i, static_cast<int>(v.state()),
+                   v.advance_timer.armed() ? "armed" : "disarmed");
       // BOOST legality: BOOST exists to accelerate a wakeup toward a pCPU; a vCPU
       // that went back to sleep must have been demoted on the way out.
-      VS_INVARIANT(v.state != VcpuState::kBlocked ||
+      VS_INVARIANT(v.state() != VcpuState::kBlocked ||
                        v.priority != CreditPriority::kBoost,
                    "dom %d vcpu %d is BLOCKED yet still holds BOOST priority",
                    d->id(), i);
-      VS_INVARIANT(!v.polling || v.state == VcpuState::kBlocked,
+      VS_INVARIANT(!v.polling || v.state() == VcpuState::kBlocked,
                    "dom %d vcpu %d polls port %d but is in state %d, not BLOCKED",
-                   d->id(), i, v.poll_port, static_cast<int>(v.state));
+                   d->id(), i, v.poll_port, static_cast<int>(v.state()));
       VS_INVARIANT(v.credit_ns <= period && v.credit_ns >= credit_floor,
                    "dom %d vcpu %d credit balance %lld ns outside [%lld, %lld] — "
                    "credit leak or external corruption",
@@ -743,7 +756,7 @@ void Machine::CheckSchedulerInvariants() {
 
 void Machine::BlockVcpu(DomainId dom, VcpuId vcpu) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state != VcpuState::kRunning) {
+  if (v.state() != VcpuState::kRunning) {
     return;
   }
   Pcpu& p = PcpuOf(v);
@@ -754,7 +767,7 @@ void Machine::BlockVcpu(DomainId dom, VcpuId vcpu) {
 
 void Machine::NotifyEvent(DomainId dom, VcpuId target, EvtchnPort port, bool urgent) {
   Vcpu& v = GetVcpu(dom, target);
-  switch (v.state) {
+  switch (v.state()) {
     case VcpuState::kBlocked: {
       pending_ports_[static_cast<size_t>(GlobalIndex(v))].push_back(port);
       WakeVcpu(v, /*boost_eligible=*/true);
@@ -781,7 +794,7 @@ void Machine::NotifyEvent(DomainId dom, VcpuId target, EvtchnPort port, bool urg
     case VcpuState::kRunning: {
       SettleRunning(v);
       v.domain()->guest()->DeliverEvent(v.id(), port);
-      if (v.state == VcpuState::kRunning) {
+      if (v.state() == VcpuState::kRunning) {
         RearmAdvance(v);
       }
       break;
@@ -791,7 +804,7 @@ void Machine::NotifyEvent(DomainId dom, VcpuId target, EvtchnPort port, bool urg
 
 void Machine::YieldVcpu(DomainId dom, VcpuId vcpu) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state != VcpuState::kRunning) {
+  if (v.state() != VcpuState::kRunning) {
     return;
   }
   Pcpu& p = PcpuOf(v);
@@ -802,7 +815,7 @@ void Machine::YieldVcpu(DomainId dom, VcpuId vcpu) {
 
 void Machine::PollVcpu(DomainId dom, VcpuId vcpu, EvtchnPort port) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state != VcpuState::kRunning) {
+  if (v.state() != VcpuState::kRunning) {
     return;
   }
   Pcpu& p = PcpuOf(v);
@@ -858,7 +871,7 @@ ChannelPayload Machine::ReadChannelPayload(DomainId dom) {
 
 void Machine::VcpuStateChanged(DomainId dom, VcpuId vcpu) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state == VcpuState::kRunning) {
+  if (v.state() == VcpuState::kRunning) {
     SettleRunning(v);
     RearmAdvance(v);
   }
@@ -881,7 +894,7 @@ TimeNs Machine::WindowWaited(DomainId dom) const {
   const TimeNs now = sim_.Now();
   for (int i = 0; i < d.n_vcpus(); ++i) {
     const Vcpu& v = d.vcpu(i);
-    if (v.state == VcpuState::kRunnable) {
+    if (v.state() == VcpuState::kRunnable) {
       waited += now - std::max(v.wait_since, window_start_);
     }
   }

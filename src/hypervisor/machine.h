@@ -16,6 +16,10 @@
 // min(guest-internal boundary, slice end), and no other vCPU has one armed. All
 // state changes settle elapsed time first (SettleRunning), then re-arm the
 // timer at the recomputed deadline. See guest_os.h for the contract.
+//
+// Run state: RunOn, DescheduleCurrent and WakeVcpu are the only transitions,
+// and each goes through Vcpu::SetState, the state's one writer, which reports
+// it to the stall accountant and the `run` trace slice.
 
 #ifndef VSCALE_SRC_HYPERVISOR_MACHINE_H_
 #define VSCALE_SRC_HYPERVISOR_MACHINE_H_
@@ -147,7 +151,7 @@ class Machine : public HvServices {
     RunQueue runq;            // priority buckets flattened: sorted stably by priority
     TimeNs idle_since = 0;
     TimeNs total_idle = 0;
-    Simulator::TimerId ratelimit_timer = 0;  // armed while a preemption is deferred
+    Simulator::Timer ratelimit_timer;  // armed while a preemption is deferred
     TimeNs stolen_since = 0;
   };
 

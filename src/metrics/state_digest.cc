@@ -53,7 +53,7 @@ StateDigest& StateDigest::AbsorbMachine(const Machine& machine) {
       Absorb(v.preemptions);
       Absorb(v.wakeups);
       Absorb(v.credit_ns);
-      Absorb(static_cast<int>(v.state));
+      Absorb(static_cast<int>(v.state()));
       Absorb(static_cast<int>(v.frozen));
     }
   }

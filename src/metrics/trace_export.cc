@@ -100,8 +100,11 @@ void EmitMeta(std::ostream& os, bool& first, const char* what, int pid, int tid,
 }  // namespace
 
 void WriteChromeTrace(const Tracer& tracer, std::ostream& os) {
-  const std::vector<TraceEvent> events = tracer.Snapshot();
+  WriteChromeTrace(tracer.Snapshot(), tracer.domain_names(), os);
+}
 
+void WriteChromeTrace(const std::vector<TraceEvent>& events,
+                      const std::map<int, std::string>& domain_names, std::ostream& os) {
   // Pass 1: discover every track so metadata can name them up front.
   std::map<Track, bool> tracks;  // value unused
   TimeNs final_ts = 0;
@@ -121,7 +124,7 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& os) {
   // Metadata: process and thread names.
   std::map<int, std::string> process_names;
   process_names[kTraceMachinePid] = "machine";
-  for (const auto& [dom, name] : tracer.domain_names()) {
+  for (const auto& [dom, name] : domain_names) {
     process_names[kTraceDomainPidBase + dom] = "dom" + std::to_string(dom) + " " + name;
   }
   for (const auto& [tr, unused] : tracks) {
@@ -209,12 +212,10 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& os) {
 
 bool WriteChromeTraceFile(const Tracer& tracer, const std::string& path,
                           std::string* error) {
-  // Ring overflow silently truncates the trace's oldest window; surface it once
-  // per process so nobody reads a partial timeline as a complete one. The same
+  // Ring overflow silently truncates the trace's oldest window; say so on every
+  // such write so nobody reads a partial timeline as a complete one. The same
   // figure is published as the trace.events_dropped counter.
-  static bool warned_dropped = false;
-  if (!warned_dropped && tracer.dropped() > 0) {
-    warned_dropped = true;
+  if (tracer.dropped() > 0) {
     std::fprintf(stderr,
                  "trace: WARNING: ring dropped %llu events; %s starts "
                  "mid-timeline (construct the Tracer with a larger capacity "

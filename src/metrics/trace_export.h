@@ -17,8 +17,10 @@
 #ifndef VSCALE_SRC_METRICS_TRACE_EXPORT_H_
 #define VSCALE_SRC_METRICS_TRACE_EXPORT_H_
 
+#include <map>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "src/base/trace.h"
 
@@ -32,6 +34,10 @@ inline constexpr int kTraceDomainTid = 63;      // domain-scope pseudo thread
 
 // Writes the tracer's retained events as {"traceEvents":[...]} JSON.
 void WriteChromeTrace(const Tracer& tracer, std::ostream& os);
+// The same for chronological `events` (as Tracer::Snapshot returns them) and
+// the domain display names.
+void WriteChromeTrace(const std::vector<TraceEvent>& events,
+                      const std::map<int, std::string>& domain_names, std::ostream& os);
 
 // Convenience: WriteChromeTrace to `path`. Returns false (and fills *error if given)
 // when the file cannot be written.

@@ -1,6 +1,7 @@
 #include "src/obs/stall_report.h"
 
 #include <algorithm>
+#include <climits>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -55,9 +56,11 @@ bool LoadStallCsv(std::istream& is, StallSeries* out, std::string* error) {
     StallRow row;
     row.run = field[0];
     int64_t ts = 0, dom = 0, vcpu = 0, cum = 0;
+    // Ids narrow to int: a domain is 0..INT_MAX, a vCPU -1 (domain scope)..INT_MAX.
     if (!ParseI64(field[1], &ts) || !ParseI64(field[2], &dom) ||
         !ParseI64(field[3], &vcpu) || !ParseI64(field[5], &cum) ||
-        !ParseStallBucket(field[4], &row.bucket)) {
+        !ParseStallBucket(field[4], &row.bucket) || dom < 0 || dom > INT_MAX ||
+        vcpu < -1 || vcpu > INT_MAX) {
       if (error != nullptr) {
         *error = "line " + std::to_string(lineno) + ": malformed row \"" +
                  line + "\"";

@@ -47,16 +47,12 @@ PeriodicTask::PeriodicTask(Simulator& sim, TimeNs period, std::function<void()> 
       fn_(std::move(fn)),
       timer_(sim_.AddTimer([this] { Fire(); })) {}
 
-PeriodicTask::~PeriodicTask() { Stop(); }
-
 void PeriodicTask::Start(TimeNs phase) {
-  sim_.ArmTimer(timer_, sim_.Now() + (phase >= 0 ? phase : period_));
+  timer_.Arm(sim_.Now() + (phase >= 0 ? phase : period_));
 }
 
-void PeriodicTask::Stop() { sim_.DisarmTimer(timer_); }
-
 void PeriodicTask::Fire() {
-  sim_.ArmTimer(timer_, sim_.Now() + period_);
+  timer_.Arm(sim_.Now() + period_);
   fn_();
 }
 

@@ -2,16 +2,18 @@
 //
 // A Simulator owns virtual time and two queues of (time, sequence) ordered
 // occurrences: a heap of one-shot events (ScheduleAt) and a lane of re-armable
-// timers (AddTimer registers one callback, ArmTimer/DisarmTimer move its single
-// pending fire). Both draw `seq` from one counter and the run loops always fire
-// the earlier root by (when, seq), so ties are broken by schedule order across
-// both queues and runs are fully deterministic.
+// timers (AddTimer registers one callback and returns its Timer handle, whose
+// Arm/Disarm move the timer's single pending fire). Both draw `seq` from one
+// counter and the run loops always fire the earlier root by (when, seq), so ties
+// are broken by schedule order across both queues and runs are fully
+// deterministic.
 //
 // One-shots are fire-and-forget: ScheduleAt returns nothing, so no caller can
 // hold a handle to a pending one. A callback that may have to be withdrawn
 // before it fires (a periodic tick, a deferred preemption, a vCPU's advance) is
-// a timer, registered outside timer callbacks and disarmed by its owner; vslint
-// timer-owner checks that every stored TimerId has a DisarmTimer call.
+// a timer, registered outside timer callbacks. Its owner holds the move-only
+// Timer handle, which disarms the timer when destroyed, so no timer outlives
+// its owner; the timer's index in the lane (TimerId) is private to the engine.
 //
 // Hot-path design (docs/PERFORMANCE.md has the full story and the numbers):
 //
@@ -30,12 +32,13 @@
 //
 // Timer semantics, pinned by the SimulatorTimerTest cases and checked against
 // a reference model by SimulatorPropertyTest.TimerLaneMatchesReferenceModel: a
-// timer fires at most once per ArmTimer and is disarmed when its callback
-// starts (TimerArmed is false inside it until the callback re-arms). ArmTimer
-// draws exactly one `seq` per call, even when the deadline is unchanged, and
-// DisarmTimer draws none, so an arm orders exactly like a ScheduleAt made at
-// the same moment. events_processed() counts the fires of both queues and
-// pending_events() counts pending one-shots plus armed timers.
+// timer fires at most once per Arm and is disarmed when its callback starts
+// (armed() is false inside it until the callback re-arms). Arm draws exactly
+// one `seq` per call, even when the deadline is unchanged, and Disarm draws
+// none, so an arm orders exactly like a ScheduleAt made at the same moment.
+// Destroying a handle is a Disarm; destroying a moved-from one does nothing.
+// events_processed() counts the fires of both queues and pending_events()
+// counts pending one-shots plus armed timers.
 //
 // Determinism: the firing order is a pure function of the (when, seq) keys — the
 // heap is never iterated, only its root consumed, and the lane is searched only
@@ -54,6 +57,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/base/check.h"
@@ -86,19 +90,14 @@ class Simulator {
   }
 
   // --- timer lane (see the header comment for the pinned contract) ---
-  using TimerId = uint32_t;
+  class Timer;
 
-  // Registers `fn` as a timer, disarmed. The callback is fixed for the
-  // Simulator's lifetime. Must not be called from inside a timer callback: the
-  // lane invokes callbacks in place, so their storage must not grow under them.
+  // Registers `fn` as a timer, disarmed, and returns the handle that owns it.
+  // The callback is fixed for the Simulator's lifetime, which must cover the
+  // handle's. Must not be called from inside a timer callback: the lane invokes
+  // callbacks in place, so their storage must not grow under them.
   template <typename F>
-  TimerId AddTimer(F&& fn);
-  // (Re-)arms the timer to fire at `when` (>= Now()), replacing any pending
-  // fire. Draws one `seq`, as one ScheduleAt would.
-  void ArmTimer(TimerId t, TimeNs when);
-  // Removes a pending fire; a no-op on a disarmed timer. Draws no `seq`.
-  void DisarmTimer(TimerId t);
-  bool TimerArmed(TimerId t) const { return timer_armed_[t] != 0; }
+  Timer AddTimer(F&& fn);
 
   // Runs a single event; returns false if the queue is empty.
   bool Step();
@@ -118,6 +117,15 @@ class Simulator {
   uint64_t events_processed() const { return events_processed_; }
 
  private:
+  using TimerId = uint32_t;  // index into the per-timer arrays below
+
+  // (Re-)arms timer t to fire at `when` (>= Now()), replacing any pending fire.
+  // Draws one `seq`, as one ScheduleAt would.
+  void ArmTimer(TimerId t, TimeNs when);
+  // Removes t's pending fire; a no-op on a disarmed timer. Draws no `seq`.
+  void DisarmTimer(TimerId t);
+  bool TimerArmed(TimerId t) const { return timer_armed_[t] != 0; }
+
   // A pending one-shot in the flat min-heap. `seq` is the schedule order (the
   // tie-break); `slot` locates the callback in the slab.
   struct HeapEntry {
@@ -137,8 +145,7 @@ class Simulator {
     return chunks_[slot >> kSlabChunkShift][slot & (kSlabChunkSize - 1)];
   }
 
-  // An armed timer in the lane. `timer` is the lane's own index, not an owned
-  // handle (vslint timer-owner).
+  // An armed timer in the lane.
   struct LaneEntry {
     TimeNs when;
     uint64_t seq;
@@ -185,6 +192,42 @@ class Simulator {
   // stable tie-break every replay relies on. Dead weight otherwise.
   TimeNs last_fired_when_ = 0;
   uint64_t last_fired_seq_ = 0;
+};
+
+// The one handle on a registered timer. Move-only, so each timer has exactly
+// one owner; destroying (or assigning over) a handle that holds a timer
+// disarms it, and a default-constructed or moved-from handle holds none.
+class Simulator::Timer {
+ public:
+  Timer() = default;
+  Timer(Timer&& other) noexcept
+      : sim_(std::exchange(other.sim_, nullptr)), id_(other.id_) {}
+  Timer& operator=(Timer&& other) noexcept {
+    if (this != &other) {
+      Release();
+      sim_ = std::exchange(other.sim_, nullptr);
+      id_ = other.id_;
+    }
+    return *this;
+  }
+  ~Timer() { Release(); }
+
+  // Arm, Disarm and armed() need a handle that holds a timer.
+  void Arm(TimeNs when) { sim_->ArmTimer(id_, when); }
+  void Disarm() { sim_->DisarmTimer(id_); }
+  bool armed() const { return sim_->TimerArmed(id_); }
+
+ private:
+  friend class Simulator;
+  Timer(Simulator* sim, TimerId id) : sim_(sim), id_(id) {}
+  void Release() {
+    if (sim_ != nullptr) {
+      sim_->DisarmTimer(id_);
+    }
+  }
+
+  Simulator* sim_ = nullptr;
+  TimerId id_ = 0;
 };
 
 // --- inline hot path -------------------------------------------------------
@@ -300,14 +343,14 @@ inline void Simulator::FireTop() {
 // --- timer lane --------------------------------------------------------------
 
 template <typename F>
-inline Simulator::TimerId Simulator::AddTimer(F&& fn) {
+inline Simulator::Timer Simulator::AddTimer(F&& fn) {
   VS_REQUIRE(!in_timer_callback_,
              "AddTimer from inside a timer callback would move the running "
              "callback's storage");
   const TimerId t = static_cast<TimerId>(timer_fns_.size());
   timer_fns_.emplace_back(std::forward<F>(fn));
   timer_armed_.push_back(0);
-  return t;
+  return Timer(this, t);
 }
 
 inline size_t Simulator::LaneIndex(TimerId t) const {
@@ -411,20 +454,20 @@ inline bool Simulator::FireNext(TimeNs deadline) {
 
 inline bool Simulator::Step() { return FireNext(kTimeNever); }
 
-// Fires at a fixed period until stopped. The callback observes Now(). The task
-// owns one timer, registered at construction (so, like AddTimer, not from
-// inside a timer callback); each fire re-arms it before calling back.
+// Fires at a fixed period until stopped or destroyed. The callback observes
+// Now(). The task owns one timer, registered at construction (so, like
+// AddTimer, not from inside a timer callback); each fire re-arms it before
+// calling back.
 class PeriodicTask {
  public:
   PeriodicTask(Simulator& sim, TimeNs period, std::function<void()> fn);
-  ~PeriodicTask();
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
 
   // First fire happens at Now() + phase (default: one full period from now).
   void Start(TimeNs phase = -1);
-  void Stop();
-  bool running() const { return sim_.TimerArmed(timer_); }
+  void Stop() { timer_.Disarm(); }
+  bool running() const { return timer_.armed(); }
   TimeNs period() const { return period_; }
 
  private:
@@ -433,7 +476,7 @@ class PeriodicTask {
   Simulator& sim_;
   TimeNs period_;
   std::function<void()> fn_;
-  Simulator::TimerId timer_;
+  Simulator::Timer timer_;
 };
 
 }  // namespace vscale

@@ -103,7 +103,7 @@ void VscaleReconciler::Audit() {
     // even when no other vCPU is awake to tick.
     const bool lost_wake = !c.frozen && !c.evacuate_pending && !c.hv_running &&
                            c.current == nullptr && !c.runq.empty() &&
-                           v.state == VcpuState::kBlocked && !v.polling;
+                           v.state() == VcpuState::kBlocked && !v.polling;
     const bool diverged = guest_frozen != hv_frozen || wedged || lost_wake;
     const size_t idx = static_cast<size_t>(i);
     if (!diverged) {

@@ -341,10 +341,8 @@ FairnessProbe::FairnessProbe(Machine& machine, std::vector<DomainId> attackers,
     last_[i] = {d.TotalRuntime(), d.TotalWait()};
   }
   sample_timer_ = machine_.sim().AddTimer([this] { Sample(); });
-  machine_.sim().ArmTimer(sample_timer_, now + period_ + period_ / 2);
+  sample_timer_.Arm(now + period_ + period_ / 2);
 }
-
-FairnessProbe::~FairnessProbe() { machine_.sim().DisarmTimer(sample_timer_); }
 
 void FairnessProbe::Sample() {
   const TimeNs now = machine_.Now();
@@ -420,7 +418,7 @@ void FairnessProbe::Sample() {
     }
   }
   last_now_ = now;
-  machine_.sim().ArmTimer(sample_timer_, now + period_);
+  sample_timer_.Arm(now + period_);
 }
 
 TimeNs FairnessProbe::theft(DomainId attacker) const {

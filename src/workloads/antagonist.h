@@ -176,8 +176,6 @@ class FairnessProbe {
   // a window never ends on the credit pass it is trying to observe.
   FairnessProbe(Machine& machine, std::vector<DomainId> attackers,
                 int eps_pct);
-  ~FairnessProbe();  // disarms the sampling timer
-
   FairnessProbe(const FairnessProbe&) = delete;
   FairnessProbe& operator=(const FairnessProbe&) = delete;
 
@@ -195,7 +193,7 @@ class FairnessProbe {
   int eps_pct_;
   int64_t total_weight_ = 0;
   TimeNs period_ = 0;
-  Simulator::TimerId sample_timer_ = 0;  // fires Sample()
+  Simulator::Timer sample_timer_;  // fires Sample()
   TimeNs last_now_ = 0;
   TimeNs sampled_capacity_ = 0;
   struct Snap {

@@ -277,7 +277,7 @@ TEST(ChaosTest, DroppedFreezeIpiResendChainConverges) {
   EXPECT_FALSE(rig.kernel->cpu(1).evacuate_pending);
   EXPECT_GE(rig.kernel->freeze_resends(), 2);
   EXPECT_EQ(rig.kernel->freeze_mask(), rig.dom().hv_freeze_mask());
-  EXPECT_EQ(rig.dom().vcpu(1).state, VcpuState::kBlocked);
+  EXPECT_EQ(rig.dom().vcpu(1).state(), VcpuState::kBlocked);
   EXPECT_EQ(InvariantViolationCount(), 0u);
 }
 

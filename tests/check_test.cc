@@ -158,11 +158,11 @@ TEST(CheckedSweepTest, DisarmedAdvanceTimerIsDetected) {
   Domain& dom = bed.primary_domain();
   Vcpu* victim = nullptr;
   for (int i = 0; i < dom.n_vcpus() && victim == nullptr; ++i) {
-    if (dom.vcpu(i).state == VcpuState::kRunning) victim = &dom.vcpu(i);
+    if (dom.vcpu(i).state() == VcpuState::kRunning) victim = &dom.vcpu(i);
   }
   ASSERT_NE(victim, nullptr) << "no running vCPU to corrupt";
-  ASSERT_TRUE(bed.sim().TimerArmed(victim->advance_timer));
-  bed.sim().DisarmTimer(victim->advance_timer);
+  ASSERT_TRUE(victim->advance_timer.armed());
+  victim->advance_timer.Disarm();
   bed.sim().RunUntil(Milliseconds(415));  // spans the 410 ms tick sweep
 
   EXPECT_GT(InvariantViolationCount(), 0u);
@@ -198,7 +198,7 @@ TEST(CheckedSweepTest, RunnableThreadOnFrozenVcpuIsDetected) {
       [&] {
         return kernel.cpu(3).current == nullptr &&
                !kernel.cpu(3).evacuate_pending &&
-               bed.primary_domain().vcpu(3).state == VcpuState::kBlocked;
+               bed.primary_domain().vcpu(3).state() == VcpuState::kBlocked;
       },
       Seconds(5));
   ASSERT_TRUE(kernel.IsFrozen(3));

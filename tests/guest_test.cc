@@ -153,7 +153,7 @@ TEST(GuestKernelTest, FreezeMigratesThreadsAndQuiesces) {
   // vCPU3 empty, blocked at the hypervisor, no ticks.
   EXPECT_EQ(w.kernel->cpu(3).load(), 0);
   EXPECT_TRUE(w.kernel->IsFrozen(3));
-  EXPECT_EQ(w.machine->domain(0).vcpu(3).state, VcpuState::kBlocked);
+  EXPECT_EQ(w.machine->domain(0).vcpu(3).state(), VcpuState::kBlocked);
   const int64_t ticks3 = w.kernel->cpu(3).stats.timer_ints;
   w.sim().RunUntil(Seconds(1));
   EXPECT_EQ(w.kernel->cpu(3).stats.timer_ints, ticks3);

@@ -283,12 +283,12 @@ TEST(CreditSchedulerTest, PollBlocksUntilPortNotified) {
   w.machine->sim().RunUntil(Milliseconds(5));
   // Enter poll via direct hypercall (as the pv-lock slow path would).
   w.machine->PollVcpu(0, 0, /*port=*/7);
-  EXPECT_EQ(w.machine->domain(0).vcpu(0).state, VcpuState::kBlocked);
+  EXPECT_EQ(w.machine->domain(0).vcpu(0).state(), VcpuState::kBlocked);
   w.machine->sim().RunUntil(Milliseconds(20));
-  EXPECT_EQ(w.machine->domain(0).vcpu(0).state, VcpuState::kBlocked);
+  EXPECT_EQ(w.machine->domain(0).vcpu(0).state(), VcpuState::kBlocked);
   w.machine->NotifyEvent(0, 0, /*port=*/7);
   w.machine->sim().RunUntil(Milliseconds(21));
-  EXPECT_EQ(w.machine->domain(0).vcpu(0).state, VcpuState::kRunning);
+  EXPECT_EQ(w.machine->domain(0).vcpu(0).state(), VcpuState::kRunning);
 }
 
 TEST(CreditSchedulerTest, UrgentNotifyPrioritizesQueuedVcpu) {
@@ -301,9 +301,9 @@ TEST(CreditSchedulerTest, UrgentNotifyPrioritizesQueuedVcpu) {
   w.machine->sim().RunUntil(Seconds(1));
   // All three vCPUs contend for one pCPU. Pick a moment where the target is queued.
   w.machine->sim().RunUntilCondition(
-      [&] { return w.machine->domain(1).vcpu(0).state == VcpuState::kRunnable; },
+      [&] { return w.machine->domain(1).vcpu(0).state() == VcpuState::kRunnable; },
       Seconds(2));
-  ASSERT_EQ(w.machine->domain(1).vcpu(0).state, VcpuState::kRunnable);
+  ASSERT_EQ(w.machine->domain(1).vcpu(0).state(), VcpuState::kRunnable);
   const int before = w.guest(1).vcpu(0).scheduled_in;
   w.machine->NotifyEvent(1, 0, /*port=*/42, /*urgent=*/true);
   w.machine->sim().RunUntil(w.machine->sim().Now() + Milliseconds(3));

@@ -5,6 +5,7 @@
 #include <functional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -110,7 +111,7 @@ TEST(SimulatorPropertyTest, InterleavedScheduleAndDisarmReplaysIdentically) {
     Simulator sim;
     Rng rng(seed);
     std::vector<std::pair<TimeNs, int>> fired;
-    std::vector<Simulator::TimerId> timers;
+    std::vector<Simulator::Timer> timers;
     for (int t = 0; t < 16; ++t) {
       const int tag = -1 - t;
       timers.push_back(
@@ -125,11 +126,11 @@ TEST(SimulatorPropertyTest, InterleavedScheduleAndDisarmReplaysIdentically) {
       sim.ScheduleAt(bucket(),
                      [&fired, &sim, tag] { fired.emplace_back(sim.Now(), tag); });
       if (rng.Chance(0.4)) {
-        const Simulator::TimerId t = timers[rng.NextBelow(timers.size())];
-        sim.ArmTimer(t, bucket());
+        Simulator::Timer& t = timers[rng.NextBelow(timers.size())];
+        t.Arm(bucket());
       }
       if (rng.Chance(0.1)) {
-        sim.DisarmTimer(timers[rng.NextBelow(timers.size())]);
+        timers[rng.NextBelow(timers.size())].Disarm();
       }
     }
     sim.RunUntilIdle();
@@ -179,17 +180,17 @@ TEST(SimulatorTest, SlabSlotsAreReusedAfterRelease) {
 TEST(SimulatorTest, SameTickBatchPreservesScheduleOrderAcrossDisarms) {
   Simulator sim;
   std::vector<int> order;
-  std::vector<Simulator::TimerId> timers;
+  std::vector<Simulator::Timer> timers;
   for (int i = 0; i < 50; ++i) {
     if (i % 2 == 0) {
       sim.ScheduleAt(Microseconds(7), [&order, i] { order.push_back(i); });
     } else {
       timers.push_back(sim.AddTimer([&order, i] { order.push_back(i); }));
-      sim.ArmTimer(timers.back(), Microseconds(7));
+      timers.back().Arm(Microseconds(7));
     }
   }
   for (size_t k = 0; k < timers.size(); k += 3) {
-    sim.DisarmTimer(timers[k]);  // the timers of i = 1, 7, 13, ...
+    timers[k].Disarm();  // the timers of i = 1, 7, 13, ...
   }
   sim.RunUntil(Microseconds(7));
   std::vector<int> expected;
@@ -215,7 +216,7 @@ TEST(SimulatorPropertyTest, FiringOrderMatchesReferenceModel) {
       bool disarmed = false;
     };
     std::vector<Ref> model;
-    std::vector<std::pair<Simulator::TimerId, size_t>> timers;  // (timer, model row)
+    std::vector<std::pair<Simulator::Timer, size_t>> timers;  // (timer, model row)
     std::vector<int> fired;
     for (int i = 0; i < 400; ++i) {
       // Coarse buckets force ties; the reference resolves them by index order.
@@ -226,11 +227,11 @@ TEST(SimulatorPropertyTest, FiringOrderMatchesReferenceModel) {
       } else {
         timers.emplace_back(sim.AddTimer([&fired, i] { fired.push_back(i); }),
                             model.size() - 1);
-        sim.ArmTimer(timers.back().first, when);
+        timers.back().first.Arm(when);
       }
       if (rng.Chance(0.35) && !timers.empty()) {
-        const auto& [timer, row] = timers[rng.NextBelow(timers.size())];
-        sim.DisarmTimer(timer);
+        auto& [timer, row] = timers[rng.NextBelow(timers.size())];
+        timer.Disarm();
         model[row].disarmed = true;
       }
     }
@@ -247,10 +248,12 @@ TEST(SimulatorPropertyTest, FiringOrderMatchesReferenceModel) {
 
 // --- timer lane ------------------------------------------------------------
 
-// The reference model for both queues at once: every ScheduleAt and ArmTimer
-// draws one seq, re-arming replaces a timer's single pending fire, DisarmTimer
-// draws nothing, and the earliest live (when, seq) fires next. It
-// scans a flat list, so its only cleverness is the contract itself.
+// The reference model for both queues at once: every ScheduleAt and Arm draws
+// one seq, re-arming replaces a timer's single pending fire, Disarm draws
+// nothing, and the earliest live (when, seq) fires next. It scans a flat list,
+// so its only cleverness is the contract itself. Replace and Relocate are
+// what a disarm and a no-op look like here; SimQueue drives handle moves and
+// destruction through them.
 class RefQueue {
  public:
   std::function<void(int)> on_fire;
@@ -276,6 +279,8 @@ class RefQueue {
     }
   }
   bool Armed(int t) const { return timer_item_[static_cast<size_t>(t)] != kNone; }
+  void Replace(int t) { Disarm(t); }
+  void Relocate(int) {}
   bool Step() {
     size_t best = kNone;
     for (size_t i = 0; i < items_.size(); ++i) {
@@ -328,29 +333,49 @@ class SimQueue {
     sim_.ScheduleAt(when, [this, tag] { on_fire(tag); });
   }
   int AddTimer(int tag) {
-    return static_cast<int>(sim_.AddTimer([this, tag] { on_fire(tag); }));
+    tags_.push_back(tag);
+    timers_.push_back(sim_.AddTimer([this, tag] { on_fire(tag); }));
+    return static_cast<int>(timers_.size()) - 1;
   }
-  void Arm(int t, TimeNs when) { sim_.ArmTimer(Id(t), when); }
-  void Disarm(int t) { sim_.DisarmTimer(Id(t)); }
-  bool Armed(int t) const { return sim_.TimerArmed(Id(t)); }
+  void Arm(int t, TimeNs when) { timers_[static_cast<size_t>(t)].Arm(when); }
+  void Disarm(int t) { timers_[static_cast<size_t>(t)].Disarm(); }
+  bool Armed(int t) const { return timers_[static_cast<size_t>(t)].armed(); }
+  // Destroys timer t's handle, which must act as a Disarm, and registers a
+  // fresh disarmed timer with the same tag in its place.
+  void Replace(int t) {
+    Simulator::Timer& slot = timers_[static_cast<size_t>(t)];
+    { Simulator::Timer doomed = std::move(slot); }
+    const int tag = tags_[static_cast<size_t>(t)];
+    slot = sim_.AddTimer([this, tag] { on_fire(tag); });
+  }
+  // Moves timer t's handle out and back: destroying the moved-from handle must
+  // disarm nothing.
+  void Relocate(int t) {
+    Simulator::Timer& slot = timers_[static_cast<size_t>(t)];
+    Simulator::Timer held = std::move(slot);
+    slot = std::move(held);
+  }
   bool Step() { return sim_.Step(); }
   TimeNs Now() const { return sim_.Now(); }
   size_t Pending() const { return sim_.pending_events(); }
   uint64_t Processed() const { return sim_.events_processed(); }
 
  private:
-  static Simulator::TimerId Id(int t) { return static_cast<Simulator::TimerId>(t); }
   Simulator sim_;
+  std::vector<Simulator::Timer> timers_;
+  std::vector<int> tags_;
 };
 
 // One fire as seen from inside its callback: (Now, tag, own timer armed?,
 // pending, processed).
 using FireRecord = std::tuple<TimeNs, int, bool, size_t, uint64_t>;
 
-// Drives a queue with a seeded mix of ScheduleAt, ArmTimer (fresh,
-// moved and unchanged deadlines) and DisarmTimer over `timers` timers, from the
-// top level and from inside callbacks — timers re-arm or disarm themselves from
-// their own callback. Tags below `timers` name timers, the rest events.
+// Drives a queue with a seeded mix of ScheduleAt, Arm (fresh, moved and
+// unchanged deadlines) and Disarm over `timers` timers, from the top level and
+// from inside callbacks — timers re-arm or disarm themselves from their own
+// callback — plus, from the top level only (AddTimer may not run inside a
+// timer callback), handle destruction and moves through Replace and Relocate.
+// Tags below `timers` name timers, the rest events.
 // The script starts from a full lane, every timer armed, as when every pCPU
 // runs a vCPU. Deadlines fall in 1 us buckets, so lane timers and heap events
 // tie on `when` constantly. The Rng is consumed in firing order, so any
@@ -412,6 +437,14 @@ std::vector<FireRecord> DriveLaneScript(uint64_t seed, int timers) {
   }
   for (int i = 0; i < 400; ++i) {
     random_op();
+    if (rng.Chance(0.1)) {
+      const int t = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(timers)));
+      if (rng.Chance(0.5)) {
+        q.Replace(t);
+      } else {
+        q.Relocate(t);
+      }
+    }
     if (rng.Chance(0.3)) q.Step();
   }
   while (q.Step()) {
@@ -449,66 +482,76 @@ TEST(SimulatorPropertyTest, TimerLaneMatchesReferenceModel) {
   }
 }
 
-// Pinned: a timer is disarmed when its callback starts, and TimerArmed turns
+// Pinned: a timer is disarmed when its callback starts, and armed() turns
 // true again only once the callback re-arms it.
 TEST(SimulatorTimerTest, ArmedIsFalseInsideOwnCallbackUntilRearmed) {
   Simulator sim;
   std::vector<bool> seen;
   int fires = 0;
-  Simulator::TimerId t = 0;
+  Simulator::Timer t;
   t = sim.AddTimer([&] {
-    seen.push_back(sim.TimerArmed(t));
+    seen.push_back(t.armed());
     if (++fires < 3) {
-      sim.ArmTimer(t, sim.Now() + Microseconds(5));
-      seen.push_back(sim.TimerArmed(t));
+      t.Arm(sim.Now() + Microseconds(5));
+      seen.push_back(t.armed());
     }
   });
-  EXPECT_FALSE(sim.TimerArmed(t));
-  sim.ArmTimer(t, Microseconds(10));
-  EXPECT_TRUE(sim.TimerArmed(t));
+  EXPECT_FALSE(t.armed());
+  t.Arm(Microseconds(10));
+  EXPECT_TRUE(t.armed());
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.RunUntilIdle();
   EXPECT_EQ(seen, (std::vector<bool>{false, true, false, true, false}));
-  EXPECT_FALSE(sim.TimerArmed(t));
+  EXPECT_FALSE(t.armed());
   EXPECT_EQ(sim.Now(), Microseconds(20));
   EXPECT_EQ(sim.events_processed(), 3u);
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-// Pinned: DisarmTimer on a timer that was never armed, already fired, or was
-// just disarmed does nothing — in particular it never touches another timer.
+// Pinned: Disarm on a timer that was never armed, already fired, or was just
+// disarmed does nothing — in particular it never touches another timer. The
+// same holds for destroying a moved-from handle, while destroying a handle
+// that holds an armed timer removes its pending fire.
 TEST(SimulatorTimerTest, DisarmOnDisarmedTimerIsNoOp) {
   Simulator sim;
   int a_fires = 0;
   int b_fires = 0;
-  const Simulator::TimerId a = sim.AddTimer([&] { ++a_fires; });
-  const Simulator::TimerId b = sim.AddTimer([&] { ++b_fires; });
-  sim.DisarmTimer(a);  // never armed
-  sim.ArmTimer(a, Microseconds(1));
-  sim.ArmTimer(b, Microseconds(2));
+  int c_fires = 0;
+  Simulator::Timer a = sim.AddTimer([&] { ++a_fires; });
+  Simulator::Timer b;
+  {
+    Simulator::Timer moved = sim.AddTimer([&] { ++b_fires; });
+    Simulator::Timer c = sim.AddTimer([&] { ++c_fires; });
+    moved.Arm(Microseconds(2));
+    c.Arm(Microseconds(2));
+    b = std::move(moved);
+  }  // destroys the moved-from handle, then c's
+  a.Disarm();  // never armed
+  a.Arm(Microseconds(1));
   sim.RunUntil(Microseconds(1));
   EXPECT_EQ(a_fires, 1);
-  sim.DisarmTimer(a);  // already fired
-  sim.DisarmTimer(a);  // and again
-  EXPECT_TRUE(sim.TimerArmed(b));
+  a.Disarm();  // already fired
+  a.Disarm();  // and again
+  EXPECT_TRUE(b.armed());
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.RunUntilIdle();
   EXPECT_EQ(a_fires, 1);
   EXPECT_EQ(b_fires, 1);
+  EXPECT_EQ(c_fires, 0);
   EXPECT_EQ(sim.events_processed(), 2u);
 }
 
-// Pinned: ArmTimer with the deadline it already has still draws a fresh seq,
+// Pinned: Arm with the deadline the timer already has still draws a fresh seq,
 // so an event scheduled in between at the same instant now fires first — the
 // order a fresh ScheduleAt would give. Keeping the old seq would reorder
 // this tie (docs/PERFORMANCE.md).
 TEST(SimulatorTimerTest, RearmWithUnchangedDeadlineDrawsFreshSeq) {
   Simulator sim;
   std::vector<char> order;
-  const Simulator::TimerId t = sim.AddTimer([&] { order.push_back('t'); });
-  sim.ArmTimer(t, Microseconds(5));
+  Simulator::Timer t = sim.AddTimer([&] { order.push_back('t'); });
+  t.Arm(Microseconds(5));
   sim.ScheduleAt(Microseconds(5), [&] { order.push_back('e'); });
-  sim.ArmTimer(t, Microseconds(5));
+  t.Arm(Microseconds(5));
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<char>{'e', 't'}));
 }
@@ -521,17 +564,17 @@ TEST(SimulatorTimerTest, EqualDeadlinesFireInSeqOrder) {
   Simulator sim;
   std::vector<char> order;
   const TimeNs when = Microseconds(5);
-  const Simulator::TimerId a = sim.AddTimer([&] { order.push_back('a'); });
-  const Simulator::TimerId b = sim.AddTimer([&] { order.push_back('b'); });
-  const Simulator::TimerId c = sim.AddTimer([&] { order.push_back('c'); });
-  const Simulator::TimerId d = sim.AddTimer([&] {
+  Simulator::Timer a = sim.AddTimer([&] { order.push_back('a'); });
+  Simulator::Timer b = sim.AddTimer([&] { order.push_back('b'); });
+  Simulator::Timer c = sim.AddTimer([&] { order.push_back('c'); });
+  Simulator::Timer d = sim.AddTimer([&] {
     order.push_back('d');
-    sim.ArmTimer(b, when);
+    b.Arm(when);
   });
-  sim.ArmTimer(c, when);
-  sim.ArmTimer(b, when);
-  sim.ArmTimer(a, when);
-  sim.ArmTimer(d, Microseconds(1));
+  c.Arm(when);
+  b.Arm(when);
+  a.Arm(when);
+  d.Arm(Microseconds(1));
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<char>{'d', 'c', 'a', 'b'}));
 }

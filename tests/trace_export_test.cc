@@ -22,6 +22,26 @@ std::string Export(const Tracer& t) {
   return os.str();
 }
 
+// Only a vCPU's run-state writer can record a slice phase into a Tracer, so the
+// B/E edge cases are hand-built event lists.
+std::string Export(const std::vector<TraceEvent>& events) {
+  std::ostringstream os;
+  WriteChromeTrace(events, {}, os);
+  return os.str();
+}
+
+TraceEvent Event(TimeNs ts, TracePhase phase, const char* name, int vcpu, int pcpu) {
+  TraceEvent e;
+  e.ts = ts;
+  e.name = name;
+  e.category = TraceCategory::kHypervisor;
+  e.phase = phase;
+  e.domain = 0;
+  e.vcpu = static_cast<int16_t>(vcpu);
+  e.pcpu = static_cast<int16_t>(pcpu);
+  return e;
+}
+
 TEST(TraceExportTest, EmptyTracerIsValid) {
   Tracer t(8);
   TraceStats stats;
@@ -57,14 +77,10 @@ TEST(TraceExportTest, InstantAndCounterLayout) {
 }
 
 TEST(TraceExportTest, RunSlicesMirroredAndBalanced) {
-  Tracer t(16);
-  t.Record(100, TraceCategory::kHypervisor, TracePhase::kBegin, "run", 0, 1, 2,
-           nullptr, 0);
-  t.Record(400, TraceCategory::kHypervisor, TracePhase::kEnd, "run", 0, 1, 2,
-           nullptr, 0);
   TraceStats stats;
   std::string error;
-  const std::string json = Export(t);
+  const std::string json = Export({Event(100, TracePhase::kBegin, "run", 1, 2),
+                                   Event(400, TracePhase::kEnd, "run", 1, 2)});
   ASSERT_TRUE(ValidateChromeTrace(json, &error, &stats)) << error;
   // The slice appears on the domain vCPU track and is mirrored onto the machine
   // pCPU track under the "d<dom>/v<vcpu>" label.
@@ -74,16 +90,14 @@ TEST(TraceExportTest, RunSlicesMirroredAndBalanced) {
 }
 
 TEST(TraceExportTest, OrphanEndDroppedDanglingBeginClosed) {
-  Tracer t(16);
   // E with no B (its begin fell off the ring), then a B never closed.
-  t.Record(50, TraceCategory::kHypervisor, TracePhase::kEnd, "run", 0, 0, 0,
-           nullptr, 0);
-  t.Record(60, TraceCategory::kHypervisor, TracePhase::kBegin, "run", 0, 1, 1,
-           nullptr, 0);
-  t.Record(90, TraceCategory::kGuest, TracePhase::kInstant, "ipi_send", 0, 1,
-           -1, nullptr, 0);
   std::string error;
-  EXPECT_TRUE(ValidateChromeTrace(Export(t), &error)) << error;
+  EXPECT_TRUE(ValidateChromeTrace(Export({Event(50, TracePhase::kEnd, "run", 0, 0),
+                                          Event(60, TracePhase::kBegin, "run", 1, 1),
+                                          Event(90, TracePhase::kInstant, "ipi_send",
+                                                1, -1)}),
+                                  &error))
+      << error;
 }
 
 TEST(TraceExportTest, EscapesDomainNames) {

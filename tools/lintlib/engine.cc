@@ -38,16 +38,6 @@ const std::vector<RuleDef>& AllRules() {
        rules::FloatAccum},
       {"faults-allow-escape", "determinism",
        "src/faults/ and src/fuzz/ carry no lint escapes at all", nullptr},
-      // event-lifecycle
-      {"timer-owner", "event-lifecycle",
-       "a stored TimerId member must have a DisarmTimer() owner somewhere in "
-       "the project",
-       rules::TimerOwner},
-      // stall-attribution
-      {"stall-hook", "stall-attribution",
-       "every run-state mutation in machine.cc / kernel_sched.cc sits in a "
-       "function carrying a VS_OBSERVE(..., stall, ...) attribution",
-       rules::StallHook},
       // observability
       {"metric-docs", "observability",
        "every metric name registered in src/ appears in the docs",
@@ -55,9 +45,6 @@ const std::vector<RuleDef>& AllRules() {
       {"trace-docs", "observability",
        "every trace event name emitted in src/ appears in the docs",
        rules::TraceDocs},
-      {"trace-pairing", "observability",
-       "VSCALE_TRACE_BEGIN/END slice names balance within each file",
-       rules::TracePairing},
       {"cov-docs", "observability",
        "every coverage-point name in the kCoverPointNames catalogue table "
        "appears in the docs",

@@ -1,7 +1,7 @@
 // lintlib engine: rule registry, suppression accounting, and the lint driver.
 //
 // A rule is a free function over the whole parsed project (cross-file rules
-// like timer-owner need project scope), reporting raw findings. The engine
+// like validate-before-use need project scope), reporting raw findings. The engine
 // then:
 //   1. drops findings covered by a `vslint: allow(rule, reason)` marker,
 //      marking the marker used;
@@ -14,7 +14,7 @@
 //      unsuppressable).
 //
 // Rule families (selectable with `vslint --family`): determinism,
-// event-lifecycle, stall-attribution, observability, validate, meta.
+// observability, validate, meta.
 // docs/CHECKING.md#vslint-the-protocol-lint carries the catalogue.
 
 #ifndef VSCALE_TOOLS_LINTLIB_ENGINE_H_

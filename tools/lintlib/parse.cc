@@ -253,11 +253,4 @@ ParsedFile Parse(SourceFile src) {
   return pf;
 }
 
-bool InFunctionBody(const ParsedFile& pf, size_t ti) {
-  for (const FunctionInfo& f : pf.functions) {
-    if (ti >= f.body_begin && ti < f.body_end) return true;
-  }
-  return false;
-}
-
 }  // namespace vslint

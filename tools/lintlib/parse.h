@@ -52,9 +52,6 @@ struct ParsedFile {
 
 ParsedFile Parse(SourceFile src);
 
-// True when token index `ti` of `pf` falls inside any function body.
-bool InFunctionBody(const ParsedFile& pf, size_t ti);
-
 }  // namespace vslint
 
 #endif  // VSCALE_TOOLS_LINTLIB_PARSE_H_

@@ -19,16 +19,9 @@ void WallClock(const Project&, std::vector<Finding>*);
 void PointerKey(const Project&, std::vector<Finding>*);
 void FloatAccum(const Project&, std::vector<Finding>*);
 
-// event-lifecycle family
-void TimerOwner(const Project&, std::vector<Finding>*);
-
-// stall-attribution family
-void StallHook(const Project&, std::vector<Finding>*);
-
 // observability family
 void MetricDocs(const Project&, std::vector<Finding>*);
 void TraceDocs(const Project&, std::vector<Finding>*);
-void TracePairing(const Project&, std::vector<Finding>*);
 void CovDocs(const Project&, std::vector<Finding>*);
 void ObserverGlobal(const Project&, std::vector<Finding>*);
 

@@ -6,10 +6,6 @@
 //                    src/ must appear in the docs.
 //   trace-docs     — every event-name literal given to a VSCALE_TRACE_* macro
 //                    in src/ must appear in the docs.
-//   trace-pairing  — kBegin/kEnd slice names must balance per file: the
-//                    exporter closes dangling slices silently, so an
-//                    unbalanced pair renders as a plausible-but-wrong
-//                    timeline instead of an error.
 //   cov-docs       — every coverage-point name in a kCoverPointNames catalogue
 //                    table in src/ must appear in the docs: frontier files,
 //                    cov_report output, and the baseline gate all speak these
@@ -21,8 +17,6 @@
 //                    every run in the process; runs attach their own through
 //                    Observers (src/base/observers.h).
 
-#include <array>
-#include <map>
 #include <string>
 
 #include "tools/lintlib/rules.h"
@@ -104,8 +98,8 @@ void MetricDocs(const Project& project, std::vector<Finding>* out) {
 void TraceDocs(const Project& project, std::vector<Finding>* out) {
   static const char* kMacros[] = {"VSCALE_TRACE_INSTANT",
                                   "VSCALE_TRACE_INSTANT_ARG",
-                                  "VSCALE_TRACE_BEGIN", "VSCALE_TRACE_END",
-                                  "VSCALE_TRACE_COUNTER"};
+                                  "VSCALE_TRACE_EVENT", "VSCALE_TRACE_COUNTER",
+                                  "VSCALE_TRACE_SLICE"};
   for (const ParsedFile& pf : project.files) {
     if (!InSrc(pf.src.rel)) continue;
     const std::vector<Token>& toks = pf.src.tokens;
@@ -212,42 +206,6 @@ void ObserverGlobal(const Project& project, std::vector<Finding>* out) {
                             "attach a per-run sink through Observers "
                             "(src/base/observers.h)"});
       }
-    }
-  }
-}
-
-void TracePairing(const Project& project, std::vector<Finding>* out) {
-  for (const ParsedFile& pf : project.files) {
-    if (!InSrc(pf.src.rel)) continue;
-    const std::vector<Token>& toks = pf.src.tokens;
-    // name -> {begin count, end count, first line seen}
-    std::map<std::string, std::array<int, 3>> names;
-    for (size_t t = 0; t + 1 < toks.size(); ++t) {
-      if (toks[t].kind != Token::kIdent) continue;
-      const bool is_begin = toks[t].text == "VSCALE_TRACE_BEGIN";
-      const bool is_end = toks[t].text == "VSCALE_TRACE_END";
-      if ((!is_begin && !is_end) || toks[t + 1].kind != Token::kPunct ||
-          toks[t + 1].text != "(") {
-        continue;
-      }
-      const size_t close = MatchParen(toks, t + 1);
-      for (size_t j = t + 2; j < close; ++j) {
-        if (toks[j].kind != Token::kString) continue;
-        auto& e = names[toks[j].text];
-        if (e[0] == 0 && e[1] == 0) e[2] = toks[j].line;
-        e[is_begin ? 0 : 1] += 1;
-        break;
-      }
-      t = close;
-    }
-    for (const auto& [name, counts] : names) {
-      if (counts[0] == counts[1]) continue;
-      out->push_back(
-          {pf.src.rel, counts[2], "trace-pairing",
-           "trace slice '" + name + "' opens " + std::to_string(counts[0]) +
-               " time(s) but closes " + std::to_string(counts[1]) +
-               " time(s) in this file; B/E slices must balance per file or "
-               "the exporter silently closes them at buffer end"});
     }
   }
 }

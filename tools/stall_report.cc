@@ -255,15 +255,21 @@ int SelfTest() {
     ST_CHECK(flat.count("runs.base.dom0.sched_stall_ns") == 1);
   }
 
-  // Malformed inputs must be rejected, not misread.
+  // Malformed inputs must be rejected, not misread: a bad header, then rows
+  // with a bad bucket, a bad number, and ids that do not fit the int they
+  // narrow to (4294967296 would read as domain 0).
+  const char* const kBadRows[] = {"r,1,0,0,warp_drive,5", "r,x,0,0,running,5",
+                                  "r,1,4294967296,0,running,5",
+                                  "r,1,-1,0,running,5", "r,1,0,-2,running,5",
+                                  "r,1,0,2147483648,running,5"};
   std::stringstream bad_header("nope\n");
   ST_CHECK(!LoadStallCsv(bad_header, &series, &error));
-  std::stringstream bad_bucket(
-      "run,ts_ns,domain,vcpu,bucket,cum_ns\nr,1,0,0,warp_drive,5\n");
-  ST_CHECK(!LoadStallCsv(bad_bucket, &series, &error));
-  std::stringstream bad_number(
-      "run,ts_ns,domain,vcpu,bucket,cum_ns\nr,x,0,0,running,5\n");
-  ST_CHECK(!LoadStallCsv(bad_number, &series, &error));
+  for (const char* row : kBadRows) {
+    std::stringstream bad(std::string("run,ts_ns,domain,vcpu,bucket,cum_ns\n") + row +
+                          "\n");
+    ST_CHECK(!LoadStallCsv(bad, &series, &error));
+    ST_CHECK(error.rfind("line 2: ", 0) == 0);
+  }
 
   std::printf("stall_report selftest OK\n");
   return 0;

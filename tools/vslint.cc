@@ -1,9 +1,9 @@
 // vslint — the repo's tree lint (docs/CHECKING.md).
 //
 // Beside line-level determinism hygiene, vslint enforces the cross-layer
-// *protocols* the design docs promise: event lifecycle ownership, stall-hook
-// exhaustiveness, metric/trace documentation and pairing, no process-wide
-// observers, and validate-before-use. Rules run over a comment/string-aware
+// *protocols* the design docs promise that no type can hold: metric, trace and
+// coverage names documented, no process-wide observers, and
+// validate-before-use. Rules run over a comment/string-aware
 // token stream with scope and function extents (tools/lintlib/), so they
 // survive formatting churn that would defeat grep.
 //
