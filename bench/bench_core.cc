@@ -27,6 +27,7 @@
 // where real time is the subject, not a determinism hazard. The simulation
 // runs inside it remain virtual-time and seed-driven.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -171,23 +172,27 @@ TestbedResult MeasureTestbed(int sim_seconds, int repeats) {
 }
 
 // Fuzz-oracle scenarios (generate + full double-run battery) per wall minute —
-// the number that sizes nightly soak budgets (docs/FUZZING.md).
-double MeasureSoakScenariosPerMin(int count) {
+// the number that sizes nightly soak budgets (docs/FUZZING.md). The best of
+// `repeats` passes over the same `count` scenarios.
+double MeasureSoakScenariosPerMin(int count, int repeats) {
   // One untimed warmup scenario: first-run costs (lazy init, cold caches)
   // otherwise dominate short runs and make the quick mode noisy.
   (void)RunOracle(GenerateScenario(8999));
-  const double t0 = NowSec();
-  for (int i = 0; i < count; ++i) {
-    const Scenario s = GenerateScenario(static_cast<uint64_t>(9000 + i));
-    const OracleReport report = RunOracle(s);
-    if (report.failed()) {
-      std::fprintf(stderr, "bench_core: soak scenario seed %d failed: %s\n",
-                   9000 + i, ToString(report.verdict));
-      std::abort();  // a perf snapshot must not paper over a real failure
+  double best = 0;
+  for (int r = 0; r < repeats; ++r) {
+    const double t0 = NowSec();
+    for (int i = 0; i < count; ++i) {
+      const Scenario s = GenerateScenario(static_cast<uint64_t>(9000 + i));
+      const OracleReport report = RunOracle(s);
+      if (report.failed()) {
+        std::fprintf(stderr, "bench_core: soak scenario seed %d failed: %s\n",
+                     9000 + i, ToString(report.verdict));
+        std::abort();  // a perf snapshot must not paper over a real failure
+      }
     }
+    best = std::max(best, 60.0 * count / (NowSec() - t0));
   }
-  const double dt = NowSec() - t0;
-  return 60.0 * count / dt;
+  return best;
 }
 
 struct Metrics {
@@ -364,8 +369,9 @@ int main(int argc, char** argv) {
               "%.0f ns/event)\n",
               m.testbed.wall_ms_per_sim_sec, 1e3 / m.testbed.wall_ms_per_sim_sec,
               m.testbed.ns_per_event);
-  std::printf("bench_core: fuzz-oracle soak (%d scenarios)...\n", soak_count);
-  m.soak_per_min = MeasureSoakScenariosPerMin(soak_count);
+  std::printf("bench_core: fuzz-oracle soak (%d scenarios x %d)...\n", soak_count,
+              repeats);
+  m.soak_per_min = MeasureSoakScenariosPerMin(soak_count, repeats);
   std::printf("  soak_scenarios_per_min      %10.1f\n", m.soak_per_min);
 
   const std::string json = FormatJson(m, quick, repeats);

@@ -3,34 +3,35 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace vscale {
 
 namespace {
 
-InvariantHandler& Handler() {
-  static InvariantHandler handler;  // empty = default print-and-abort
-  return handler;
-}
-
-uint64_t g_violations = 0;
+thread_local InvariantHandler t_handler;  // empty = default print-and-abort
+thread_local uint64_t t_violations = 0;
 
 }  // namespace
 
 InvariantHandler SetInvariantHandler(InvariantHandler handler) {
-  InvariantHandler previous = Handler();
-  Handler() = std::move(handler);
-  return previous;
+  return std::exchange(t_handler, std::move(handler));
 }
 
-uint64_t InvariantViolationCount() { return g_violations; }
+uint64_t InvariantViolationCount() { return t_violations; }
 
-void ResetInvariantViolationCount() { g_violations = 0; }
+void ResetInvariantViolationCount() { t_violations = 0; }
+
+ViolationCapture::ViolationCapture()
+    : previous_(SetInvariantHandler(
+          [this](const InvariantViolation& v) { reports_.push_back(v); })) {}
+
+ViolationCapture::~ViolationCapture() { SetInvariantHandler(std::move(previous_)); }
 
 namespace check_internal {
 
 void Fail(const char* expr, const char* file, int line, const char* fmt, ...) {
-  ++g_violations;
+  ++t_violations;
   InvariantViolation v;
   v.expr = expr;
   v.file = file;
@@ -41,8 +42,8 @@ void Fail(const char* expr, const char* file, int line, const char* fmt, ...) {
   std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
   v.message = buf;
-  if (Handler()) {
-    Handler()(v);
+  if (t_handler) {
+    t_handler(v);
     return;
   }
   std::fprintf(stderr, "INVARIANT VIOLATION at %s:%d\n  check:   %s\n  detail:  %s\n",

@@ -6,10 +6,11 @@
 //  * when the VSCALE_CHECKED CMake option is OFF (the default), every hook
 //    compiles to nothing — arguments are never evaluated, so checked and
 //    unchecked builds replay bit-identically;
-//  * when ON, a failing condition formats its message and reaches the installed
-//    InvariantHandler. The default handler prints to stderr and aborts; tests
-//    install a capturing handler to assert that a deliberately corrupted state
-//    is detected with a useful message (tests/check_test.cc).
+//  * when ON, a failing condition formats its message and reaches the calling
+//    thread's InvariantHandler. The default handler prints to stderr and
+//    aborts; tests and the fuzz oracle hold a ViolationCapture to assert that a
+//    deliberately corrupted state is detected with a useful message
+//    (tests/check_test.cc).
 //
 // Checks must be read-only: they may inspect simulation state but never mutate
 // it and never touch the RNG, so a checked binary that encounters no violation
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 // Compiled-in default when built outside CMake; the VSCALE_CHECKED option
 // controls it.
@@ -46,18 +48,41 @@ struct InvariantViolation {
 // reports; production handlers should treat a violation as fatal.
 using InvariantHandler = std::function<void(const InvariantViolation&)>;
 
-// Installs `handler` and returns the previous one. Passing nullptr restores the
-// default print-and-abort behaviour.
+// The handler and the violation count belong to the calling thread: a report
+// reaches the handler of the thread that raised it and bumps only that
+// thread's count, so runs on different threads cannot see each other's
+// violations.
+//
+// Installs `handler` for the calling thread and returns its previous one.
+// Passing nullptr restores the default print-and-abort behaviour.
 InvariantHandler SetInvariantHandler(InvariantHandler handler);
 
-// Violations reported since process start / the last reset. Useful for
-// error-code style tests and for the digest harness's zero-violation check.
+// Violations the calling thread reported since it started / its last reset.
+// Useful for error-code style tests and for the digest harness's
+// zero-violation check.
 uint64_t InvariantViolationCount();
 void ResetInvariantViolationCount();
 
+// Keeps the calling thread's reports instead of aborting, from construction
+// until destruction, when the previous handler is restored. Reports raised on
+// other threads are not seen.
+class ViolationCapture {
+ public:
+  ViolationCapture();
+  ~ViolationCapture();
+  ViolationCapture(const ViolationCapture&) = delete;
+  ViolationCapture& operator=(const ViolationCapture&) = delete;
+
+  const std::vector<InvariantViolation>& reports() const { return reports_; }
+
+ private:
+  std::vector<InvariantViolation> reports_;
+  InvariantHandler previous_;  // the thread's handler before this capture
+};
+
 namespace check_internal {
-// Formats the message, bumps the violation counter and dispatches to the
-// installed handler (default: print to stderr, abort).
+// Formats the message, bumps the calling thread's violation count and
+// dispatches to its handler (default: print to stderr, abort).
 [[gnu::format(printf, 4, 5)]] void Fail(const char* expr, const char* file,
                                         int line, const char* fmt, ...);
 }  // namespace check_internal

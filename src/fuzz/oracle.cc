@@ -1,9 +1,12 @@
 #include "src/fuzz/oracle.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,37 +44,19 @@ struct RunOutcome {
   TimeNs end_time = 0;
 };
 
-// Captures invariant reports instead of aborting, so a failing scenario is a
-// verdict for the fuzz loop rather than the end of the process.
-class CaptureViolations {
- public:
-  CaptureViolations() : start_count_(InvariantViolationCount()) {
-    prev_ = SetInvariantHandler([this](const InvariantViolation& v) {
-      if (first_.empty()) {
-        first_ = std::string(v.expr) + " (" + v.file + ":" +
-                 std::to_string(v.line) + "): " + v.message;
-      }
-    });
-  }
-  ~CaptureViolations() { SetInvariantHandler(std::move(prev_)); }
-
-  uint64_t count() const { return InvariantViolationCount() - start_count_; }
-  const std::string& first() const { return first_; }
-
- private:
-  uint64_t start_count_;
-  std::string first_;
-  InvariantHandler prev_;
-};
-
+// One run of `s` on the calling thread. Its invariant reports are captured, not
+// aborted on, so a failing scenario is a verdict for the fuzz loop rather than
+// the end of the process.
 RunOutcome RunScenarioOnce(const Scenario& s, uint64_t testbed_seed) {
-  s.Validate();
   RunOutcome out;
   // This run's own observers: the accountant arms the exhaustiveness oracle and
   // the map is harvested after the bed tears down. No registry is attached.
   StallAccountant stall;
   CoverageMap coverage;
-  CaptureViolations captured;
+  ViolationCapture captured;
+  // Inside the capture: on RunOracle's worker thread no caller's handler is
+  // installed, so a report here must become this run's verdict, not an abort.
+  s.Validate();
 
   {
     TestbedConfig cfg = s.config;
@@ -252,8 +237,12 @@ RunOutcome RunScenarioOnce(const Scenario& s, uint64_t testbed_seed) {
   out.stall_samples = stall.samples();
   out.stall_failures = stall.exhaustive_failures();
   out.coverage = coverage.Vector();
-  out.violations = captured.count();
-  out.first_violation = captured.first();
+  out.violations = captured.reports().size();
+  if (!captured.reports().empty()) {
+    const InvariantViolation& v = captured.reports().front();
+    out.first_violation = std::string(v.expr) + " (" + v.file + ":" +
+                          std::to_string(v.line) + "): " + v.message;
+  }
   return out;
 }
 
@@ -302,7 +291,38 @@ OracleReport RunOracle(const Scenario& s) {
   s.Validate();
   OracleReport report;
 
+  // Determinism gate: the identical scenario must replay bit-identically. The
+  // canary fault models a seed leak on the daemon-crash path (test-only).
+  uint64_t seed2 = s.seed;
+  if (g_fuzz_canary) {
+    for (const FaultEvent& ev : s.config.faults.events) {
+      if (ev.kind == FaultKind::kDaemonCrash) {
+        seed2 = s.seed ^ 1;
+        break;
+      }
+    }
+  }
+  // The two runs share nothing (each owns its testbed, sinks and capture), so
+  // run 2 goes to a second thread while run 1 runs here. Whichever thread is
+  // free first takes it: the kernel may queue a new thread behind its creator,
+  // and then the caller runs run 2 after run 1, as a sequential oracle would.
+  RunOutcome run2;
+  std::exception_ptr run2_error;
+  std::atomic<bool> run2_taken{false};
+  const auto take_run2 = [&] {
+    if (run2_taken.exchange(true)) return;
+    try {
+      run2 = RunScenarioOnce(s, seed2);
+    } catch (...) {
+      run2_error = std::current_exception();
+    }
+  };
+  std::jthread worker(take_run2);
   const RunOutcome run1 = RunScenarioOnce(s, s.seed);
+  take_run2();
+  worker.join();
+  if (run2_error) std::rethrow_exception(run2_error);
+
   report.digest1 = run1.digest;
   report.end_time = run1.end_time;
   report.coverage = run1.coverage;
@@ -341,18 +361,7 @@ OracleReport RunOracle(const Scenario& s) {
     return fail(OracleVerdict::kFairnessViolation, run1.fairness_detail);
   }
 
-  // Determinism gate: the identical scenario must replay bit-identically. The
-  // canary fault models a seed leak on the daemon-crash path (test-only).
-  uint64_t seed2 = s.seed;
-  if (g_fuzz_canary) {
-    for (const FaultEvent& ev : s.config.faults.events) {
-      if (ev.kind == FaultKind::kDaemonCrash) {
-        seed2 = s.seed ^ 1;
-        break;
-      }
-    }
-  }
-  const RunOutcome run2 = RunScenarioOnce(s, seed2);
+  // Run 1 passed every check, so run 2's outcome counts.
   report.digest2 = run2.digest;
   report.coverage_stable = run1.coverage == run2.coverage;
   if (run1.digest != run2.digest) {

@@ -75,9 +75,10 @@ struct OracleReport {
   // catalogue points the scenario actually reached. Feeds the fuzzer's
   // frontier merge and fuzz_run --replay's coverage line.
   CoverageVector coverage;
-  // False iff the double-run happened and its coverage vector differed from
-  // the first run's — the map broke its own determinism contract even if the
-  // digests agreed. True when the oracle bailed before run 2.
+  // False iff the first run passed every check and the second run's coverage
+  // vector differed from it — the map broke its own determinism contract even
+  // if the digests agreed. True (and digest2 0) when the first run failed a
+  // check, whose verdict discards the second run.
   bool coverage_stable = true;
 
   bool failed() const { return verdict != OracleVerdict::kPass; }
@@ -85,9 +86,14 @@ struct OracleReport {
 
 // Runs `s` twice (the digest double-run) with all oracles armed and returns
 // the first failing verdict, or kPass. The scenario must be Validate()-legal.
-// State contract: each run attaches its own stall accountant and coverage map
-// and touches no process-wide observer; the installed invariant handler is
-// saved and restored. Callers can interleave oracle runs with anything.
+// State contract: the two runs go on two threads, run 1 on the caller and
+// run 2 on a worker joined before the call returns, or on the caller after
+// run 1 when the worker has not started by then; an exception from either
+// reaches the caller. Each run owns its testbed, stall accountant, coverage
+// map and violation capture (src/base/check.h), touches no process-wide
+// observer, and restores its thread's invariant handler. The verdict battery
+// reads run 1; when it fails, run 2's outcome is discarded. The canary setters
+// below must not be called while an oracle call is in flight.
 OracleReport RunOracle(const Scenario& s);
 
 // Single-run coverage probe: runs `s` once with every observer armed and

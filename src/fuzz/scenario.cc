@@ -321,15 +321,11 @@ void Scenario::Validate() const {
 }
 
 bool Scenario::ProbeLegal(std::string* why) const {
-  const uint64_t before = InvariantViolationCount();
-  std::string first;
-  InvariantHandler prev = SetInvariantHandler([&first](const InvariantViolation& v) {
-    if (first.empty()) first = v.message;
-  });
+  ViolationCapture capture;
   Validate();
-  SetInvariantHandler(std::move(prev));
-  if (why != nullptr) *why = first;
-  return InvariantViolationCount() == before;
+  const std::vector<InvariantViolation>& reports = capture.reports();
+  if (why != nullptr) *why = reports.empty() ? "" : reports.front().message;
+  return reports.empty();
 }
 
 std::string Scenario::ToString() const {

@@ -1,8 +1,11 @@
 #include "src/obs/stall_accounting.h"
 
+#include <algorithm>
 #include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
+#include <utility>
 
 #include "src/base/check.h"
 #include "src/base/metrics_registry.h"
@@ -52,34 +55,35 @@ StallAccountant& StallAccountant::Global() {
 void StallAccountant::BeginRun(const std::string& label, const Observers& run) {
   run_ = run;
   label_ = label;
-  vcpus_.clear();
+  doms_.clear();
   wake_to_dispatch_ = LatencyHistogram();
   ipi_deliver_ = LatencyHistogram();
   freeze_quiesce_ = LatencyHistogram();
-  scale_ops_.clear();
-  emitted_doms_.clear();
   sample_seq_ = 0;
   active_ = true;
 }
 
 void StallAccountant::FinishRun(TimeNs now) {
   if (!active_) return;
-  std::map<int, std::array<int64_t, kStallBucketCount>> per_dom;
-  for (auto& [key, a] : vcpus_) {
-    Flush(a, now);
-    ipi_unmatched_sends_ += static_cast<int64_t>(a.ipi_sends.size());
-    a.ipi_sends.clear();
-    CsvRow row;
-    row.run = label_;
-    row.ts = now;
-    row.domain = key.first;
-    row.vcpu = key.second;
-    auto& dom_totals = per_dom[key.first];
-    for (int i = 0; i < kStallBucketCount; ++i) {
-      row.buckets[i] = a.buckets[i];
-      dom_totals[static_cast<size_t>(i)] += a.buckets[i];
+  std::vector<std::pair<int, BucketTotals>> per_dom;
+  for (size_t d = 0; d < doms_.size(); ++d) {
+    std::vector<VcpuAcct>& vcpus = doms_[d].vcpus;
+    for (size_t v = 0; v < vcpus.size(); ++v) {
+      VcpuAcct& a = vcpus[v];
+      if (!a.present) continue;
+      Flush(a, now);
+      ipi_unmatched_sends_ += static_cast<int64_t>(a.ipi_sends.size());
+      a.ipi_sends.clear();
+      CsvRow row;
+      row.run = label_;
+      row.ts = now;
+      row.domain = static_cast<int>(d);
+      row.vcpu = static_cast<int>(v);
+      std::copy(std::begin(a.buckets), std::end(a.buckets), row.buckets);
+      rows_.push_back(std::move(row));
     }
-    rows_.push_back(std::move(row));
+    BucketTotals totals{};
+    if (SumDomain(doms_[d], &totals)) per_dom.emplace_back(static_cast<int>(d), totals);
   }
   for (const auto& [dom, totals] : per_dom) {
     CsvRow row;
@@ -108,13 +112,37 @@ void StallAccountant::FinishRun(TimeNs now) {
   run_ = {};
 }
 
+StallAccountant::DomAcct& StallAccountant::Dom(int dom) {
+  VS_INVARIANT(dom >= 0, "stall hook for negative domain id %d", dom);
+  const size_t d = static_cast<size_t>(dom);
+  if (d >= doms_.size()) doms_.resize(d + 1);
+  return doms_[d];
+}
+
 StallAccountant::VcpuAcct& StallAccountant::Get(int dom, int vcpu, TimeNs now) {
-  auto [it, inserted] = vcpus_.try_emplace(Key{dom, vcpu});
-  if (inserted) {
-    it->second.birth = now;
-    it->second.since = now;
+  VS_INVARIANT(vcpu >= 0, "stall hook for dom %d negative vcpu id %d", dom, vcpu);
+  std::vector<VcpuAcct>& vcpus = Dom(dom).vcpus;
+  const size_t v = static_cast<size_t>(vcpu);
+  if (v >= vcpus.size()) vcpus.resize(v + 1);
+  VcpuAcct& a = vcpus[v];
+  if (!a.present) {
+    a.present = true;
+    a.birth = now;
+    a.since = now;
   }
-  return it->second;
+  return a;
+}
+
+bool StallAccountant::SumDomain(const DomAcct& d, BucketTotals* t) {
+  bool any = false;
+  for (const VcpuAcct& a : d.vcpus) {
+    if (!a.present) continue;
+    any = true;
+    for (int i = 0; i < kStallBucketCount; ++i) {
+      (*t)[static_cast<size_t>(i)] += a.buckets[i];
+    }
+  }
+  return any;
 }
 
 StallBucket StallAccountant::DeriveBucket(const VcpuAcct& a) {
@@ -254,11 +282,10 @@ void StallAccountant::OnFreezeRequested(int dom, int vcpu, TimeNs now) {
 void StallAccountant::OnApplyTarget(int dom, int target) {
   if (!active_) return;
   (void)target;
-  ++scale_ops_[dom];
+  ++Dom(dom).scale_ops;
 }
 
-void StallAccountant::EmitCounterTracks(
-    int dom, const std::array<int64_t, kStallBucketCount>& t, TimeNs now) {
+void StallAccountant::EmitCounterTracks(int dom, const BucketTotals& t, TimeNs now) {
   VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_running_ns",
                        dom, t[0]);
   VSCALE_TRACE_COUNTER(run_, now, TraceCategory::kHypervisor, "stall_runnable_ns",
@@ -290,23 +317,22 @@ void StallAccountant::Sample(TimeNs now) {
   ++sample_seq_;
   if (sample_seq_ % kSampleEmitPeriod != 0) return;
 
-  std::map<int, std::array<int64_t, kStallBucketCount>> per_dom;
-  for (auto& [key, a] : vcpus_) {
-    Flush(a, now);
-    auto& totals = per_dom[key.first];
-    for (int i = 0; i < kStallBucketCount; ++i) {
-      totals[static_cast<size_t>(i)] += a.buckets[i];
+  for (size_t d = 0; d < doms_.size(); ++d) {
+    DomAcct& da = doms_[d];
+    for (VcpuAcct& a : da.vcpus) {
+      if (a.present) Flush(a, now);
     }
-  }
-  for (const auto& [dom, t] : per_dom) {
+    BucketTotals t{};
+    if (!SumDomain(da, &t)) continue;
+    const int dom = static_cast<int>(d);
     // Cumulative tracks restart per run, but a quickstart-style trace holds
     // several runs on one rebased timeline with the same domain pids. Make the
     // restart explicit — a zero sample at the domain's first emission of this
     // run — so the trace_lint contract stays sharp: stall_* counters may only
     // ever decrease TO zero.
-    if (!emitted_doms_[dom]) {
-      emitted_doms_[dom] = true;
-      EmitCounterTracks(dom, std::array<int64_t, kStallBucketCount>{}, now);
+    if (!da.emitted) {
+      da.emitted = true;
+      EmitCounterTracks(dom, BucketTotals{}, now);
     }
     EmitCounterTracks(dom, t, now);
     CsvRow row;
@@ -321,36 +347,44 @@ void StallAccountant::Sample(TimeNs now) {
   }
 }
 
+// A negative id converts past the end of the table, and an entry that was
+// never hooked holds zeros, so both read 0.
 int64_t StallAccountant::BucketNs(int dom, int vcpu, StallBucket b) const {
-  auto it = vcpus_.find(Key{dom, vcpu});
-  if (it == vcpus_.end()) return 0;
-  return it->second.buckets[static_cast<int>(b)];
+  const size_t d = static_cast<size_t>(dom);
+  const size_t v = static_cast<size_t>(vcpu);
+  if (d >= doms_.size() || v >= doms_[d].vcpus.size()) return 0;
+  return doms_[d].vcpus[v].buckets[static_cast<int>(b)];
 }
 
 int64_t StallAccountant::DomainBucketNs(int dom, StallBucket b) const {
+  const size_t d = static_cast<size_t>(dom);
+  if (d >= doms_.size()) return 0;
   int64_t total = 0;
-  for (const auto& [key, a] : vcpus_) {
-    if (key.first == dom) total += a.buckets[static_cast<int>(b)];
-  }
+  for (const VcpuAcct& a : doms_[d].vcpus) total += a.buckets[static_cast<int>(b)];
   return total;
 }
 
 bool StallAccountant::CheckExhaustive(TimeNs now, std::string* error) const {
-  for (const auto& [key, a] : vcpus_) {
-    int64_t total = 0;
-    for (int i = 0; i < kStallBucketCount; ++i) total += a.buckets[i];
-    if (a.hv_state != HvState::kRunning) total += now - a.since;
-    int64_t wall = now - a.birth;
-    if (total != wall) {
-      if (error != nullptr) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "dom %d vcpu %d: buckets sum %" PRId64
-                      " != wall %" PRId64 " at t=%" PRId64,
-                      key.first, key.second, total, wall, now);
-        *error = buf;
+  for (size_t d = 0; d < doms_.size(); ++d) {
+    const std::vector<VcpuAcct>& vcpus = doms_[d].vcpus;
+    for (size_t v = 0; v < vcpus.size(); ++v) {
+      const VcpuAcct& a = vcpus[v];
+      if (!a.present) continue;
+      int64_t total = 0;
+      for (int i = 0; i < kStallBucketCount; ++i) total += a.buckets[i];
+      if (a.hv_state != HvState::kRunning) total += now - a.since;
+      int64_t wall = now - a.birth;
+      if (total != wall) {
+        if (error != nullptr) {
+          char buf[160];
+          std::snprintf(buf, sizeof(buf),
+                        "dom %zu vcpu %zu: buckets sum %" PRId64
+                        " != wall %" PRId64 " at t=%" PRId64,
+                        d, v, total, wall, now);
+          *error = buf;
+        }
+        return false;
       }
-      return false;
     }
   }
   return true;
@@ -368,23 +402,16 @@ void StallAccountant::WriteCsv(std::ostream& os) const {
 
 void StallAccountant::PublishMetrics(MetricsRegistry& registry,
                                      const std::string& prefix) const {
-  std::map<int, std::array<int64_t, kStallBucketCount>> per_dom;
-  for (const auto& [key, a] : vcpus_) {
-    auto& totals = per_dom[key.first];
-    for (int i = 0; i < kStallBucketCount; ++i) {
-      totals[static_cast<size_t>(i)] += a.buckets[i];
+  for (size_t d = 0; d < doms_.size(); ++d) {
+    const std::string base = prefix + "stall.dom" + std::to_string(d) + ".";
+    BucketTotals totals{};
+    if (SumDomain(doms_[d], &totals)) {
+      for (int i = 0; i < kStallBucketCount; ++i) {
+        registry.Counter(base + kBucketNames[i] + "_ns") =
+            totals[static_cast<size_t>(i)];
+      }
     }
-  }
-  for (const auto& [dom, totals] : per_dom) {
-    const std::string base = prefix + "stall.dom" + std::to_string(dom) + ".";
-    for (int i = 0; i < kStallBucketCount; ++i) {
-      registry.Counter(base + kBucketNames[i] + "_ns") =
-          totals[static_cast<size_t>(i)];
-    }
-  }
-  for (const auto& [dom, ops] : scale_ops_) {
-    registry.Counter(prefix + "stall.dom" + std::to_string(dom) +
-                     ".scale_ops") = ops;
+    if (doms_[d].scale_ops > 0) registry.Counter(base + "scale_ops") = doms_[d].scale_ops;
   }
   auto publish_hist = [&](const char* name, const LatencyHistogram& h) {
     const std::string base = prefix + "stall.lat." + name + ".";
@@ -404,12 +431,10 @@ void StallAccountant::Reset() {
   active_ = false;
   run_ = {};
   label_.clear();
-  vcpus_.clear();
+  doms_.clear();
   wake_to_dispatch_ = LatencyHistogram();
   ipi_deliver_ = LatencyHistogram();
   freeze_quiesce_ = LatencyHistogram();
-  scale_ops_.clear();
-  emitted_doms_.clear();
   samples_ = 0;
   sample_seq_ = 0;
   exhaustive_failures_ = 0;

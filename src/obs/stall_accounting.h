@@ -32,6 +32,10 @@
 // gate). Hook sites use VS_OBSERVE(obs, stall, ...), a single branch on the
 // run's pointer when no accountant is attached.
 //
+// State is a dense table indexed [domain id][vCPU id], grown on a vCPU's first
+// hook, so every hook is O(1); walks go in (domain, vCPU) order, which fixes
+// the order of CSV rows, metrics and stall_dominant.* coverage points.
+//
 // Outputs: per-domain counter tracks in the Chrome trace, a CSV time series
 // (WriteCsv) consumed by tools/stall_report, MetricsRegistry counters
 // (PublishMetrics), and three percentile latency histograms — wakeup->dispatch,
@@ -42,10 +46,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/base/histogram.h"
@@ -144,6 +146,7 @@ class StallAccountant {
   void Sample(TimeNs now);
 
   // --- queries / export -----------------------------------------------------
+  // 0 for a vCPU that was never hooked (any id, negative ones included).
   int64_t BucketNs(int dom, int vcpu, StallBucket b) const;
   int64_t DomainBucketNs(int dom, StallBucket b) const;
   const LatencyHistogram& wake_to_dispatch() const { return wake_to_dispatch_; }
@@ -178,6 +181,7 @@ class StallAccountant {
   enum class HvState { kRunning, kRunnable, kBlocked };
 
   struct VcpuAcct {
+    bool present = false;  // hooked this run; birth and since are set
     HvState hv_state = HvState::kBlocked;
     bool frozen = false;
     bool pending_event = false;  // wakeup port posted, not yet dispatched
@@ -192,19 +196,28 @@ class StallAccountant {
     std::vector<TimeNs> ipi_sends;     // FIFO of in-flight IPI send stamps
   };
 
-  using Key = std::pair<int, int>;  // (domain id, vcpu id)
+  struct DomAcct {
+    std::vector<VcpuAcct> vcpus;  // indexed by vCPU id
+    int64_t scale_ops = 0;        // balancer ApplyTarget count
+    bool emitted = false;         // counter tracks emitted this run
+  };
 
   // Emit a per-domain CSV/trace sample every Nth HvTick (10ms ticks -> 100ms
   // cadence); the exhaustiveness check still runs every tick.
   static constexpr int64_t kSampleEmitPeriod = 10;
 
+  using BucketTotals = std::array<int64_t, kStallBucketCount>;
+
+  // The vCPU's entry, born at `now` on its first hook; Dom grows the table.
+  // Ids are a Domain's and a Vcpu's, so never negative.
   VcpuAcct& Get(int dom, int vcpu, TimeNs now);
+  DomAcct& Dom(int dom);
+  // Adds the buckets of `d`'s present vCPUs into `t`; false if none is.
+  static bool SumDomain(const DomAcct& d, BucketTotals* t);
   // One trace counter per bucket for `dom` at `now`. A domain's first emission
   // in a run is preceded by an all-zero set so cumulative tracks restart
   // explicitly (trace_lint allows stall_* decreases only to zero).
-  void EmitCounterTracks(int dom,
-                         const std::array<int64_t, kStallBucketCount>& t,
-                         TimeNs now);
+  void EmitCounterTracks(int dom, const BucketTotals& t, TimeNs now);
   static StallBucket DeriveBucket(const VcpuAcct& a);
   // Closes the open non-running interval at `now` (no-op while running).
   void Flush(VcpuAcct& a, TimeNs now);
@@ -212,12 +225,10 @@ class StallAccountant {
   bool active_ = false;
   Observers run_;  // the attached run's observers, for the accountant's emissions
   std::string label_;
-  std::map<Key, VcpuAcct> vcpus_;
+  std::vector<DomAcct> doms_;  // indexed by domain id
   LatencyHistogram wake_to_dispatch_;
   LatencyHistogram ipi_deliver_;
   LatencyHistogram freeze_quiesce_;
-  std::map<int, int64_t> scale_ops_;  // dom -> balancer ApplyTarget count
-  std::map<int, bool> emitted_doms_;  // domains with counter tracks this run
   int64_t samples_ = 0;
   int64_t sample_seq_ = 0;
   int64_t exhaustive_failures_ = 0;

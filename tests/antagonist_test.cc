@@ -232,21 +232,11 @@ TEST(FairnessProbeTest, HonestLoadAccruesNoTheft) {
 
 // --- config validation ---
 
-struct CapturedViolations {
-  CapturedViolations() {
-    previous = SetInvariantHandler(
-        [this](const InvariantViolation& v) { messages.push_back(v.message); });
-  }
-  ~CapturedViolations() { SetInvariantHandler(previous); }
-  std::vector<std::string> messages;
-  InvariantHandler previous;
-};
-
 TEST(AntagonistConfigTest, ValidateRejectsNonsense) {
   {
-    CapturedViolations cap;
+    ViolationCapture cap;
     AntagonistConfig{}.Validate();
-    EXPECT_TRUE(cap.messages.empty());
+    EXPECT_TRUE(cap.reports().empty());
   }
   struct Case {
     const char* what;
@@ -260,13 +250,13 @@ TEST(AntagonistConfigTest, ValidateRejectsNonsense) {
       {"duty_pct", [](AntagonistConfig* a) { a->duty_pct = 101; }},
   };
   for (const Case& c : cases) {
-    CapturedViolations cap;
+    ViolationCapture cap;
     AntagonistConfig a;
     c.mutate(&a);
     a.Validate();
-    ASSERT_FALSE(cap.messages.empty()) << c.what;
-    EXPECT_NE(cap.messages.front().find(c.what), std::string::npos)
-        << c.what << " -> " << cap.messages.front();
+    ASSERT_FALSE(cap.reports().empty()) << c.what;
+    EXPECT_NE(cap.reports().front().message.find(c.what), std::string::npos)
+        << c.what << " -> " << cap.reports().front().message;
   }
 }
 

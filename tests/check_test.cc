@@ -6,12 +6,16 @@
 // message naming the culprit. They install a capturing handler instead of the
 // default abort, so a run can be driven past the corruption (error-code style,
 // no death tests). In unchecked builds they GTEST_SKIP(); the macro no-op
-// behaviour itself is verified in both flavours.
+// behaviour itself is verified in both flavours, and so is the handler and
+// count being the calling thread's own.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/check.h"
@@ -26,16 +30,48 @@
 namespace vscale {
 namespace {
 
+// Two threads each hold a capture and raise one VS_REQUIRE failure while the
+// other's capture is live: each capture keeps only its own thread's report,
+// and each thread's count moves only by its own.
+TEST(CheckTest, HandlerAndCountBelongToTheCallingThread) {
+  ViolationCapture mine;
+  const uint64_t my_count = InvariantViolationCount();
+  std::latch second_raised(1);
+  std::latch first_raised(1);
+  std::vector<InvariantViolation> theirs;
+  uint64_t their_count = 0;
+  std::thread second([&] {
+    ViolationCapture capture;
+    VS_REQUIRE(false, "raised on the second thread");
+    second_raised.count_down();
+    first_raised.wait();
+    theirs = capture.reports();
+    their_count = InvariantViolationCount();
+  });
+  second_raised.wait();
+  VS_REQUIRE(false, "raised on the first thread");
+  first_raised.count_down();
+  second.join();
+
+  ASSERT_EQ(mine.reports().size(), 1u);
+  EXPECT_EQ(mine.reports()[0].message, "raised on the first thread");
+  ASSERT_EQ(theirs.size(), 1u);
+  EXPECT_EQ(theirs[0].message, "raised on the second thread");
+  EXPECT_EQ(InvariantViolationCount(), my_count + 1);
+  EXPECT_EQ(their_count, 1u);  // a new thread's count starts at 0
+}
+
 #if !VSCALE_CHECKED
 
 TEST(CheckTest, InvariantCompilesToNothingWhenUnchecked) {
   EXPECT_EQ(VSCALE_CHECKED_ACTIVE(), 0);
+  const uint64_t before = InvariantViolationCount();
   int evaluations = 0;
   // Neither the (false) condition nor the message arguments may be evaluated.
   VS_INVARIANT(++evaluations != 0, "never formatted %d", ++evaluations);
   VS_INVARIANT(false, "never formatted");
   EXPECT_EQ(evaluations, 0);
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_EQ(InvariantViolationCount(), before);
 }
 
 TEST(CheckTest, DetectionTestsNeedCheckedBuild) {
@@ -46,56 +82,40 @@ TEST(CheckTest, DetectionTestsNeedCheckedBuild) {
 
 #else  // VSCALE_CHECKED
 
-// Installs a capturing handler for the duration of a test.
-class CaptureViolations {
- public:
-  CaptureViolations() {
-    ResetInvariantViolationCount();
-    previous_ = SetInvariantHandler(
-        [this](const InvariantViolation& v) { captured_.push_back(v); });
-  }
-  ~CaptureViolations() {
-    SetInvariantHandler(previous_);
-    ResetInvariantViolationCount();
-  }
+bool AnyMessageContains(const ViolationCapture& capture,
+                        const std::string& needle) {
+  return std::any_of(capture.reports().begin(), capture.reports().end(),
+                     [&](const InvariantViolation& v) {
+                       return v.message.find(needle) != std::string::npos;
+                     });
+}
 
-  const std::vector<InvariantViolation>& captured() const { return captured_; }
-  bool AnyMessageContains(const std::string& needle) const {
-    return std::any_of(captured_.begin(), captured_.end(),
-                       [&](const InvariantViolation& v) {
-                         return v.message.find(needle) != std::string::npos;
-                       });
-  }
-
- private:
-  InvariantHandler previous_;
-  std::vector<InvariantViolation> captured_;
-};
+std::string FirstMessage(const ViolationCapture& capture) {
+  return capture.reports().empty() ? "<none>" : capture.reports()[0].message;
+}
 
 TEST(CheckTest, FailReportsExprLocationAndFormattedMessage) {
-  CaptureViolations capture;
+  ViolationCapture capture;
   const int got = 2;
   VS_INVARIANT(got == 3, "expected 3 slots, found %d", got);
-  ASSERT_EQ(capture.captured().size(), 1u);
-  const InvariantViolation& v = capture.captured()[0];
+  ASSERT_EQ(capture.reports().size(), 1u);
+  const InvariantViolation& v = capture.reports()[0];
   EXPECT_STREQ(v.expr, "got == 3");
   EXPECT_NE(std::string(v.file).find("check_test.cc"), std::string::npos);
   EXPECT_GT(v.line, 0);
   EXPECT_EQ(v.message, "expected 3 slots, found 2");
-  EXPECT_EQ(InvariantViolationCount(), 1u);
 }
 
 TEST(CheckTest, PassingInvariantReportsNothing) {
-  CaptureViolations capture;
+  ViolationCapture capture;
   VS_INVARIANT(1 + 1 == 2, "arithmetic broke");
-  EXPECT_TRUE(capture.captured().empty());
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_TRUE(capture.reports().empty());
 }
 
 // A clean consolidated run must not trip any sweep: the checks describe the
 // scheduler as it is, not as we wish it were.
 TEST(CheckedSweepTest, CleanRunReportsNoViolations) {
-  CaptureViolations capture;
+  ViolationCapture capture;
   TestbedConfig cfg;
   cfg.policy = Policy::kVscale;
   cfg.primary_vcpus = 4;
@@ -109,38 +129,37 @@ TEST(CheckedSweepTest, CleanRunReportsNoViolations) {
   app.Start();
   bed.RunUntil([&] { return app.done(); }, Seconds(60));
   EXPECT_TRUE(app.done());
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_EQ(capture.reports().size(), 0u);
 }
 
 // Paper Algorithm 1 credit flow: csched_acct clamps balances to one accounting
 // period. Blow a balance past the clamp behind the scheduler's back and the
 // next HvTick sweep must flag that exact vCPU.
 TEST(CheckedSweepTest, CorruptedCreditBalanceIsDetected) {
-  CaptureViolations capture;
+  ViolationCapture capture;
   TestbedConfig cfg;
   cfg.primary_vcpus = 4;
   cfg.pool_pcpus = 4;
   cfg.seed = 11;
   Testbed bed(cfg);
   bed.sim().RunUntil(Milliseconds(100));
-  ASSERT_EQ(InvariantViolationCount(), 0u);
+  ASSERT_EQ(capture.reports().size(), 0u);
 
   Vcpu& victim = bed.machine().domain(0).vcpu(0);
   victim.credit_ns = 10 * bed.machine().cost().hv_accounting_period;
   bed.sim().RunUntil(Milliseconds(200));  // spans several 10 ms tick sweeps
 
-  EXPECT_GT(InvariantViolationCount(), 0u);
-  EXPECT_TRUE(capture.AnyMessageContains("credit leak or external corruption"))
-      << "first message: "
-      << (capture.captured().empty() ? "<none>" : capture.captured()[0].message);
-  EXPECT_TRUE(capture.AnyMessageContains("dom 0 vcpu 0"));
+  EXPECT_GT(capture.reports().size(), 0u);
+  EXPECT_TRUE(AnyMessageContains(capture, "credit leak or external corruption"))
+      << "first message: " << FirstMessage(capture);
+  EXPECT_TRUE(AnyMessageContains(capture, "dom 0 vcpu 0"));
 }
 
 // Co-simulation contract: a RUNNING vCPU's guest only moves forward through its
 // armed advance timer. Disarm one behind the scheduler's back and the next
 // HvTick sweep must name that vCPU.
 TEST(CheckedSweepTest, DisarmedAdvanceTimerIsDetected) {
-  CaptureViolations capture;
+  ViolationCapture capture;
   TestbedConfig cfg;
   cfg.primary_vcpus = 2;
   cfg.pool_pcpus = 2;
@@ -153,7 +172,7 @@ TEST(CheckedSweepTest, DisarmedAdvanceTimerIsDetected) {
   bed.sim().RunUntil(Milliseconds(200));
   app.Start();
   bed.sim().RunUntil(Milliseconds(400));  // includes the 400 ms tick sweep
-  ASSERT_EQ(InvariantViolationCount(), 0u);
+  ASSERT_EQ(capture.reports().size(), 0u);
 
   Domain& dom = bed.primary_domain();
   Vcpu* victim = nullptr;
@@ -165,11 +184,10 @@ TEST(CheckedSweepTest, DisarmedAdvanceTimerIsDetected) {
   victim->advance_timer.Disarm();
   bed.sim().RunUntil(Milliseconds(415));  // spans the 410 ms tick sweep
 
-  EXPECT_GT(InvariantViolationCount(), 0u);
-  EXPECT_TRUE(capture.AnyMessageContains("advance timer is disarmed"))
-      << "first message: "
-      << (capture.captured().empty() ? "<none>" : capture.captured()[0].message);
-  EXPECT_TRUE(capture.AnyMessageContains("dom " + std::to_string(dom.id()) + " vcpu " +
+  EXPECT_GT(capture.reports().size(), 0u);
+  EXPECT_TRUE(AnyMessageContains(capture, "advance timer is disarmed"))
+      << "first message: " << FirstMessage(capture);
+  EXPECT_TRUE(AnyMessageContains(capture, "dom " + std::to_string(dom.id()) + " vcpu " +
                                          std::to_string(victim->id())));
 }
 
@@ -177,7 +195,7 @@ TEST(CheckedSweepTest, DisarmedAdvanceTimerIsDetected) {
 // run queue must hold nothing migratable. Sneak a runnable worker back onto it
 // and the next kernel sweep must object.
 TEST(CheckedSweepTest, RunnableThreadOnFrozenVcpuIsDetected) {
-  CaptureViolations capture;
+  ViolationCapture capture;
   TestbedConfig cfg;
   cfg.primary_vcpus = 4;
   cfg.pool_pcpus = 4;
@@ -202,7 +220,7 @@ TEST(CheckedSweepTest, RunnableThreadOnFrozenVcpuIsDetected) {
       },
       Seconds(5));
   ASSERT_TRUE(kernel.IsFrozen(3));
-  ASSERT_EQ(InvariantViolationCount(), 0u);
+  ASSERT_EQ(capture.reports().size(), 0u);
 
   // Steal a queued runnable worker from a live CPU and park it on the frozen
   // one, keeping every other bookkeeping field consistent so the quiescence
@@ -230,11 +248,10 @@ TEST(CheckedSweepTest, RunnableThreadOnFrozenVcpuIsDetected) {
   kernel.cpu(3).runq.push_back(mole);
 
   bed.sim().RunUntil(bed.sim().Now() + Milliseconds(20));  // next 1 ms tick sweeps
-  EXPECT_GT(InvariantViolationCount(), 0u);
-  EXPECT_TRUE(capture.AnyMessageContains("frozen"))
-      << "first message: "
-      << (capture.captured().empty() ? "<none>" : capture.captured()[0].message);
-  EXPECT_TRUE(capture.AnyMessageContains(mole->name()));
+  EXPECT_GT(capture.reports().size(), 0u);
+  EXPECT_TRUE(AnyMessageContains(capture, "frozen"))
+      << "first message: " << FirstMessage(capture);
+  EXPECT_TRUE(AnyMessageContains(capture, mole->name()));
 }
 
 #endif  // VSCALE_CHECKED

@@ -571,21 +571,11 @@ TEST(StealBurstTest, StealCountClampedBelowWholeMachine) {
 
 // --- config self-validation ---
 
-struct CapturedViolations {
-  CapturedViolations() {
-    previous = SetInvariantHandler(
-        [this](const InvariantViolation& v) { messages.push_back(v.message); });
-  }
-  ~CapturedViolations() { SetInvariantHandler(previous); }
-  std::vector<std::string> messages;
-  InvariantHandler previous;
-};
-
 TEST(ConfigValidationTest, DefaultConfigsAreValid) {
-  CapturedViolations cap;
+  ViolationCapture cap;
   DaemonConfig{}.Validate();
   WatchdogConfig{}.Validate();
-  EXPECT_TRUE(cap.messages.empty());
+  EXPECT_TRUE(cap.reports().empty());
 }
 
 TEST(ConfigValidationTest, DaemonConfigRejectsNonsense) {
@@ -613,36 +603,36 @@ TEST(ConfigValidationTest, DaemonConfigRejectsNonsense) {
   cases.push_back({"resume_confirmations", {}});
   cases.back().dc.resume_confirmations = 0;
   for (const Case& c : cases) {
-    CapturedViolations cap;
+    ViolationCapture cap;
     c.dc.Validate();
-    EXPECT_FALSE(cap.messages.empty()) << c.what;
+    EXPECT_FALSE(cap.reports().empty()) << c.what;
     // The report names the offending field so the error is actionable.
-    EXPECT_NE(cap.messages.front().find(c.what), std::string::npos) << c.what;
+    EXPECT_NE(cap.reports().front().message.find(c.what), std::string::npos) << c.what;
   }
 }
 
 TEST(ConfigValidationTest, WatchdogConfigRejectsNonsense) {
   {
-    CapturedViolations cap;
+    ViolationCapture cap;
     WatchdogConfig wc;
     wc.check_period = -5;
     wc.Validate();
-    EXPECT_FALSE(cap.messages.empty());
+    EXPECT_FALSE(cap.reports().empty());
   }
   {
-    CapturedViolations cap;
+    ViolationCapture cap;
     WatchdogConfig wc;
     wc.missed_cycles = 0;
     wc.Validate();
-    EXPECT_FALSE(cap.messages.empty());
+    EXPECT_FALSE(cap.reports().empty());
   }
 }
 
 TEST(ConfigValidationTest, TestbedConfigRejectsNonsense) {
   {
-    CapturedViolations cap;
+    ViolationCapture cap;
     TestbedConfig{}.Validate();  // defaults (pool 0 = auto) are legal
-    EXPECT_TRUE(cap.messages.empty());
+    EXPECT_TRUE(cap.reports().empty());
   }
   struct Case {
     const char* what;
@@ -665,27 +655,27 @@ TEST(ConfigValidationTest, TestbedConfigRejectsNonsense) {
       {"missed_cycles", [](TestbedConfig* c) { c->watchdog.missed_cycles = 0; }},
   };
   for (const Case& c : cases) {
-    CapturedViolations cap;
+    ViolationCapture cap;
     TestbedConfig cfg;
     c.mutate(&cfg);
     cfg.Validate();
-    ASSERT_FALSE(cap.messages.empty()) << c.what;
-    EXPECT_NE(cap.messages.front().find(c.what), std::string::npos)
-        << c.what << " -> " << cap.messages.front();
+    ASSERT_FALSE(cap.reports().empty()) << c.what;
+    EXPECT_NE(cap.reports().front().message.find(c.what), std::string::npos)
+        << c.what << " -> " << cap.reports().front().message;
   }
   {
     // A disabled watchdog exempts its config from validation.
-    CapturedViolations cap;
+    ViolationCapture cap;
     TestbedConfig cfg;
     cfg.watchdog.missed_cycles = 0;
     cfg.enable_watchdog = false;
     cfg.Validate();
-    EXPECT_TRUE(cap.messages.empty());
+    EXPECT_TRUE(cap.reports().empty());
   }
 }
 
 TEST(ConfigValidationTest, TestbedConstructorValidates) {
-  CapturedViolations cap;
+  ViolationCapture cap;
   TestbedConfig cfg;
   cfg.policy = Policy::kBaseline;
   cfg.pool_pcpus = 2;
@@ -693,7 +683,7 @@ TEST(ConfigValidationTest, TestbedConstructorValidates) {
   cfg.background_vms = -1;
   cfg.quiet_mean = -1;  // invalid, but harmless to actually run with
   Testbed bed(cfg);
-  EXPECT_FALSE(cap.messages.empty());
+  EXPECT_FALSE(cap.reports().empty());
 }
 
 TEST(ConfigValidationTest, DaemonConstructorValidates) {
@@ -702,11 +692,11 @@ TEST(ConfigValidationTest, DaemonConstructorValidates) {
   Machine machine(mc);
   Domain& d = machine.CreateDomain("vm", 256, 4);
   GuestKernel kernel(machine, machine.sim(), d, GuestConfig{});
-  CapturedViolations cap;
+  ViolationCapture cap;
   DaemonConfig dc;
   dc.poll_period = -1;
   VscaleDaemon daemon(kernel, machine, dc);
-  EXPECT_FALSE(cap.messages.empty());
+  EXPECT_FALSE(cap.reports().empty());
 }
 
 }  // namespace

@@ -21,21 +21,15 @@
 namespace vscale {
 namespace {
 
-struct CapturedViolations {
-  CapturedViolations() {
-    previous = SetInvariantHandler(
-        [this](const InvariantViolation& v) { messages.push_back(v.message); });
-  }
-  ~CapturedViolations() { SetInvariantHandler(previous); }
-  std::vector<std::string> messages;
-  InvariantHandler previous;
-};
-
 // RAII canary arm/disarm so a failing test cannot leak the planted bug into
 // later tests.
 struct ArmedCanary {
   ArmedCanary() { SetFuzzCanary(true); }
   ~ArmedCanary() { SetFuzzCanary(false); }
+};
+struct ArmedFairnessCanary {
+  ArmedFairnessCanary() { SetFairnessCanary(true); }
+  ~ArmedFairnessCanary() { SetFairnessCanary(false); }
 };
 
 // A deliberately tiny scenario the oracle can run in milliseconds: dedicated
@@ -60,7 +54,7 @@ Scenario TinyScenario(uint64_t seed) {
 // --- generator -------------------------------------------------------------
 
 TEST(ScenarioGenTest, GeneratedScenariosAreLegalAndDeterministic) {
-  CapturedViolations cap;
+  ViolationCapture cap;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     const Scenario a = GenerateScenario(seed);
     const Scenario b = GenerateScenario(seed);
@@ -75,8 +69,8 @@ TEST(ScenarioGenTest, GeneratedScenariosAreLegalAndDeterministic) {
     }
   }
   // GenerateScenario self-validates; a legal scenario reports nothing.
-  EXPECT_TRUE(cap.messages.empty())
-      << "generator emitted an illegal scenario: " << cap.messages[0];
+  EXPECT_TRUE(cap.reports().empty())
+      << "generator emitted an illegal scenario: " << cap.reports()[0].message;
 }
 
 TEST(ScenarioGenTest, SeedsDiversifyTheGrammar) {
@@ -239,32 +233,32 @@ TEST(ScenarioTextTest, ParseErrorsNameTheLineAndToken) {
 
 TEST(ScenarioTextTest, ValidateRejectsUntrustworthyScenarios) {
   {
-    CapturedViolations cap;
+    ViolationCapture cap;
     Scenario s = TinyScenario(1);
     s.workloads.clear();
     s.Validate();
-    ASSERT_FALSE(cap.messages.empty());
-    EXPECT_NE(cap.messages[0].find("must not be empty"), std::string::npos);
+    ASSERT_FALSE(cap.reports().empty());
+    EXPECT_NE(cap.reports()[0].message.find("must not be empty"), std::string::npos);
   }
   {
-    CapturedViolations cap;
+    ViolationCapture cap;
     Scenario s = TinyScenario(1);
     s.workloads[0].app = "linpack";
     s.Validate();
-    ASSERT_FALSE(cap.messages.empty());
-    EXPECT_NE(cap.messages[0].find("unknown NPB app"), std::string::npos);
+    ASSERT_FALSE(cap.reports().empty());
+    EXPECT_NE(cap.reports()[0].message.find("unknown NPB app"), std::string::npos);
   }
   {
-    CapturedViolations cap;
+    ViolationCapture cap;
     Scenario s = TinyScenario(1);
     s.config.faults.Add(FaultKind::kDaemonStall, s.horizon - Milliseconds(1),
                         Milliseconds(10));
     s.Validate();
-    ASSERT_FALSE(cap.messages.empty());
-    EXPECT_NE(cap.messages[0].find("recovery room"), std::string::npos);
+    ASSERT_FALSE(cap.reports().empty());
+    EXPECT_NE(cap.reports()[0].message.find("recovery room"), std::string::npos);
   }
   {
-    CapturedViolations cap;
+    ViolationCapture cap;
     Scenario s = TinyScenario(1);
     WorkloadSpec web;
     web.kind = WorkloadSpec::Kind::kWeb;
@@ -272,8 +266,8 @@ TEST(ScenarioTextTest, ValidateRejectsUntrustworthyScenarios) {
     web.duration = Milliseconds(200);
     s.workloads.push_back(web);
     s.Validate();
-    ASSERT_FALSE(cap.messages.empty());
-    EXPECT_NE(cap.messages[0].find("past the"), std::string::npos);
+    ASSERT_FALSE(cap.reports().empty());
+    EXPECT_NE(cap.reports()[0].message.find("past the"), std::string::npos);
   }
   {
     // The legal counterpart: an auto-filled consolidation level (0) counts
@@ -323,13 +317,32 @@ TEST(OracleTest, CanaryBitesOnlyCrashScenariosAndOnlyWhenArmed) {
   EXPECT_EQ(RunOracle(crash).verdict, OracleVerdict::kPass);
   EXPECT_EQ(RunOracle(benign).verdict, OracleVerdict::kPass);
 
-  ArmedCanary armed;
-  EXPECT_TRUE(FuzzCanaryEnabled());
-  const OracleReport report = RunOracle(crash);
-  EXPECT_EQ(report.verdict, OracleVerdict::kDigestDivergence);
-  EXPECT_NE(report.digest1, report.digest2);
-  // The canary keys on the daemon-crash fault, so non-crash plans stay clean.
-  EXPECT_EQ(RunOracle(benign).verdict, OracleVerdict::kPass);
+  {
+    ArmedCanary armed;
+    EXPECT_TRUE(FuzzCanaryEnabled());
+    // Run 2 sees the leaked seed on whichever thread runs it.
+    const OracleReport report = RunOracle(crash);
+    EXPECT_EQ(report.verdict, OracleVerdict::kDigestDivergence);
+    EXPECT_NE(report.digest2, 0u);
+    EXPECT_NE(report.digest1, report.digest2);
+    // The canary keys on the daemon-crash fault, so non-crash plans stay clean.
+    EXPECT_EQ(RunOracle(benign).verdict, OracleVerdict::kPass);
+  }
+
+  // A run-1 failure reports run 1 alone: run 2 ran beside it, but its digest
+  // and coverage are discarded, as if it had never run.
+  Scenario attacked;
+  std::string error;
+  ASSERT_TRUE(LoadScenarioFile(
+      std::string(VSCALE_CORPUS_DIR) + "/antagonist_tick_evader_hardened.scenario",
+      &attacked, &error))
+      << error;
+  ArmedFairnessCanary armed;
+  const OracleReport report = RunOracle(attacked);
+  EXPECT_EQ(report.verdict, OracleVerdict::kFairnessViolation) << report.detail;
+  EXPECT_NE(report.digest1, 0u);
+  EXPECT_EQ(report.digest2, 0u);
+  EXPECT_TRUE(report.coverage_stable);
 }
 
 // --- shrinker --------------------------------------------------------------
@@ -373,9 +386,9 @@ TEST(ShrinkerTest, MinimizesCanaryFindToTheLoadBearingFault) {
   std::string error;
   ASSERT_TRUE(ParseScenario(minimal.ToString(), &reparsed, &error)) << error;
   EXPECT_EQ(reparsed.ToString(), minimal.ToString());
-  CapturedViolations cap;
+  ViolationCapture cap;
   minimal.Validate();
-  EXPECT_TRUE(cap.messages.empty());
+  EXPECT_TRUE(cap.reports().empty());
 }
 
 TEST(ShrinkerTest, RejectsCandidatesThatFailDifferently) {

@@ -85,6 +85,7 @@ TEST(StallTest, FlagBucketsDeriveWithFrozenPrecedence) {
 TEST(StallTest, IpiLatencyMatchingAndLeftovers) {
   StallAccountant a;
   a.BeginRun("unit");
+  a.OnVcpuCreated(1, 0, 0);           // hooked before (0,2), listed after it
   a.OnVcpuCreated(0, 2, 0);
   a.OnIpiSent(0, 2, 1000);
   a.OnIpiDelivered(0, 2, 1800);       // matched: 800ns
@@ -94,6 +95,29 @@ TEST(StallTest, IpiLatencyMatchingAndLeftovers) {
   EXPECT_EQ(a.ipi_deliver().Quantile(1.0), 800);
   a.FinishRun(3000);
   EXPECT_EQ(a.ipi_unmatched_sends(), 1);
+
+  // CSV rows go in (domain, vcpu) order, whatever order the hooks came in:
+  // the per-vCPU totals, then the per-domain aggregates (vcpu -1).
+  std::ostringstream csv;
+  a.WriteCsv(csv);
+  std::istringstream lines(csv.str());
+  std::string line;
+  std::vector<std::string> ids;
+  while (std::getline(lines, line)) {
+    if (line.find(",running,") == std::string::npos) continue;
+    const size_t dom = line.find(',', line.find(',') + 1) + 1;
+    ids.push_back(line.substr(dom, line.find(",running,") - dom));
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"0,2", "1,0", "0,-1", "1,-1"}));
+
+  // A vCPU never hooked reads 0, inside the table or past it, and so does a
+  // negative id.
+  EXPECT_EQ(a.BucketNs(0, 2, StallBucket::kIdle), 3000);
+  EXPECT_EQ(a.BucketNs(0, 0, StallBucket::kIdle), 0);
+  EXPECT_EQ(a.BucketNs(0, 7, StallBucket::kIdle), 0);
+  EXPECT_EQ(a.BucketNs(3, 0, StallBucket::kIdle), 0);
+  EXPECT_EQ(a.BucketNs(-1, 0, StallBucket::kIdle), 0);
+  EXPECT_EQ(a.BucketNs(0, -1, StallBucket::kIdle), 0);
 }
 
 // Builds one quickstart-shaped testbed cell (full consolidated pool) observed
