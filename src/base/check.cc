@@ -10,17 +10,12 @@ namespace vscale {
 namespace {
 
 thread_local InvariantHandler t_handler;  // empty = default print-and-abort
-thread_local uint64_t t_violations = 0;
 
 }  // namespace
 
 InvariantHandler SetInvariantHandler(InvariantHandler handler) {
   return std::exchange(t_handler, std::move(handler));
 }
-
-uint64_t InvariantViolationCount() { return t_violations; }
-
-void ResetInvariantViolationCount() { t_violations = 0; }
 
 ViolationCapture::ViolationCapture()
     : previous_(SetInvariantHandler(
@@ -31,7 +26,6 @@ ViolationCapture::~ViolationCapture() { SetInvariantHandler(std::move(previous_)
 namespace check_internal {
 
 void Fail(const char* expr, const char* file, int line, const char* fmt, ...) {
-  ++t_violations;
   InvariantViolation v;
   v.expr = expr;
   v.file = file;

@@ -23,7 +23,6 @@
 #ifndef VSCALE_SRC_BASE_CHECK_H_
 #define VSCALE_SRC_BASE_CHECK_H_
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -44,24 +43,17 @@ struct InvariantViolation {
 };
 
 // Receives every invariant violation. Returning (instead of aborting) lets
-// tests drive the simulation past a deliberately corrupted state and count the
-// reports; production handlers should treat a violation as fatal.
+// tests drive the simulation past a deliberately corrupted state and inspect
+// the reports; production handlers should treat a violation as fatal.
 using InvariantHandler = std::function<void(const InvariantViolation&)>;
 
-// The handler and the violation count belong to the calling thread: a report
-// reaches the handler of the thread that raised it and bumps only that
-// thread's count, so runs on different threads cannot see each other's
-// violations.
+// The handler belongs to the calling thread: a report reaches the handler of
+// the thread that raised it, so runs on different threads cannot see each
+// other's violations.
 //
 // Installs `handler` for the calling thread and returns its previous one.
 // Passing nullptr restores the default print-and-abort behaviour.
 InvariantHandler SetInvariantHandler(InvariantHandler handler);
-
-// Violations the calling thread reported since it started / its last reset.
-// Useful for error-code style tests and for the digest harness's
-// zero-violation check.
-uint64_t InvariantViolationCount();
-void ResetInvariantViolationCount();
 
 // Keeps the calling thread's reports instead of aborting, from construction
 // until destruction, when the previous handler is restored. Reports raised on
@@ -81,8 +73,8 @@ class ViolationCapture {
 };
 
 namespace check_internal {
-// Formats the message, bumps the calling thread's violation count and
-// dispatches to its handler (default: print to stderr, abort).
+// Formats the message and dispatches to the calling thread's handler
+// (default: print to stderr, abort).
 [[gnu::format(printf, 4, 5)]] void Fail(const char* expr, const char* file,
                                         int line, const char* fmt, ...);
 }  // namespace check_internal

@@ -1,7 +1,6 @@
 #include "src/fuzz/oracle.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -303,23 +302,17 @@ OracleReport RunOracle(const Scenario& s) {
     }
   }
   // The two runs share nothing (each owns its testbed, sinks and capture), so
-  // run 2 goes to a second thread while run 1 runs here. Whichever thread is
-  // free first takes it: the kernel may queue a new thread behind its creator,
-  // and then the caller runs run 2 after run 1, as a sequential oracle would.
+  // run 2 goes to a worker thread while run 1 runs here.
   RunOutcome run2;
   std::exception_ptr run2_error;
-  std::atomic<bool> run2_taken{false};
-  const auto take_run2 = [&] {
-    if (run2_taken.exchange(true)) return;
+  std::jthread worker([&] {
     try {
       run2 = RunScenarioOnce(s, seed2);
     } catch (...) {
       run2_error = std::current_exception();
     }
-  };
-  std::jthread worker(take_run2);
+  });
   const RunOutcome run1 = RunScenarioOnce(s, s.seed);
-  take_run2();
   worker.join();
   if (run2_error) std::rethrow_exception(run2_error);
 

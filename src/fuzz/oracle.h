@@ -87,8 +87,7 @@ struct OracleReport {
 // Runs `s` twice (the digest double-run) with all oracles armed and returns
 // the first failing verdict, or kPass. The scenario must be Validate()-legal.
 // State contract: the two runs go on two threads, run 1 on the caller and
-// run 2 on a worker joined before the call returns, or on the caller after
-// run 1 when the worker has not started by then; an exception from either
+// run 2 on a worker joined before the call returns; an exception from either
 // reaches the caller. Each run owns its testbed, stall accountant, coverage
 // map and violation capture (src/base/check.h), touches no process-wide
 // observer, and restores its thread's invariant handler. The verdict battery

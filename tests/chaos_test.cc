@@ -139,7 +139,7 @@ constexpr char kAcceptancePlan[] =
     "chan-stale@600ms+400ms;stall@1500ms+800ms;freeze-fail@2300ms+500ms";
 
 TEST(ChaosTest, FaultFreeRunConvergesAndStaysHealthy) {
-  ResetInvariantViolationCount();
+  ViolationCapture capture;
   ChaosRig rig("");
   rig.RunUntil(Milliseconds(500));
   EXPECT_EQ(rig.online(), 2);  // fair share of a 4-pCPU pool split two ways
@@ -149,11 +149,11 @@ TEST(ChaosTest, FaultFreeRunConvergesAndStaysHealthy) {
   EXPECT_EQ(rig.daemon->stale_detections(), 0);
   EXPECT_EQ(rig.watchdog->trips(), 0);
   EXPECT_EQ(rig.daemon->read_retries(), 0);
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_TRUE(capture.reports().empty());
 }
 
 TEST(ChaosTest, AcceptanceScenarioDetectsDegradesAndReconverges) {
-  ResetInvariantViolationCount();
+  ViolationCapture capture;
   ChaosRig rig(kAcceptancePlan);
 
   rig.RunUntil(Milliseconds(500));
@@ -183,7 +183,7 @@ TEST(ChaosTest, AcceptanceScenarioDetectsDegradesAndReconverges) {
   EXPECT_FALSE(rig.daemon->degraded());
   EXPECT_GT(rig.daemon->balancer().op_failures(), 0);
   EXPECT_EQ(rig.online(), 2) << "must re-converge to the fault-free steady state";
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_TRUE(capture.reports().empty());
 }
 
 TEST(ChaosTest, AcceptanceScenarioReplaysBitIdentically) {
@@ -196,7 +196,7 @@ TEST(ChaosTest, AcceptanceScenarioReplaysBitIdentically) {
 }
 
 TEST(ChaosTest, CrashAndStealCompoundRecoversToo) {
-  ResetInvariantViolationCount();
+  ViolationCapture capture;
   ChaosRig rig("crash@800ms+400ms;steal@2s+300ms*1");
   rig.RunUntil(Milliseconds(700));
   ASSERT_EQ(rig.online(), 2);
@@ -208,7 +208,7 @@ TEST(ChaosTest, CrashAndStealCompoundRecoversToo) {
   EXPECT_EQ(rig.daemon->restarts(), 1);
   EXPECT_GT(rig.machine->total_stolen_ns(), Milliseconds(250));
   EXPECT_EQ(rig.online(), 2);
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_TRUE(capture.reports().empty());
 }
 
 // A minimal rig for the guest-interior delivery fault domain: one busy vCPU,
@@ -257,7 +257,7 @@ struct DeliveryRig {
 // toward an idle vCPU. The resend chain (5 ms doubling backoff) keeps
 // re-sending through the drop window and converges shortly after it closes.
 TEST(ChaosTest, DroppedFreezeIpiResendChainConverges) {
-  ResetInvariantViolationCount();
+  ViolationCapture capture;
   GuestConfig gc;
   gc.freeze_resend_ns = Milliseconds(5);
   DeliveryRig rig("ipi-drop@100ms+30ms", gc, /*with_reconciler=*/false);
@@ -278,13 +278,13 @@ TEST(ChaosTest, DroppedFreezeIpiResendChainConverges) {
   EXPECT_GE(rig.kernel->freeze_resends(), 2);
   EXPECT_EQ(rig.kernel->freeze_mask(), rig.dom().hv_freeze_mask());
   EXPECT_EQ(rig.dom().vcpu(1).state(), VcpuState::kBlocked);
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_TRUE(capture.reports().empty());
 }
 
 // Pin the stock exposure the hardening closes: without resend (and without a
 // reconciler) the same dropped freeze IPI wedges the handshake forever.
 TEST(ChaosTest, StockKernelWedgesOnDroppedFreezeIpi) {
-  ResetInvariantViolationCount();
+  ViolationCapture capture;
   DeliveryRig rig("ipi-drop@100ms+30ms", GuestConfig{},
                   /*with_reconciler=*/false);
   rig.machine->sim().ScheduleAt(Milliseconds(110), [&rig] {
@@ -295,7 +295,7 @@ TEST(ChaosTest, StockKernelWedgesOnDroppedFreezeIpi) {
   EXPECT_TRUE(rig.kernel->cpu(1).evacuate_pending) << "stock must still wedge "
       "(if this converges, the bench's negative control is stale too)";
   EXPECT_EQ(rig.kernel->freeze_resends(), 0);
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_TRUE(capture.reports().empty());
 }
 
 // Tri-state reconciler, divergence-repair leg: the hypervisor's freeze mask is
@@ -303,7 +303,7 @@ TEST(ChaosTest, StockKernelWedgesOnDroppedFreezeIpi) {
 // hypervisor disagree; the reconciler must detect within one audit period,
 // repair after grace by re-issuing the hypercall, and count the convergence.
 TEST(ChaosTest, ReconcilerRepairsPerturbedHvFreezeMask) {
-  ResetInvariantViolationCount();
+  ViolationCapture capture;
   DeliveryRig rig("", GuestConfig{}, /*with_reconciler=*/true);
   rig.RunUntil(Milliseconds(50));
   rig.kernel->cpu(0).pending_kernel_ns += rig.kernel->FreezeCpu(1);
@@ -326,13 +326,13 @@ TEST(ChaosTest, ReconcilerRepairsPerturbedHvFreezeMask) {
   EXPECT_EQ(rig.kernel->freeze_mask(), rig.dom().hv_freeze_mask());
   EXPECT_TRUE(rig.kernel->IsFrozen(1));
   EXPECT_GT(rig.reconciler->cycles(), 0);
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_TRUE(capture.reports().empty());
 }
 
 // The same fault machinery through the public Testbed surface, the way
 // quickstart --faults drives it.
 TEST(ChaosTest, TestbedWiresFaultPlanEndToEnd) {
-  ResetInvariantViolationCount();
+  ViolationCapture capture;
   TestbedConfig cfg;
   cfg.policy = Policy::kVscale;
   cfg.primary_vcpus = 4;
@@ -351,7 +351,7 @@ TEST(ChaosTest, TestbedWiresFaultPlanEndToEnd) {
   EXPECT_GE(bed.watchdog()->recoveries(), 1);
   EXPECT_GT(bed.machine().total_stolen_ns(), Milliseconds(150));
   EXPECT_EQ(bed.machine().stolen_pcpus(), 0);  // burst over, pCPU returned
-  EXPECT_EQ(InvariantViolationCount(), 0u);
+  EXPECT_TRUE(capture.reports().empty());
 }
 
 }  // namespace

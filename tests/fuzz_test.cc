@@ -320,7 +320,7 @@ TEST(OracleTest, CanaryBitesOnlyCrashScenariosAndOnlyWhenArmed) {
   {
     ArmedCanary armed;
     EXPECT_TRUE(FuzzCanaryEnabled());
-    // Run 2 sees the leaked seed on whichever thread runs it.
+    // Run 2, on the worker thread, sees the leaked seed.
     const OracleReport report = RunOracle(crash);
     EXPECT_EQ(report.verdict, OracleVerdict::kDigestDivergence);
     EXPECT_NE(report.digest2, 0u);
