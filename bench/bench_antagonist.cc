@@ -36,7 +36,6 @@
 // take collapses. CI runs exactly that (docs/ADVERSARIAL.md).
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -178,13 +177,8 @@ Outcome RunCell(const CellSpec& cell, bool hardened, bool with_antagonist,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchTraceScope scope(argc, argv);
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    }
-  }
+  BenchTraceScope scope(argc, argv, {"--check"});
+  const bool check = !scope.values("--check").empty();
 
   std::printf("Scheduler antagonists: attack yield, unhardened vs hardened\n");
   std::printf(

@@ -357,12 +357,10 @@ void PrintDeliveryTable(const Observers& obs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchTraceScope scope(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--check") {
-      // CI mode: run only the delivery-fault gates, exit non-zero on any miss.
-      return CheckDelivery(scope.observers());
-    }
+  BenchTraceScope scope(argc, argv, {"--check"});
+  if (!scope.values("--check").empty()) {
+    // CI mode: run only the delivery-fault gates, exit non-zero on any miss.
+    return CheckDelivery(scope.observers());
   }
   std::printf("Chaos recovery: fault detection latency and time-to-recover\n");
   std::printf("(4 pCPUs, 4-vCPU spin-wasting primary packed to 2, rival VM; "

@@ -1,28 +1,23 @@
-// Shared helpers for the figure benches: environment-driven sizing so quick local
-// iterations (VSCALE_BENCH_SEEDS=1) and thorough regenerations (=3, the paper's
-// three-run averages) use the same binaries.
+// BenchTraceScope: the command line and the opt-in observers of the bench
+// binaries (bench_repro, bench_antagonist, bench_chaos_recovery).
 
 #ifndef VSCALE_BENCH_BENCH_COMMON_H_
 #define VSCALE_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/metrics_registry.h"
 #include "src/base/observers.h"
-#include "src/base/parse.h"
-#include "src/base/table.h"
 #include "src/base/trace.h"
 #include "src/metrics/state_digest.h"
 #include "src/metrics/trace_export.h"
 #include "src/obs/stall_accounting.h"
-#include "src/workloads/campaign.h"
-#include "src/workloads/testbed.h"
 
 namespace vscale {
 
@@ -30,7 +25,7 @@ namespace vscale {
 // attach observers() to every TestbedConfig and bare MachineConfig the bench
 // builds; the sinks are exported on destruction.
 //
-//   bench_fig9_waiting_time --trace fig9.trace.json --metrics fig9.csv
+//   bench_repro --figure fig9 --trace fig9.trace.json --metrics fig9.csv
 //
 // Only the sinks the flags ask for are built — a tracer for --trace, a registry
 // for --metrics or --digest, an accountant for --stall — so with none given the
@@ -44,33 +39,45 @@ namespace vscale {
 //
 // --stall attaches stall attribution to every observed Testbed; --stall-csv
 // <path> also dumps the bucket time series for tools/stall_report on
-// destruction. A path flag given without its path is a usage error (exit 2).
+// destruction.
+//
+// `own_flags` are the binary's own flags as its usage line spells them:
+// "--check" is a switch, "--figure NAME" takes a value; values() reads what was
+// given. Any other argument, and a flag without its value, is a usage error
+// (exit 2).
 class BenchTraceScope {
  public:
-  BenchTraceScope(int argc, char** argv) {
+  BenchTraceScope(int argc, char** argv, std::vector<std::string> own_flags = {})
+      : program_(argv[0]), own_flags_(std::move(own_flags)) {
     bool want_stall = false;
     for (int i = 1; i < argc; ++i) {
-      const bool path_flag = std::strcmp(argv[i], "--trace") == 0 ||
-                             std::strcmp(argv[i], "--metrics") == 0 ||
-                             std::strcmp(argv[i], "--stall-csv") == 0;
-      if (path_flag && i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "usage: %s [--trace out.json] [--metrics out.csv] "
-                     "[--digest] [--stall] [--stall-csv out.csv]\n"
-                     "%s requires a path\n",
-                     argv[0], argv[i]);
-        std::exit(2);
+      const std::string arg = argv[i];
+      const std::string* own = nullptr;
+      for (const std::string& f : own_flags_) {
+        if (f.substr(0, f.find(' ')) == arg) {
+          own = &f;
+        }
       }
-      if (std::strcmp(argv[i], "--trace") == 0) {
+      const bool takes_value =
+          arg == "--trace" || arg == "--metrics" || arg == "--stall-csv" ||
+          (own != nullptr && own->find(' ') != std::string::npos);
+      if (takes_value && i + 1 >= argc) {
+        Usage(arg + " requires a value");
+      }
+      if (arg == "--trace") {
         trace_path_ = argv[++i];
-      } else if (std::strcmp(argv[i], "--metrics") == 0) {
+      } else if (arg == "--metrics") {
         metrics_path_ = argv[++i];
-      } else if (std::strcmp(argv[i], "--stall-csv") == 0) {
+      } else if (arg == "--stall-csv") {
         stall_csv_path_ = argv[++i];
-      } else if (std::strcmp(argv[i], "--digest") == 0) {
+      } else if (arg == "--digest") {
         want_digest_ = true;
-      } else if (std::strcmp(argv[i], "--stall") == 0) {
+      } else if (arg == "--stall") {
         want_stall = true;
+      } else if (own != nullptr) {
+        given_.emplace_back(arg, takes_value ? argv[++i] : "");
+      } else {
+        Usage("unknown argument '" + arg + "'");
       }
     }
     if (!trace_path_.empty()) {
@@ -133,7 +140,34 @@ class BenchTraceScope {
     return {tracer_.get(), stall_.get(), nullptr, metrics_.get()};
   }
 
+  // The values given to the own flag `flag`, in order; a switch gives "".
+  std::vector<std::string> values(const std::string& flag) const {
+    std::vector<std::string> out;
+    for (const auto& [f, value] : given_) {
+      if (f == flag) {
+        out.push_back(value);
+      }
+    }
+    return out;
+  }
+
+  // Prints the usage line and `why` to stderr and exits 2.
+  [[noreturn]] void Usage(const std::string& why) const {
+    std::string line = "usage: " + program_;
+    for (const std::string& f : own_flags_) {
+      line += " [" + f + "]";
+    }
+    std::fprintf(stderr,
+                 "%s [--trace out.json] [--metrics out.csv] [--digest] [--stall] "
+                 "[--stall-csv out.csv]\n%s\n",
+                 line.c_str(), why.c_str());
+    std::exit(2);
+  }
+
  private:
+  std::string program_;
+  std::vector<std::string> own_flags_;
+  std::vector<std::pair<std::string, std::string>> given_;  // own flag, value
   std::string trace_path_;
   std::string metrics_path_;
   std::string stall_csv_path_;
@@ -142,68 +176,6 @@ class BenchTraceScope {
   std::unique_ptr<StallAccountant> stall_;
   std::unique_ptr<MetricsRegistry> metrics_;
 };
-
-// VSCALE_BENCH_SEEDS picks how many of the five bench seeds each cell runs:
-// unset means 1, anything but an integer in 1..5 is a usage error (exit 2).
-inline std::vector<uint64_t> BenchSeeds() {
-  static const uint64_t kSeeds[] = {42, 137, 999, 2024, 5150};
-  int64_t n = 1;
-  if (const char* env = std::getenv("VSCALE_BENCH_SEEDS")) {
-    if (!ParseI64(env, &n) || n < 1 || n > 5) {
-      std::fprintf(stderr, "VSCALE_BENCH_SEEDS wants an integer in 1..5, got '%s'\n",
-                   env);
-      std::exit(2);
-    }
-  }
-  return std::vector<uint64_t>(kSeeds, kSeeds + n);
-}
-
-inline CampaignConfig MakeCampaign(int vcpus) {
-  CampaignConfig cfg;
-  cfg.vcpus = vcpus;
-  cfg.seeds = BenchSeeds();
-  return cfg;
-}
-
-// Prints a normalized-execution-time figure: one row per app, one column per policy.
-inline void PrintNormalizedFigure(const std::string& title,
-                                  const std::vector<CellResult>& cells,
-                                  const std::vector<Policy>& policies) {
-  std::printf("%s\n", title.c_str());
-  std::vector<std::string> headers = {"app"};
-  for (Policy p : policies) {
-    headers.push_back(ToString(p));
-  }
-  TextTable table(headers);
-  std::vector<std::string> apps;
-  for (const auto& c : cells) {
-    bool seen = false;
-    for (const auto& a : apps) {
-      if (a == c.app) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      apps.push_back(c.app);
-    }
-  }
-  for (const auto& app : apps) {
-    std::vector<std::string> row = {app};
-    for (Policy p : policies) {
-      double norm = 0.0;
-      for (const auto& c : cells) {
-        if (c.app == app && c.policy == p) {
-          norm = Normalized(cells, c);
-          break;
-        }
-      }
-      row.push_back(TextTable::Num(norm, 2));
-    }
-    table.AddRow(row);
-  }
-  table.Print();
-}
 
 }  // namespace vscale
 

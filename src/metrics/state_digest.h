@@ -17,7 +17,7 @@
 //  * MetricsRegistry: every (name, value) counter pair.
 //
 // Used by tools/digest_run (the ctest double-run harness), quickstart
-// --digest, and the bench --digest flag (bench/bench_common.h). Documented in
+// --digest, and the benches' --digest flag (bench/bench_common.h). Documented in
 // docs/CHECKING.md.
 
 #ifndef VSCALE_SRC_METRICS_STATE_DIGEST_H_

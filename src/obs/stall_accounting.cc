@@ -112,7 +112,8 @@ void StallAccountant::FinishRun(TimeNs now) {
   run_ = {};
 }
 
-StallAccountant::DomAcct& StallAccountant::Dom(int dom) {
+// Inline: out of line, GCC kept it a call from Get, which every hook makes.
+inline StallAccountant::DomAcct& StallAccountant::Dom(int dom) {
   VS_INVARIANT(dom >= 0, "stall hook for negative domain id %d", dom);
   const size_t d = static_cast<size_t>(dom);
   if (d >= doms_.size()) doms_.resize(d + 1);

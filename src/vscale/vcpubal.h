@@ -10,8 +10,8 @@
 //    >100 ms, with a stop_machine() stall on every online vCPU per removal).
 //
 // The original authors could only simulate their policy; this class "really runs" it
-// against the same hypervisor/guest substrate vScale uses, so bench_comparison_vcpubal
-// can put the three systems side by side.
+// against the same hypervisor/guest substrate vScale uses, so `bench_repro --figure
+// comparison_vcpubal` can put the three systems side by side.
 
 #ifndef VSCALE_SRC_VSCALE_VCPUBAL_H_
 #define VSCALE_SRC_VSCALE_VCPUBAL_H_

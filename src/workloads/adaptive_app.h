@@ -4,8 +4,8 @@
 // AdaptiveApp is a work-stealing chunk processor whose worker team resizes with the
 // number of online vCPUs: surplus workers park on a condvar instead of oversubscribing
 // packed vCPUs, and wake when vScale unfreezes capacity. Compare with a fixed team of
-// the same size (adaptive=false) to quantify the benefit — the bench for this lives in
-// bench_ablation_adaptive_app.
+// the same size (adaptive=false) to quantify the benefit — `bench_repro --figure
+// ablation_adaptive_app` runs both.
 
 #ifndef VSCALE_SRC_WORKLOADS_ADAPTIVE_APP_H_
 #define VSCALE_SRC_WORKLOADS_ADAPTIVE_APP_H_

@@ -1,19 +1,29 @@
 #include "src/workloads/campaign.h"
 
-#include <memory>
-
 namespace vscale {
-
-namespace {
 
 // Virtual-time budget for one run; a run that misses it is left out of the means.
 constexpr TimeNs kRunDeadline = Seconds(900);
 
-template <typename App, typename MakeApp>
-CellResult RunCell(const CampaignConfig& cfg, const std::string& app_name,
-                   int64_t spin_count, Policy policy, MakeApp&& make_app) {
+template <typename App>
+GuestCounters RunApp(Testbed& bed, App& app) {
+  bed.sim().RunUntil(Milliseconds(200));
+  const GuestCounters before = SnapshotCounters(bed.primary());
+  app.Start();
+  bed.RunUntil([&] { return app.done(); }, kRunDeadline);
+  return SnapshotCounters(bed.primary()) - before;
+}
+
+template GuestCounters RunApp(Testbed& bed, OmpApp& app);
+template GuestCounters RunApp(Testbed& bed, PthreadApp& app);
+
+namespace {
+
+template <typename App, typename AppConfig>
+CellResult RunCell(const CampaignConfig& cfg, const AppConfig& app_config,
+                   int64_t spin_count, Policy policy) {
   CellResult cell;
-  cell.app = app_name;
+  cell.app = app_config.name;
   cell.policy = policy;
   cell.spin_count = spin_count;
   TimeNs dur_sum = 0;
@@ -25,19 +35,14 @@ CellResult RunCell(const CampaignConfig& cfg, const std::string& app_name,
     tb.primary_vcpus = cfg.vcpus;
     tb.seed = seed;
     Testbed bed(tb);
-    std::unique_ptr<App> app = make_app(bed, seed);
-    bed.sim().RunUntil(Milliseconds(200));
-    const GuestCounters before = SnapshotCounters(bed.primary());
-    app->Start();
-    const bool finished =
-        bed.RunUntil([&] { return app->done(); }, kRunDeadline);
-    if (!finished) {
+    App app(bed.primary(), app_config, AppSeed(seed));
+    const GuestCounters delta = RunApp(bed, app);
+    if (!app.done()) {
       continue;
     }
-    const GuestCounters delta = SnapshotCounters(bed.primary()) - before;
-    dur_sum += app->duration();
+    dur_sum += app.duration();
     wait_sum += delta.domain_wait;
-    ipi_sum += PerVcpuPerSecond(delta.resched_ipis, cfg.vcpus, app->duration());
+    ipi_sum += PerVcpuPerSecond(delta.resched_ipis, cfg.vcpus, app.duration());
     ++cell.runs;
   }
   if (cell.runs > 0) {
@@ -52,22 +57,14 @@ CellResult RunCell(const CampaignConfig& cfg, const std::string& app_name,
 
 CellResult RunNpbCell(const CampaignConfig& cfg, const std::string& app,
                       int64_t spin_count, Policy policy) {
-  return RunCell<OmpApp>(cfg, app, spin_count, policy,
-                         [&](Testbed& bed, uint64_t seed) {
-                           OmpAppConfig ac = NpbProfile(app, cfg.vcpus, spin_count);
-                           return std::make_unique<OmpApp>(bed.primary(), ac,
-                                                           seed * 13 + 7);
-                         });
+  return RunCell<OmpApp>(cfg, NpbProfile(app, cfg.vcpus, spin_count), spin_count,
+                         policy);
 }
 
 CellResult RunParsecCell(const CampaignConfig& cfg, const std::string& app,
                          Policy policy) {
-  return RunCell<PthreadApp>(cfg, app, /*spin_count=*/0, policy,
-                             [&](Testbed& bed, uint64_t seed) {
-                               PthreadAppConfig ac = ParsecProfile(app, cfg.vcpus);
-                               return std::make_unique<PthreadApp>(bed.primary(), ac,
-                                                                   seed * 13 + 7);
-                             });
+  return RunCell<PthreadApp>(cfg, ParsecProfile(app, cfg.vcpus), /*spin_count=*/0,
+                             policy);
 }
 
 std::vector<CellResult> RunNpbSuite(const CampaignConfig& cfg, int64_t spin_count) {

@@ -1,6 +1,7 @@
 // Campaign runner: executes the paper's application-level experiment grids
 // (app x policy x wait-policy x seeds) on the consolidated testbed and aggregates the
-// per-run measurements the figures need. Used by the bench/ binaries for Figures 6-13.
+// per-run measurements the figures need. Used by bench/bench_repro for Figures 6-13
+// and, through RunApp, for the ablations that re-wire a testbed of their own.
 
 #ifndef VSCALE_SRC_WORKLOADS_CAMPAIGN_H_
 #define VSCALE_SRC_WORKLOADS_CAMPAIGN_H_
@@ -34,6 +35,17 @@ struct CellResult {
   double ipis_per_vcpu_sec = 0.0;
   int runs = 0;  // runs that finished before the deadline (the means cover only these)
 };
+
+// The app seed of a campaign run on the testbed seeded `seed`.
+constexpr uint64_t AppSeed(uint64_t seed) { return seed * 13 + 7; }
+
+// The measured part of one run, on a testbed the caller built: warm up to
+// 200 ms, snapshot the primary's counters, start `app`, run until it is done or
+// 900 s of virtual time have passed, and return the primary's counter delta.
+// A run that missed the deadline leaves `app.done()` false. Defined for OmpApp
+// and PthreadApp.
+template <typename App>
+GuestCounters RunApp(Testbed& bed, App& app);
 
 // Runs one NPB app under one policy, averaged over the campaign seeds.
 CellResult RunNpbCell(const CampaignConfig& cfg, const std::string& app,
