@@ -943,11 +943,11 @@ int main(int argc, char** argv) {
       }
     }
     if (found == nullptr) {
-      std::string known;
+      std::string why = "unknown figure '" + name + "'; figures:";
       for (const Figure& f : kFigures) {
-        known.append(" ").append(f.name);
+        why.append(" ").append(f.name);
       }
-      scope.Usage("unknown figure '" + name + "'; figures:" + known);
+      scope.Usage(why);
     }
     figures.push_back(found);
   }
